@@ -1,27 +1,26 @@
 //! The CI bench-regression gate.
 //!
-//! Measures the refactor, batched-sweep, solution-store, engine-memo,
-//! build-free-submit, cancel-latency, recovery-ladder,
-//! sharded-throughput and telemetry-overhead scenarios in-process,
-//! writes the results as `BENCH_pr9.json`, and compares the
-//! machine-portable speedup *ratios* against the committed baseline JSON
-//! within a relative tolerance (see `docs/benching.md` for the schema
-//! and the rationale). Exit code 0 = every ratio within tolerance;
-//! 1 = regression.
+//! Measures the refactor, drifting-operating-point, warm-workspace,
+//! solution-store, netlist-submit, build-free-submit, cancel-latency,
+//! recovery-ladder, sharded-throughput and telemetry-overhead scenarios
+//! in-process, checks the machine-portable speedup *ratios* against the
+//! committed baseline JSON within a relative tolerance and against their
+//! hard floors, and writes every measured check to the `--out` JSON (see
+//! `docs/benching.md` for the schema and the rationale). Exit code 0 =
+//! every check passes; 1 = regression.
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr8.json --out BENCH_pr9.json --tolerance 0.25
+//!     --baseline BENCH_pr10.json --out BENCH_pr12.json --tolerance 0.25
 //! ```
 
 use std::io::Write;
 use std::process::ExitCode;
 
 use rfsim_bench::gate::{
-    cancel_latency_scenario, drift_scenario, engine_memo_scenario, evaluate,
-    keyless_submit_scenario, memo_roundtrip, mpde_warm_vs_cold, netlist_submit_scenario,
-    recovery_ladder_scenario, refactor_vs_full, sharded_throughput_scenario,
-    telemetry_overhead_scenario, GateCheck, Json,
+    bench_json, cancel_latency_scenario, drift_scenario, evaluate, keyless_submit_scenario,
+    memo_roundtrip, mpde_warm_vs_cold, netlist_submit_scenario, recovery_ladder_scenario,
+    refactor_vs_full, sharded_throughput_scenario, telemetry_overhead_scenario, GateCheck, Json,
 };
 
 struct Args {
@@ -33,8 +32,8 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        baseline: "BENCH_pr9.json".into(),
-        out: "BENCH_pr10.json".into(),
+        baseline: "BENCH_pr10.json".into(),
+        out: "BENCH_pr12.json".into(),
         // Cross-machine reproducibility of the micro ratios is ~±20%
         // (measured by re-running a pinned build against a baseline
         // recorded on a different container), so a tighter band is
@@ -106,17 +105,6 @@ fn main() -> ExitCode {
         netlist.bit_identical,
     );
 
-    let engine_memo = engine_memo_scenario(args.reps);
-    println!(
-        "  engine: fresh batch {:.0} ns vs memo hit {:.0} ns → {:.1}x, \
-         {} memo hits, bit-identical: {}",
-        engine_memo.fresh_ns,
-        engine_memo.memo_ns,
-        engine_memo.speedup(),
-        engine_memo.memo_hits,
-        engine_memo.bit_identical,
-    );
-
     let keyless = keyless_submit_scenario(args.reps);
     println!(
         "  keyless submit: memo submit {:.0} ns, {} builder calls during \
@@ -179,190 +167,6 @@ fn main() -> ExitCode {
         telemetry.traced,
         telemetry.bit_identical,
     );
-
-    // ------------------------------------------------------------------
-    // Emit BENCH_pr9.json.
-    // ------------------------------------------------------------------
-    let json = format!(
-        r#"{{
-  "pr": 9,
-  "title": "End-to-end telemetry: lifecycle traces, latency histograms, metrics verb",
-  "machine_note": "emitted by `cargo run --release -p rfsim-bench --bin bench_gate`; absolute ns are machine-bound, the `ratios` section is what the CI gate compares (see docs/benching.md)",
-  "benchmarks": [
-    {{
-      "name": "refactor/refactor_numeric",
-      "median_ns": {refactor_ns:.1}
-    }},
-    {{
-      "name": "refactor/factor_full",
-      "median_ns": {full_factor_ns:.1}
-    }},
-    {{
-      "name": "drift/restricted_pivot_sequence",
-      "median_ns": {restricted_ns:.1}
-    }},
-    {{
-      "name": "drift/full_fallback_sequence",
-      "median_ns": {fallback_ns:.1}
-    }},
-    {{
-      "name": "mpde/solve_warm_workspace",
-      "median_ns": {warm_ns:.1}
-    }},
-    {{
-      "name": "mpde/solve_cold_workspace",
-      "median_ns": {cold_ns:.1}
-    }},
-    {{
-      "name": "serve/grid_fresh_solve",
-      "median_ns": {fresh_ns:.1}
-    }},
-    {{
-      "name": "serve/grid_memo_hit",
-      "median_ns": {memo_ns:.1}
-    }},
-    {{
-      "name": "engine/batch_fresh_solve",
-      "median_ns": {engine_fresh_ns:.1}
-    }},
-    {{
-      "name": "engine/batch_memo_hit",
-      "median_ns": {engine_memo_ns:.1}
-    }},
-    {{
-      "name": "serve/memo_hit_submit",
-      "median_ns": {keyless_ns:.1}
-    }},
-    {{
-      "name": "serve/cancel_latency",
-      "median_ns": {cancel_ns:.1}
-    }},
-    {{
-      "name": "serve/hung_family_single_scheduler",
-      "median_ns": {sharded_single_ns:.1}
-    }},
-    {{
-      "name": "serve/hung_family_shard_pool",
-      "median_ns": {sharded_pool_ns:.1}
-    }},
-    {{
-      "name": "serve/fresh_solve_telemetry_on",
-      "median_ns": {telemetry_on_ns:.1}
-    }},
-    {{
-      "name": "serve/fresh_solve_telemetry_off",
-      "median_ns": {telemetry_off_ns:.1}
-    }}
-  ],
-  "drift": {{
-    "stressed_refreshes": {stressed},
-    "in_pattern_repairs": {repairs},
-    "full_fallbacks": {fallbacks},
-    "hit_rate": {hit_rate:.4},
-    "fallback_rate": {fallback_rate:.4}
-  }},
-  "serve": {{
-    "memo_hits": {memo_hits},
-    "bit_identical_replay": {bit_identical},
-    "keyless_builder_calls_during_memo": {keyless_builder_calls},
-    "keyless_fp_cache_hits": {keyless_fp_hits}
-  }},
-  "engine_memo": {{
-    "memo_hits": {engine_memo_hits},
-    "bit_identical_replay": {engine_bit_identical}
-  }},
-  "control_plane": {{
-    "cancel_latency_bound_ms": {cancel_bound_ms:.0},
-    "cancel_typed_outcome": {cancel_typed},
-    "cancel_slot_reclaimed": {cancel_reclaimed}
-  }},
-  "recovery_ladder": {{
-    "diverged_typed": {ladder_diverged},
-    "nan_iterates_committed": {ladder_nan},
-    "iterations_to_diverge": {ladder_iters},
-    "max_iters": {ladder_max_iters},
-    "ladder_rescues": {ladder_rescues},
-    "ladder_runs": {ladder_runs}
-  }},
-  "sharded": {{
-    "shards": {sharded_shards},
-    "clients": {sharded_clients},
-    "hung_deadline_ms": {sharded_deadline_ms},
-    "fast_shards": {sharded_fast_shards},
-    "hung_isolated": {sharded_isolated},
-    "bit_identical_across_pools": {sharded_bit_identical}
-  }},
-  "telemetry": {{
-    "settled_trace_retained": {telemetry_traced},
-    "bit_identical_across_planes": {telemetry_bit_identical}
-  }},
-  "ratios": {{
-    "refactor_vs_full_factor": {refactor_speedup:.3},
-    "drift_restricted_vs_full_fallback": {drift_speedup:.3},
-    "mpde_warm_vs_cold_workspace": {warm_speedup:.3},
-    "memo_hit_vs_fresh_solve": {memo_speedup:.3},
-    "engine_memo_hit_vs_fresh_solve": {engine_memo_speedup:.3},
-    "cancel_latency_headroom": {cancel_headroom:.3},
-    "diverge_fast_fail_headroom": {ladder_headroom:.3},
-    "sharded_throughput": {sharded_speedup:.3},
-    "telemetry_overhead": {telemetry_ratio:.3}
-  }}
-}}
-"#,
-        restricted_ns = drift.restricted_ns,
-        fallback_ns = drift.fallback_ns,
-        stressed = drift.stressed_refreshes,
-        repairs = drift.in_pattern_repairs,
-        fallbacks = drift.full_fallbacks,
-        hit_rate = drift.hit_rate(),
-        fallback_rate = drift.fallback_rate(),
-        fresh_ns = memo.fresh_ns,
-        memo_ns = memo.memo_ns,
-        memo_hits = memo.memo_hits,
-        bit_identical = memo.bit_identical,
-        memo_speedup = memo.speedup(),
-        engine_fresh_ns = engine_memo.fresh_ns,
-        engine_memo_ns = engine_memo.memo_ns,
-        engine_memo_hits = engine_memo.memo_hits,
-        engine_bit_identical = engine_memo.bit_identical,
-        engine_memo_speedup = engine_memo.speedup(),
-        keyless_ns = keyless.memo_submit_ns,
-        keyless_builder_calls = keyless.builder_calls_during_memo,
-        keyless_fp_hits = keyless.fp_cache_hits,
-        cancel_ns = cancel.latency_ns,
-        cancel_bound_ms = cancel.bound_ms,
-        cancel_typed = cancel.typed,
-        cancel_reclaimed = cancel.reclaimed,
-        cancel_headroom = cancel.headroom(),
-        ladder_diverged = ladder.diverged_typed,
-        ladder_nan = ladder.nan_iterates_committed,
-        ladder_iters = ladder.iterations_to_diverge,
-        ladder_max_iters = ladder.max_iters,
-        ladder_rescues = ladder.ladder_rescues,
-        ladder_runs = ladder.ladder_runs,
-        ladder_headroom = ladder.fast_fail_headroom(),
-        sharded_single_ns = sharded.single_ns,
-        sharded_pool_ns = sharded.sharded_ns,
-        sharded_shards = sharded.shards,
-        sharded_clients = sharded.clients,
-        sharded_deadline_ms = sharded.hung_deadline_ms,
-        sharded_fast_shards = sharded.fast_shards,
-        sharded_isolated = sharded.hung_isolated,
-        sharded_bit_identical = sharded.bit_identical,
-        sharded_speedup = sharded.speedup(),
-        telemetry_on_ns = telemetry.on_ns,
-        telemetry_off_ns = telemetry.off_ns,
-        telemetry_traced = telemetry.traced,
-        telemetry_bit_identical = telemetry.bit_identical,
-        telemetry_ratio = telemetry.ratio(),
-    );
-    std::fs::File::create(&args.out)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.out));
-    println!("bench_gate: wrote {}", args.out);
-
-    // Sanity-check that what we wrote is valid against our own reader.
-    Json::parse(&json).expect("bench_gate emitted invalid JSON");
 
     // ------------------------------------------------------------------
     // Gate against the committed baseline.
@@ -446,26 +250,11 @@ fn main() -> ExitCode {
         baseline: None,
         floor: 1.0,
     });
-    checks.push(GateCheck {
-        name: "engine_memo_hit_vs_fresh_solve".into(),
-        measured: engine_memo.speedup(),
-        baseline: None,
-        // PR 5 acceptance criterion: a repeated identical batch served
-        // from the engine's solution memo is >= 10x faster than
-        // re-solving it.
-        floor: 10.0,
-    });
     // Bit-identical replay is pass/fail, not a ratio: encode it as a
     // 0/1 metric with a floor of 1.
     checks.push(GateCheck {
         name: "memo_replay_bit_identical".into(),
         measured: if memo.bit_identical { 1.0 } else { 0.0 },
-        baseline: None,
-        floor: 1.0,
-    });
-    checks.push(GateCheck {
-        name: "engine_memo_replay_bit_identical".into(),
-        measured: if engine_memo.bit_identical { 1.0 } else { 0.0 },
         baseline: None,
         floor: 1.0,
     });
@@ -595,6 +384,110 @@ fn main() -> ExitCode {
         baseline: None,
         floor: 1.0,
     });
+
+    // ------------------------------------------------------------------
+    // Emit the bench JSON: every check above lands under `ratios`.
+    // ------------------------------------------------------------------
+    let benchmarks = [
+        ("refactor/refactor_numeric", refactor_ns),
+        ("refactor/factor_full", full_factor_ns),
+        ("drift/restricted_pivot_sequence", drift.restricted_ns),
+        ("drift/full_fallback_sequence", drift.fallback_ns),
+        ("mpde/solve_warm_workspace", warm_ns),
+        ("mpde/solve_cold_workspace", cold_ns),
+        ("serve/grid_fresh_solve", memo.fresh_ns),
+        ("serve/grid_memo_hit", memo.memo_ns),
+        ("serve/netlist_submit_cold", netlist.fresh_ns),
+        ("serve/netlist_submit_memo_hit", netlist.memo_ns),
+        ("serve/memo_hit_submit", keyless.memo_submit_ns),
+        ("serve/cancel_latency", cancel.latency_ns),
+        ("serve/hung_family_single_scheduler", sharded.single_ns),
+        ("serve/hung_family_shard_pool", sharded.sharded_ns),
+        ("serve/fresh_solve_telemetry_on", telemetry.on_ns),
+        ("serve/fresh_solve_telemetry_off", telemetry.off_ns),
+    ];
+    let sections = vec![
+        (
+            "drift",
+            Json::object([
+                ("stressed_refreshes", Json::from(drift.stressed_refreshes)),
+                ("in_pattern_repairs", Json::from(drift.in_pattern_repairs)),
+                ("full_fallbacks", Json::from(drift.full_fallbacks)),
+                ("hit_rate", Json::from(drift.hit_rate())),
+                ("fallback_rate", Json::from(drift.fallback_rate())),
+            ]),
+        ),
+        (
+            "serve",
+            Json::object([
+                ("memo_hits", Json::from(memo.memo_hits)),
+                ("bit_identical_replay", Json::from(memo.bit_identical)),
+                (
+                    "keyless_builder_calls_during_memo",
+                    Json::from(keyless.builder_calls_during_memo),
+                ),
+                ("keyless_fp_cache_hits", Json::from(keyless.fp_cache_hits)),
+            ]),
+        ),
+        (
+            "control_plane",
+            Json::object([
+                ("cancel_latency_bound_ms", Json::from(cancel.bound_ms)),
+                ("cancel_typed_outcome", Json::from(cancel.typed)),
+                ("cancel_slot_reclaimed", Json::from(cancel.reclaimed)),
+            ]),
+        ),
+        (
+            "recovery_ladder",
+            Json::object([
+                ("diverged_typed", Json::from(ladder.diverged_typed)),
+                (
+                    "nan_iterates_committed",
+                    Json::from(ladder.nan_iterates_committed),
+                ),
+                (
+                    "iterations_to_diverge",
+                    Json::from(ladder.iterations_to_diverge),
+                ),
+                ("max_iters", Json::from(ladder.max_iters)),
+                ("ladder_rescues", Json::from(ladder.ladder_rescues)),
+                ("ladder_runs", Json::from(ladder.ladder_runs)),
+            ]),
+        ),
+        (
+            "sharded",
+            Json::object([
+                ("shards", Json::from(sharded.shards)),
+                ("clients", Json::from(sharded.clients)),
+                (
+                    "hung_deadline_ms",
+                    Json::number(sharded.hung_deadline_ms as f64),
+                ),
+                ("fast_shards", Json::from(sharded.fast_shards)),
+                ("hung_isolated", Json::from(sharded.hung_isolated)),
+                (
+                    "bit_identical_across_pools",
+                    Json::from(sharded.bit_identical),
+                ),
+            ]),
+        ),
+        (
+            "telemetry",
+            Json::object([
+                ("settled_trace_retained", Json::from(telemetry.traced)),
+                (
+                    "bit_identical_across_planes",
+                    Json::from(telemetry.bit_identical),
+                ),
+            ]),
+        ),
+    ];
+    let json = bench_json(&benchmarks, sections, &checks);
+    std::fs::File::create(&args.out)
+        .and_then(|mut f| f.write_all(json.as_bytes()))
+        .unwrap_or_else(|e| panic!("writing {}: {e}", args.out));
+    println!("bench_gate: wrote {}", args.out);
+
     println!(
         "bench_gate: comparing against {} (tolerance ±{:.0}%)",
         args.baseline,

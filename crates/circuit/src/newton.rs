@@ -228,15 +228,6 @@ pub struct WorkspaceStats {
     /// Preconditioner (re)builds from scratch (first use, structural
     /// change, or recovery from a refresh breakdown).
     pub precond_rebuilds: usize,
-    /// Whole sub-jobs served from the sweep engine's solution memo
-    /// without running Newton at all (see `rfsim_rf::sweep::SweepEngine`).
-    /// Counted here so the memo's effect rolls up through the same
-    /// [`WorkspaceCache::solver_stats`] channel as every other reuse
-    /// counter.
-    pub engine_memo_hits: usize,
-    /// Memo-eligible sub-jobs that missed the solution memo and paid a
-    /// full sweep (jobs without a memo token are not counted).
-    pub engine_memo_misses: usize,
     /// Recovery-ladder rungs attempted by a
     /// [`NewtonDriver`](crate::driver::NewtonDriver) solve (a one-rung
     /// solve that converges first try counts 1).
@@ -265,8 +256,6 @@ impl WorkspaceStats {
             precond_refreshes,
             parallel_precond_refreshes,
             precond_rebuilds,
-            engine_memo_hits,
-            engine_memo_misses,
             rung_attempts,
             rung_successes,
         } = other;
@@ -282,8 +271,6 @@ impl WorkspaceStats {
         self.precond_refreshes += precond_refreshes;
         self.parallel_precond_refreshes += parallel_precond_refreshes;
         self.precond_rebuilds += precond_rebuilds;
-        self.engine_memo_hits += engine_memo_hits;
-        self.engine_memo_misses += engine_memo_misses;
         self.rung_attempts += rung_attempts;
         self.rung_successes += rung_successes;
     }

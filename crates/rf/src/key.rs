@@ -1,4 +1,4 @@
-//! Quantised job keys for cross-batch solution memoisation.
+//! Quantised job keys for the `rfsim-serve` solution store.
 //!
 //! A sweep service that wants to serve a repeated request from a solution
 //! store needs a stable key for "the same job". Structure is already

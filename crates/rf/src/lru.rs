@@ -1,14 +1,11 @@
 //! A small bounded LRU map keyed by [`JobKey`], with per-entry string
 //! tags for targeted eviction.
 //!
-//! Two memo layers share this one implementation — the sweep engine's
-//! solution memo ([`crate::sweep::SweepEngine::with_solution_memo`],
-//! tagged by memo token) and the `rfsim-serve` solution store (tagged by
-//! family name) — so their recency rules cannot drift apart: a hit
-//! refreshes recency, an insert at capacity evicts the least-recently-
-//! used entry, replacing an existing key never evicts, and tag-targeted
-//! eviction drops entries without counting against the capacity-eviction
-//! stats.
+//! The `rfsim-serve` solution store (tagged by family name) runs on this
+//! map. Its recency rules: a hit refreshes recency, an insert at capacity
+//! evicts the least-recently-used entry, replacing an existing key never
+//! evicts, and tag-targeted eviction drops entries without counting
+//! against the capacity-eviction stats.
 
 use std::collections::HashMap;
 

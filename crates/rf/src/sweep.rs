@@ -40,40 +40,22 @@
 //! Three steady-state backends ride the same machinery: the sheared-MPDE
 //! solver ([`MpdeSweepJob`]), two-tone harmonic balance ([`Hb2SweepJob`])
 //! and single-tone periodic collocation ([`PeriodicFdSweepJob`]).
-//! Multi-parameter (amplitude × tone-spacing) families run as
-//! [`MpdeGridSweep`]s: one warm-start chain per spacing row, rows spread
-//! across the pool, all rows sharing cached workspaces because tone
-//! spacing changes Jacobian *values*, not structure.
+//! Multi-parameter (amplitude × tone-spacing) grids run as one batch with
+//! one job per spacing row: each row is an amplitude chain on the
+//! `[0, t1_period) × [0, 1/fd)` grid, and all rows share cached
+//! workspaces because tone spacing changes Jacobian *values*, not
+//! structure.
 //!
-//! # Solution memoisation
-//!
-//! Warm workspaces make a repeated batch *cheap*; the engine's bounded
-//! LRU **solution memo** makes it *near-free*. A job that carries a
-//! [`SweepJob::with_memo_token`] identity is keyed by
-//! `(backend Jacobian fingerprint, token, quantised backend parameters,
-//! quantised swept values)` through [`crate::key::JobKeyBuilder`], and a
-//! repeated identical job returns a clone of the stored per-point
-//! solutions without running Newton at all. The token exists because a
-//! fingerprint covers Jacobian *structure*, not element *values*: two
-//! families sharing a topology (a 1 kΩ and a 2 kΩ output stage) would
-//! otherwise collide, so only jobs that declare "which circuit this is"
-//! participate — untokened jobs always solve. Memo hits are bit-identical
-//! to the batch that populated the entry by construction; in the
-//! engine's deterministic mode ([`SweepEngine::chain_topology_groups`]
-//! off) they are additionally bit-identical to what a fresh re-solve
-//! would produce. Hit counters roll up through the workspace cache as
-//! [`WorkspaceStats::engine_memo_hits`].
+//! The engine keeps no solutions between batches: repeated requests are
+//! memoised one layer up, in the `rfsim-serve` solution store.
 
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use rfsim_circuit::driver::{NewtonDriver, Rung, RungExec, RungKind};
 use rfsim_circuit::fault::SolveFault;
-use rfsim_circuit::newton::{
-    LinearSolverWorkspace, NewtonOptions, RefactorStrategy, WorkspaceCache, WorkspaceStats,
-};
+use rfsim_circuit::newton::{LinearSolverWorkspace, WorkspaceCache, WorkspaceStats};
 use rfsim_circuit::{Circuit, Result};
 use rfsim_hb::hb2::{hb2_jacobian_fingerprint, hb2_solve_budgeted, Hb2Options, Hb2Result};
 use rfsim_mpde::solver::{
@@ -86,8 +68,7 @@ use rfsim_shooting::{
     periodic_fd_jacobian_fingerprint, periodic_fd_pss_budgeted, PeriodicFdOptions, PeriodicFdResult,
 };
 
-use crate::key::{fnv1a_bytes, JobKey, JobKeyBuilder, Quantizer, FNV_OFFSET};
-use crate::lru::TaggedLru;
+use crate::key::{fnv1a_bytes, FNV_OFFSET};
 use crate::pool::WorkerPool;
 
 /// One point of an amplitude sweep.
@@ -157,55 +138,6 @@ pub trait SweepBackend {
 
     /// The flattened samples of `solution` (the next point's warm start).
     fn samples<'a>(&self, solution: &'a Self::Solution) -> &'a [f64];
-
-    /// Folds every backend parameter that can change a solution — grid
-    /// shape, periods, schemes, Newton configuration — into a solution-memo
-    /// key. Together with the Jacobian fingerprint, the job's memo token
-    /// and its quantised swept values, this is the engine's identity for
-    /// "the same sub-job" (see [`SweepEngine::with_solution_memo`]).
-    fn fold_memo_key(&self, key: JobKeyBuilder) -> JobKeyBuilder;
-}
-
-/// Folds the solution-relevant [`NewtonOptions`] fields into a memo key.
-/// Tolerances and iteration budgets change which bits Newton converges to,
-/// so they are all part of the identity — folded by *exact bit pattern*,
-/// not through the quantizer: quantisation exists to merge near-identical
-/// spellings of physical sweep parameters, but two solver configurations
-/// that differ at all may legitimately converge to different bits (and a
-/// stricter tolerance must never be served a looser tolerance's
-/// solution). The nested linear-solver choice is folded through its
-/// (plain-data) `Debug` spelling.
-fn fold_newton_options(key: JobKeyBuilder, newton: &NewtonOptions) -> JobKeyBuilder {
-    key.push_u64(newton.max_iters as u64)
-        .push_u64(newton.reltol.to_bits())
-        .push_u64(newton.abstol_v.to_bits())
-        .push_u64(newton.abstol_i.to_bits())
-        .push_u64(newton.min_damping.to_bits())
-        .push_u64(newton.residual_tol.to_bits())
-        .push_u64(newton.jacobian_reuse as u64)
-        .push_u64(newton.max_voltage_step.to_bits())
-        .push_str(&format!("{:?}", newton.linear))
-}
-
-/// Folds an [`InitialGuess`] into a memo key. A caller-provided sample
-/// guess is folded by exact bit pattern (not quantised): a different guess
-/// can converge to different bits, so "close" guesses must not merge.
-fn fold_initial_guess(key: JobKeyBuilder, guess: &InitialGuess) -> JobKeyBuilder {
-    match guess {
-        InitialGuess::DcReplicate => key.push_str("dc"),
-        InitialGuess::EnvelopeFollowing { sweeps } => {
-            key.push_str("envelope").push_u64(*sweeps as u64)
-        }
-        InitialGuess::Samples(samples) => {
-            let mut h = FNV_OFFSET;
-            for &s in samples {
-                h = fnv1a_bytes(h, &s.to_bits().to_le_bytes());
-            }
-            key.push_str("samples")
-                .push_u64(samples.len() as u64)
-                .push_u64(h)
-        }
-    }
 }
 
 /// Sheared-MPDE sweep backend (the paper's method).
@@ -250,21 +182,6 @@ impl SweepBackend for MpdeBackend {
 
     fn samples<'a>(&self, solution: &'a MpdeSolution) -> &'a [f64] {
         &solution.solution.data
-    }
-
-    fn fold_memo_key(&self, key: JobKeyBuilder) -> JobKeyBuilder {
-        let o = &self.options;
-        let key = key
-            .push_str("mpde")
-            .push_f64(self.t1_period)
-            .push_f64(self.t2_period)
-            .push_u64(o.n1 as u64)
-            .push_u64(o.n2 as u64)
-            .push_str(&format!("{:?}", o.scheme1))
-            .push_str(&format!("{:?}", o.scheme2))
-            .push_u64(u64::from(o.continuation_fallback))
-            .push_str(&format!("{:?}", o.continuation));
-        fold_initial_guess(fold_newton_options(key, &o.newton), &o.initial_guess)
     }
 }
 
@@ -314,17 +231,6 @@ impl SweepBackend for Hb2Backend {
     fn samples<'a>(&self, solution: &'a Hb2Result) -> &'a [f64] {
         &solution.samples
     }
-
-    fn fold_memo_key(&self, key: JobKeyBuilder) -> JobKeyBuilder {
-        let o = &self.options;
-        let key = key
-            .push_str("hb2")
-            .push_f64(self.period1)
-            .push_f64(self.period2)
-            .push_u64(o.n1 as u64)
-            .push_u64(o.n2 as u64);
-        fold_newton_options(key, &o.newton)
-    }
 }
 
 /// Single-tone periodic-collocation sweep backend.
@@ -363,16 +269,6 @@ impl SweepBackend for PeriodicFdBackend {
     fn samples<'a>(&self, solution: &'a PeriodicFdResult) -> &'a [f64] {
         &solution.samples
     }
-
-    fn fold_memo_key(&self, key: JobKeyBuilder) -> JobKeyBuilder {
-        let o = &self.options;
-        let key = key
-            .push_str("periodic_fd")
-            .push_f64(self.period)
-            .push_u64(o.n_samples as u64)
-            .push_str(&format!("{:?}", o.scheme));
-        fold_newton_options(key, &o.newton)
-    }
 }
 
 /// A circuit family: the swept value in, the circuit at that operating
@@ -393,7 +289,6 @@ pub struct SweepJob<B> {
     /// Backend configuration shared by all points.
     pub backend: B,
     make_circuit: CircuitFamily,
-    memo_token: Option<String>,
     budget: Option<SolveBudget>,
     fault: Option<SolveFault>,
 }
@@ -403,7 +298,6 @@ impl<B> std::fmt::Debug for SweepJob<B> {
         f.debug_struct("SweepJob")
             .field("label", &self.label)
             .field("points", &self.values.len())
-            .field("memo_token", &self.memo_token)
             .field("budget", &self.budget)
             .field("fault", &self.fault)
             .finish()
@@ -411,24 +305,6 @@ impl<B> std::fmt::Debug for SweepJob<B> {
 }
 
 impl<B> SweepJob<B> {
-    /// Opts this job into the engine's solution memo under `token` — the
-    /// caller's name for *which circuit family* `make_circuit` builds
-    /// (e.g. `"rc_lowpass/1k"`). The engine's fingerprint covers Jacobian
-    /// structure but not element values, so the token is the part of the
-    /// memo identity only the caller knows: two jobs may share a token
-    /// **iff** they build value-identical circuits for equal swept values.
-    /// Jobs without a token never consult the memo.
-    #[must_use]
-    pub fn with_memo_token(mut self, token: impl Into<String>) -> Self {
-        self.memo_token = Some(token.into());
-        self
-    }
-
-    /// The memo identity set by [`SweepJob::with_memo_token`], if any.
-    pub fn memo_token(&self) -> Option<&str> {
-        self.memo_token.as_deref()
-    }
-
     /// Runs this job under its own [`SolveBudget`] instead of the batch
     /// budget. The budget covers every point of the sweep: the chain
     /// fail-fasts between points and every Newton/Krylov iteration inside
@@ -492,7 +368,6 @@ impl SweepJob<MpdeBackend> {
                 options,
             },
             make_circuit: Box::new(make_circuit),
-            memo_token: None,
             budget: None,
             fault: None,
         }
@@ -518,7 +393,6 @@ impl SweepJob<Hb2Backend> {
                 options,
             },
             make_circuit: Box::new(make_circuit),
-            memo_token: None,
             budget: None,
             fault: None,
         }
@@ -540,160 +414,10 @@ impl SweepJob<PeriodicFdBackend> {
             values,
             backend: PeriodicFdBackend { period, options },
             make_circuit: Box::new(make_circuit),
-            memo_token: None,
             budget: None,
             fault: None,
         }
     }
-}
-
-/// An amplitude × tone-spacing MPDE grid for [`SweepEngine::run_mpde_grid`].
-///
-/// Each spacing `fd` defines one row solved on the
-/// `[0, t1_period) × [0, 1/fd)` grid; rows are independent warm-start
-/// chains spread across the pool, and — because tone spacing changes
-/// Jacobian *values*, not structure — every row draws on the same
-/// fingerprint-keyed workspaces.
-pub struct MpdeGridSweep {
-    /// Diagnostic name.
-    pub label: String,
-    /// Amplitudes traced (warm-start chained) within each row.
-    pub amplitudes: Vec<f64>,
-    /// Tone spacings `fd` in hertz, one row each.
-    pub spacings: Vec<f64>,
-    /// Fast-axis period shared by all rows.
-    pub t1_period: f64,
-    /// MPDE options shared by all points.
-    pub options: MpdeOptions,
-    make_circuit: Box<dyn Fn(f64, f64) -> Result<Circuit> + Send + Sync>,
-    memo_token: Option<String>,
-}
-
-impl MpdeGridSweep {
-    /// A grid over `amplitudes × spacings`; `make_circuit(amplitude, fd)`
-    /// builds the circuit at one grid point.
-    pub fn new(
-        label: impl Into<String>,
-        amplitudes: Vec<f64>,
-        spacings: Vec<f64>,
-        t1_period: f64,
-        options: MpdeOptions,
-        make_circuit: impl Fn(f64, f64) -> Result<Circuit> + Send + Sync + 'static,
-    ) -> Self {
-        MpdeGridSweep {
-            label: label.into(),
-            amplitudes,
-            spacings,
-            t1_period,
-            options,
-            make_circuit: Box::new(make_circuit),
-            memo_token: None,
-        }
-    }
-
-    /// Opts this grid into the engine's solution memo under `token` — one
-    /// token covers the whole grid, because each row's memo key also folds
-    /// in the row's `t2_period = 1/fd`, which distinguishes rows of the
-    /// same family. The same sharing contract as
-    /// [`SweepJob::with_memo_token`] applies: two grids may share a token
-    /// **iff** `make_circuit` builds value-identical circuits for equal
-    /// `(amplitude, fd)` coordinates.
-    #[must_use]
-    pub fn with_memo_token(mut self, token: impl Into<String>) -> Self {
-        self.memo_token = Some(token.into());
-        self
-    }
-
-    /// The memo identity set by [`MpdeGridSweep::with_memo_token`], if any.
-    pub fn memo_token(&self) -> Option<&str> {
-        self.memo_token.as_deref()
-    }
-}
-
-impl std::fmt::Debug for MpdeGridSweep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MpdeGridSweep")
-            .field("label", &self.label)
-            .field("amplitudes", &self.amplitudes.len())
-            .field("spacings", &self.spacings.len())
-            .field("memo_token", &self.memo_token)
-            .finish()
-    }
-}
-
-/// One solved point of an [`MpdeGridSweep`].
-#[derive(Debug, Clone)]
-pub struct MpdeGridPoint {
-    /// The amplitude coordinate.
-    pub amplitude: f64,
-    /// The tone-spacing coordinate (hertz).
-    pub spacing: f64,
-    /// The MPDE solution at this grid point.
-    pub solution: MpdeSolution,
-}
-
-/// The engine's bounded LRU solution memo (see the module docs): job key
-/// in, a clone of the stored per-point solutions — behind a type-erased
-/// [`Arc`], so one map serves every backend — out. The recency and
-/// eviction rules are the shared [`TaggedLru`]'s, the same ones the
-/// serve layer's solution store runs on; entries are tagged with the
-/// job's memo token for targeted eviction.
-struct SolutionMemo {
-    entries: TaggedLru<Arc<dyn Any + Send + Sync>>,
-}
-
-impl SolutionMemo {
-    fn new(capacity: usize) -> Self {
-        SolutionMemo {
-            entries: TaggedLru::new(capacity),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.entries.capacity() > 0
-    }
-
-    fn get(&mut self, key: JobKey) -> Option<Arc<dyn Any + Send + Sync>> {
-        self.entries.get(key)
-    }
-
-    fn insert(&mut self, key: JobKey, token: String, value: Arc<dyn Any + Send + Sync>) {
-        self.entries.insert(key, token, value);
-    }
-
-    fn evict(&mut self, token: Option<&str>) -> usize {
-        self.entries.evict(token)
-    }
-
-    fn snapshot(&self) -> MemoSnapshot {
-        let stats = self.entries.stats();
-        MemoSnapshot {
-            hits: stats.hits,
-            misses: stats.misses,
-            insertions: stats.insertions,
-            evictions: stats.evictions,
-            len: self.entries.len(),
-            capacity: self.entries.capacity(),
-        }
-    }
-}
-
-/// Snapshot of the engine's solution-memo counters
-/// ([`SweepEngine::memo_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoSnapshot {
-    /// Memo-eligible sub-jobs served without a solve.
-    pub hits: usize,
-    /// Memo-eligible sub-jobs that paid a full sweep.
-    pub misses: usize,
-    /// Solutions stored.
-    pub insertions: usize,
-    /// Entries dropped to respect the capacity bound (LRU).
-    pub evictions: usize,
-    /// Entries currently retained.
-    pub len: usize,
-    /// Retention bound (0 = memo disabled).
-    pub capacity: usize,
 }
 
 /// Snapshot of the engine's workspace-cache counters.
@@ -773,19 +497,14 @@ pub struct CacheSnapshot {
 pub struct SweepEngine {
     pool: WorkerPool,
     cache: Mutex<WorkspaceCache>,
-    memo: Mutex<SolutionMemo>,
     /// Backend Jacobian fingerprints per
     /// `(backend type ⊕ DC pattern, solution dim)` probe, persisted across
     /// batches: a repeated batch pays two cheap circuit-level probes per
     /// job instead of re-assembling the backend's grid Jacobian structure.
     /// Fingerprints are routing keys (see `run_batch`), so a probe merge
-    /// costs a transparent workspace rebuild, never a wrong solve — and
-    /// solution-memo keys fold the backend parameters and token
-    /// separately, so a merge can never manufacture a false memo hit.
+    /// costs a transparent workspace rebuild, never a wrong solve.
     probe_cache: Mutex<HashMap<(u64, usize), PatternFingerprint>>,
-    quantizer: Quantizer,
     chain_groups: bool,
-    refactor_strategy: RefactorStrategy,
 }
 
 impl Default for SweepEngine {
@@ -801,11 +520,6 @@ impl SweepEngine {
         Self::with_pool(WorkerPool::from_available_parallelism())
     }
 
-    /// Default bound on memoised sub-job solutions: matched to the
-    /// workspace cache's topology bound — enough for a dashboard's worth
-    /// of repeated grids while capping retained sample memory.
-    pub const DEFAULT_MEMO_CAPACITY: usize = 64;
-
     /// Bound on persisted backend-fingerprint probes (distinct
     /// `(backend, DC structure, dim)` triples the engine has seen).
     const PROBE_CACHE_CAPACITY: usize = 1024;
@@ -815,11 +529,8 @@ impl SweepEngine {
         SweepEngine {
             pool,
             cache: Mutex::new(WorkspaceCache::new()),
-            memo: Mutex::new(SolutionMemo::new(Self::DEFAULT_MEMO_CAPACITY)),
             probe_cache: Mutex::new(HashMap::new()),
-            quantizer: Quantizer::default(),
             chain_groups: true,
-            refactor_strategy: RefactorStrategy::Sequential,
         }
     }
 
@@ -836,96 +547,12 @@ impl SweepEngine {
         self
     }
 
-    /// Bounds the engine's solution memo to `capacity` memoised sub-jobs
-    /// (default [`SweepEngine::DEFAULT_MEMO_CAPACITY`]; `0` disables the
-    /// memo entirely). Only jobs carrying a
-    /// [`SweepJob::with_memo_token`] identity participate; see the module
-    /// docs for the keying rules. A construction-time builder: it
-    /// replaces the memo, so call it before the first batch.
-    ///
-    /// A second identical batch is served from the memo — no Newton
-    /// iterations, bit-identical points:
-    ///
-    /// ```
-    /// use rfsim_circuit::{BiWaveform, CircuitBuilder, Envelope, GROUND};
-    /// use rfsim_mpde::solver::MpdeOptions;
-    /// use rfsim_rf::pool::WorkerPool;
-    /// use rfsim_rf::sweep::{MpdeSweepJob, SweepEngine};
-    ///
-    /// # fn main() -> Result<(), rfsim_circuit::CircuitError> {
-    /// let (f1, fd) = (1e6, 10e3);
-    /// let family = move |amplitude: f64| {
-    ///     let mut b = CircuitBuilder::new();
-    ///     let inp = b.node("in");
-    ///     let out = b.node("out");
-    ///     b.vsource(
-    ///         "VRF",
-    ///         inp,
-    ///         GROUND,
-    ///         BiWaveform::ShearedCarrier {
-    ///             amplitude,
-    ///             k: 1,
-    ///             f1,
-    ///             fd,
-    ///             phase: 0.0,
-    ///             envelope: Envelope::Unit,
-    ///         },
-    ///     )?;
-    ///     b.resistor("R1", inp, out, 1e3)?;
-    ///     b.capacitor("C1", out, GROUND, 160e-12)?;
-    ///     b.build()
-    /// };
-    /// let opts = MpdeOptions {
-    ///     n1: 8,
-    ///     n2: 4,
-    ///     ..Default::default()
-    /// };
-    /// let jobs = vec![
-    ///     MpdeSweepJob::new("rc-1k", vec![0.1, 0.2], 1.0 / f1, 1.0 / fd, opts, family)
-    ///         .with_memo_token("rc_lowpass/1k"),
-    /// ];
-    /// let engine = SweepEngine::with_pool(WorkerPool::new(1)).with_solution_memo(16);
-    /// let first = engine.run_mpde_batch(&jobs);
-    /// let again = engine.run_mpde_batch(&jobs);
-    /// // The repeat was a memo hit, and its points are bit-identical.
-    /// assert!(engine.memo_stats().hits > 0);
-    /// assert_eq!(engine.solver_stats().engine_memo_hits, 1);
-    /// let (a, b) = (first[0].as_ref().unwrap(), again[0].as_ref().unwrap());
-    /// for (pa, pb) in a.iter().zip(b) {
-    ///     assert_eq!(pa.solution.solution.data, pb.solution.solution.data);
-    /// }
-    /// # Ok(())
-    /// # }
-    /// ```
+    /// Does nothing and returns the engine unchanged: the engine keeps no
+    /// solution memo (the `rfsim-serve` solution store is the one memo
+    /// layer). Kept only because the repository benchmark (`perfbench/`)
+    /// still calls it.
     #[must_use]
-    pub fn with_solution_memo(self, capacity: usize) -> Self {
-        *self.memo.lock().expect("solution memo poisoned") = SolutionMemo::new(capacity);
-        self
-    }
-
-    /// Sets the quantiser used for solution-memo keys (default
-    /// [`Quantizer::default`]: 12 significant digits). Coarser quantisation
-    /// merges more near-identical requests onto one memo entry; see
-    /// [`crate::key`] for the bucketing rules.
-    #[must_use]
-    pub fn with_quantizer(mut self, quantizer: Quantizer) -> Self {
-        self.quantizer = quantizer;
-        self
-    }
-
-    /// Sets the numeric-refactorisation strategy applied to every
-    /// workspace this engine checks out (default:
-    /// [`RefactorStrategy::Sequential`]).
-    ///
-    /// [`RefactorStrategy::Parallel`] pipelines the per-column refresh of
-    /// each large grid Jacobian across a pool — *intra-solve* parallelism,
-    /// complementary to the engine's own *inter-group* pool. Use it when
-    /// batches carry few topology groups but big systems; with many
-    /// concurrent groups, remember each group multiplies the strategy
-    /// pool's width.
-    #[must_use]
-    pub fn with_refactor_strategy(mut self, strategy: RefactorStrategy) -> Self {
-        self.refactor_strategy = strategy;
+    pub fn with_solution_memo(self, _capacity: usize) -> Self {
         self
     }
 
@@ -970,44 +597,6 @@ impl SweepEngine {
             .solver_stats()
     }
 
-    /// Drops every parked workspace (counters are kept).
-    pub fn clear_cache(&self) {
-        self.cache.lock().expect("workspace cache poisoned").clear();
-    }
-
-    /// Current solution-memo counters.
-    pub fn memo_stats(&self) -> MemoSnapshot {
-        self.memo.lock().expect("solution memo poisoned").snapshot()
-    }
-
-    /// Drops memoised solutions — all of them, or only those stored under
-    /// `token` — returning how many were dropped. Callers whose circuit
-    /// families change *values* without changing structure (a retuned
-    /// resistor behind the same token) must evict that token before the
-    /// next batch, exactly like the serve layer's per-family eviction.
-    pub fn evict_memo(&self, token: Option<&str>) -> usize {
-        self.memo
-            .lock()
-            .expect("solution memo poisoned")
-            .evict(token)
-    }
-
-    /// Folds one memo lookup outcome into the workspace cache's counter
-    /// history, so [`SweepEngine::solver_stats`] (and everything stacked
-    /// on it, like `ServeStats`) reports memo reuse alongside the other
-    /// reuse counters.
-    fn record_memo_event(&self, hit: bool) {
-        let delta = WorkspaceStats {
-            engine_memo_hits: usize::from(hit),
-            engine_memo_misses: usize::from(!hit),
-            ..Default::default()
-        };
-        self.cache
-            .lock()
-            .expect("workspace cache poisoned")
-            .absorb_stats(&delta);
-    }
-
     /// Runs a batch of sweep jobs over any backend: probes each job's
     /// Jacobian fingerprint, groups jobs by structure, executes the groups
     /// concurrently on the pool, and returns per-job results in input
@@ -1016,7 +605,7 @@ impl SweepEngine {
     pub fn run_batch<B>(&self, jobs: &[SweepJob<B>]) -> Vec<SweepResult<B::Solution>>
     where
         B: SweepBackend + Sync,
-        B::Solution: Clone + Send + Sync + 'static,
+        B::Solution: Send,
     {
         self.run_batch_with_budget(jobs, &SolveBudget::unlimited())
     }
@@ -1035,7 +624,7 @@ impl SweepEngine {
     ) -> Vec<SweepResult<B::Solution>>
     where
         B: SweepBackend + Sync,
-        B::Solution: Clone + Send + Sync + 'static,
+        B::Solution: Send,
     {
         // Probe fingerprints in parallel: one circuit build per job, but —
         // since same-topology batches are the engine's bread and butter —
@@ -1043,10 +632,11 @@ impl SweepEngine {
         // the cheap (backend type ⊕ DC pattern, solution dim) probe, so N
         // same-structure jobs pay for one, and — because the probe cache
         // persists on the engine — a *repeated* batch pays for none. The
-        // memo can only merge jobs whose backends differ in ways invisible
-        // to that probe (e.g. a different stencil on an identical grid);
-        // grouping is a routing choice, so the cost of such a merge is a
-        // transparent workspace rebuild, never a wrong solve.
+        // probe cache can only merge jobs whose backends differ in ways
+        // invisible to that probe (e.g. a different stencil on an
+        // identical grid); grouping is a routing choice, so the cost of
+        // such a merge is a transparent workspace rebuild, never a wrong
+        // solve.
         let backend_tag = fnv1a_bytes(FNV_OFFSET, std::any::type_name::<B>().as_bytes());
         let probes = self.pool.run(jobs.len(), |j| {
             let job = &jobs[j];
@@ -1098,37 +688,6 @@ impl SweepEngine {
             let mut chain_seed: Option<Vec<f64>> = None;
             for &j in members {
                 let job = &jobs[j];
-                // Solution memo: a tokened job is keyed and looked up
-                // before any solve. The group's fingerprint seeds the key;
-                // the token, backend parameters and quantised values
-                // complete the identity (see the module docs).
-                let memo_key = job.memo_token.as_ref().and_then(|token| {
-                    let enabled = self.memo.lock().expect("solution memo poisoned").enabled();
-                    enabled.then(|| {
-                        job.backend
-                            .fold_memo_key(JobKeyBuilder::new(*key, self.quantizer).push_str(token))
-                            .push_f64s(&job.values)
-                            .finish()
-                    })
-                });
-                if let Some(k) = memo_key {
-                    let stored = self.memo.lock().expect("solution memo poisoned").get(k);
-                    match stored.and_then(|v| v.downcast::<Vec<(f64, B::Solution)>>().ok()) {
-                        Some(points) => {
-                            self.record_memo_event(true);
-                            if self.chain_groups {
-                                // The next job's seed is this job's
-                                // first-point solution — exactly what a
-                                // fresh solve would have handed on.
-                                chain_seed =
-                                    points.first().map(|(_, s)| job.backend.samples(s).to_vec());
-                            }
-                            outs.push((j, Ok(points.as_ref().clone())));
-                            continue;
-                        }
-                        None => self.record_memo_event(false),
-                    }
-                }
                 let mut make = |v: f64| (job.make_circuit)(v);
                 // Per-job budget: the job's own if set, else a child of
                 // the batch budget — so cancelling the batch reaches every
@@ -1140,7 +699,6 @@ impl SweepEngine {
                         &job.values,
                         &mut make,
                         &self.cache,
-                        &self.refactor_strategy,
                         Some(*key),
                         chain_seed.take(),
                         &job_budget,
@@ -1156,7 +714,6 @@ impl SweepEngine {
                         &job.values,
                         &mut make,
                         &local,
-                        &self.refactor_strategy,
                         Some(*key),
                         None,
                         &job_budget,
@@ -1175,13 +732,6 @@ impl SweepEngine {
                 if self.chain_groups {
                     chain_seed = last;
                 }
-                if let (Some(k), Some(token), Ok(points)) = (memo_key, &job.memo_token, &result) {
-                    self.memo.lock().expect("solution memo poisoned").insert(
-                        k,
-                        token.clone(),
-                        Arc::new(points.clone()),
-                    );
-                }
                 outs.push((j, result));
             }
             outs
@@ -1198,7 +748,8 @@ impl SweepEngine {
     }
 
     /// [`SweepEngine::run_batch`] for MPDE jobs, with results wrapped as
-    /// [`SweepPoint`]s.
+    /// [`SweepPoint`]s. An amplitude × tone-spacing grid is one job per
+    /// spacing row.
     pub fn run_mpde_batch(&self, jobs: &[MpdeSweepJob]) -> Vec<Result<Vec<SweepPoint>>> {
         self.run_batch(jobs)
             .into_iter()
@@ -1245,131 +796,6 @@ impl SweepEngine {
             })
             .collect()
     }
-
-    /// Traces an amplitude × tone-spacing grid: one warm-start chain per
-    /// spacing row, rows executed concurrently, all rows sharing the
-    /// fingerprint-keyed workspace cache. Points come back row-major
-    /// (spacing-outer, amplitude-inner).
-    ///
-    /// # Errors
-    ///
-    /// The first failing row's error, by spacing order.
-    pub fn run_mpde_grid(&self, sweep: &MpdeGridSweep) -> Result<Vec<MpdeGridPoint>> {
-        self.run_mpde_grid_with_budget(sweep, &SolveBudget::unlimited())
-    }
-
-    /// [`SweepEngine::run_mpde_grid`] under a grid-wide [`SolveBudget`]:
-    /// each row runs under its own [`SolveBudget::child`], so one cancel
-    /// stops every row promptly and the first interrupted row's error
-    /// surfaces (rows keep their parallel schedule either way).
-    ///
-    /// # Errors
-    ///
-    /// The first failing row's error, by spacing order;
-    /// [`rfsim_circuit::CircuitError::Interrupted`] when the budget stops
-    /// the grid.
-    pub fn run_mpde_grid_with_budget(
-        &self,
-        sweep: &MpdeGridSweep,
-        budget: &SolveBudget,
-    ) -> Result<Vec<MpdeGridPoint>> {
-        let rows = self.pool.run(sweep.spacings.len(), |r| {
-            let fd = sweep.spacings[r];
-            let backend = MpdeBackend {
-                t1_period: sweep.t1_period,
-                t2_period: 1.0 / fd,
-                options: sweep.options.clone(),
-            };
-            // Tokened grids memoise per row: the row's backend parameters
-            // (including `t2_period = 1/fd`) fold into the key, so one
-            // token distinguishes every row of the family. Mirrors
-            // `run_batch`'s tokened-job path — grid traffic used to bypass
-            // the memo entirely.
-            let memo_key = sweep.memo_token.as_ref().and_then(|token| {
-                let enabled = self.memo.lock().expect("solution memo poisoned").enabled();
-                if !enabled {
-                    return None;
-                }
-                let backend_tag =
-                    fnv1a_bytes(FNV_OFFSET, std::any::type_name::<MpdeBackend>().as_bytes());
-                let fp = (sweep.make_circuit)(sweep.amplitudes.first().copied()?, fd)
-                    .and_then(|circuit| {
-                        let dc = circuit.jacobian_fingerprint();
-                        let probe = (
-                            fnv1a_bytes(backend_tag, &dc.as_u64().to_le_bytes()),
-                            backend.dim(&circuit),
-                        );
-                        let memoised = self
-                            .probe_cache
-                            .lock()
-                            .expect("probe cache poisoned")
-                            .get(&probe)
-                            .copied();
-                        if let Some(key) = memoised {
-                            return Ok(key);
-                        }
-                        let key = backend.fingerprint(&circuit)?;
-                        let mut cache = self.probe_cache.lock().expect("probe cache poisoned");
-                        if cache.len() >= Self::PROBE_CACHE_CAPACITY {
-                            cache.clear();
-                        }
-                        cache.insert(probe, key);
-                        Ok(key)
-                    })
-                    .ok()?;
-                Some((
-                    backend
-                        .fold_memo_key(JobKeyBuilder::new(fp, self.quantizer).push_str(token))
-                        .push_f64s(&sweep.amplitudes)
-                        .finish(),
-                    fp,
-                ))
-            });
-            if let Some((k, _)) = memo_key {
-                let stored = self.memo.lock().expect("solution memo poisoned").get(k);
-                if let Some(points) =
-                    stored.and_then(|v| v.downcast::<Vec<(f64, MpdeSolution)>>().ok())
-                {
-                    self.record_memo_event(true);
-                    return Ok(points.as_ref().clone());
-                }
-                self.record_memo_event(false);
-            }
-            let mut make = |a: f64| (sweep.make_circuit)(a, fd);
-            let row_budget = budget.child();
-            let (result, _) = sweep_chain(
-                &backend,
-                &sweep.amplitudes,
-                &mut make,
-                &self.cache,
-                &self.refactor_strategy,
-                memo_key.map(|(_, fp)| fp),
-                None,
-                &row_budget,
-                None,
-            );
-            if let (Some((k, _)), Some(token), Ok(points)) = (memo_key, &sweep.memo_token, &result)
-            {
-                self.memo.lock().expect("solution memo poisoned").insert(
-                    k,
-                    token.clone(),
-                    Arc::new(points.clone()),
-                );
-            }
-            result
-        });
-        let mut out = Vec::with_capacity(sweep.spacings.len() * sweep.amplitudes.len());
-        for (r, row) in rows.into_iter().enumerate() {
-            for (amplitude, solution) in row? {
-                out.push(MpdeGridPoint {
-                    amplitude,
-                    spacing: sweep.spacings[r],
-                    solution,
-                });
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// A checked-out workspace and the structure it is serving. `key` is
@@ -1410,7 +836,6 @@ fn sweep_chain<B: SweepBackend>(
     values: &[f64],
     make_circuit: &mut dyn FnMut(f64) -> Result<Circuit>,
     cache: &Mutex<WorkspaceCache>,
-    strategy: &RefactorStrategy,
     initial_key: Option<PatternFingerprint>,
     seed: Option<Vec<f64>>,
     budget: &SolveBudget,
@@ -1425,7 +850,6 @@ fn sweep_chain<B: SweepBackend>(
         values,
         make_circuit,
         cache,
-        strategy,
         &mut state,
         initial_key,
         seed,
@@ -1452,7 +876,6 @@ fn sweep_chain_inner<B: SweepBackend>(
     values: &[f64],
     make_circuit: &mut dyn FnMut(f64) -> Result<Circuit>,
     cache: &Mutex<WorkspaceCache>,
-    strategy: &RefactorStrategy,
     state: &mut Option<CheckedOut>,
     mut initial_key: Option<PatternFingerprint>,
     mut seed: Option<Vec<f64>>,
@@ -1518,11 +941,10 @@ fn sweep_chain_inner<B: SweepBackend>(
                     key = Some(backend.fingerprint(&circuit)?);
                 }
             }
-            let mut workspace = match key {
+            let workspace = match key {
                 Some(k) => cache.lock().expect("workspace cache poisoned").checkout(k),
                 None => LinearSolverWorkspace::new(),
             };
-            workspace.set_refactor_strategy(strategy.clone());
             *state = Some(CheckedOut {
                 workspace,
                 key,
@@ -1634,7 +1056,6 @@ where
         values,
         &mut make_circuit,
         &cache,
-        &RefactorStrategy::Sequential,
         None,
         None,
         &SolveBudget::unlimited(),
@@ -2009,7 +1430,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_surfaces_solver_stats_and_refactor_strategy() {
+    fn engine_surfaces_solver_stats() {
         let (f1, fd) = (1e6, 10e3);
         let jobs = vec![MpdeSweepJob::new(
             "rc",
@@ -2019,267 +1440,15 @@ mod tests {
             small_opts(),
             rc_family(f1, fd, 1e3, 160e-12),
         )];
-        // Intra-solve pipeline on a width-2 pool: correctness is testable
-        // on any host (threads run regardless of core count).
-        let engine = SweepEngine::with_pool(WorkerPool::new(1))
-            .with_refactor_strategy(RefactorStrategy::Parallel(WorkerPool::new(2)));
+        let engine = SweepEngine::with_pool(WorkerPool::new(1));
         let results = engine.run_mpde_batch(&jobs);
         assert_eq!(results[0].as_ref().expect("sweep").len(), 3);
+        // One structure: a single full factorisation, then numeric-only
+        // refactorisations across the later points.
         let stats = engine.solver_stats();
         assert!(stats.refactorizations >= 2, "{stats:?}");
-        assert_eq!(
-            stats.parallel_refactorizations, stats.refactorizations,
-            "the configured strategy must reach the checked-out workspaces: {stats:?}"
-        );
-        assert_eq!(stats.full_fallbacks, 0, "{stats:?}");
         assert_eq!(stats.full_factorizations, 1, "{stats:?}");
-        // Sequential engine on the same batch: identical numerics, no
-        // pipeline counters.
-        let seq = SweepEngine::with_pool(WorkerPool::new(1));
-        let seq_results = seq.run_mpde_batch(&jobs);
-        let a = results[0].as_ref().expect("par");
-        let b = seq_results[0].as_ref().expect("seq");
-        for (pa, pb) in a.iter().zip(b) {
-            assert_eq!(pa.solution.solution.data, pb.solution.solution.data);
-        }
-        assert_eq!(seq.solver_stats().parallel_refactorizations, 0);
-    }
-
-    #[test]
-    fn memo_serves_repeated_batches_bit_identically_without_newton() {
-        let (f1, fd) = (1e6, 10e3);
-        let jobs: Vec<MpdeSweepJob> = [1e3, 2e3]
-            .iter()
-            .map(|&r| {
-                MpdeSweepJob::new(
-                    format!("r{r}"),
-                    vec![0.1, 0.2],
-                    1.0 / f1,
-                    1.0 / fd,
-                    small_opts(),
-                    rc_family(f1, fd, r, 160e-12),
-                )
-                .with_memo_token(format!("rc/{r}"))
-            })
-            .collect();
-        let engine = SweepEngine::with_pool(WorkerPool::new(1));
-        let first = engine.run_mpde_batch(&jobs);
-        let after_first = engine.solver_stats();
-        assert_eq!(after_first.engine_memo_hits, 0);
-        assert_eq!(after_first.engine_memo_misses, 2);
-        assert_eq!(engine.memo_stats().insertions, 2);
-
-        let again = engine.run_mpde_batch(&jobs);
-        let stats = engine.memo_stats();
-        assert_eq!(stats.hits, 2, "{stats:?}");
-        assert_eq!(engine.solver_stats().engine_memo_hits, 2);
-        // No Newton ran on the repeat: the solver counters did not move.
-        let after_again = engine.solver_stats();
-        assert_eq!(
-            after_again.refactorizations + after_again.full_factorizations,
-            after_first.refactorizations + after_first.full_factorizations,
-        );
-        for (a, b) in first.iter().zip(&again) {
-            let (a, b) = (a.as_ref().expect("first"), b.as_ref().expect("again"));
-            for (pa, pb) in a.iter().zip(b) {
-                assert_eq!(pa.solution.solution.data, pb.solution.solution.data);
-            }
-        }
-    }
-
-    #[test]
-    fn memo_tokens_split_value_twins_and_untokened_jobs_bypass() {
-        // Two families share one topology and one value grid — only the
-        // token separates them. A job without a token never consults the
-        // memo, even when an entry for its structure exists.
-        let (f1, fd) = (1e6, 10e3);
-        let job = |r: f64, token: Option<&str>| {
-            let j = MpdeSweepJob::new(
-                format!("r{r}"),
-                vec![0.1, 0.2],
-                1.0 / f1,
-                1.0 / fd,
-                small_opts(),
-                rc_family(f1, fd, r, 160e-12),
-            );
-            match token {
-                Some(t) => j.with_memo_token(t),
-                None => j,
-            }
-        };
-        let engine = SweepEngine::with_pool(WorkerPool::new(1));
-        let r1 = engine.run_mpde_batch(&[job(1e3, Some("rc/1k"))]);
-        // Same topology + values, different token: must not be served
-        // the 1 kΩ solution.
-        let r2 = engine.run_mpde_batch(&[job(2e3, Some("rc/2k"))]);
-        assert_eq!(engine.memo_stats().hits, 0);
-        let (p1, p2) = (r1[0].as_ref().expect("r1"), r2[0].as_ref().expect("r2"));
-        assert_ne!(
-            p1[0].solution.solution.data, p2[0].solution.solution.data,
-            "different load resistances must produce different solutions"
-        );
-        // Untokened twin of the 1 kΩ job: bypasses the memo entirely.
-        let before = engine.memo_stats();
-        let _ = engine.run_mpde_batch(&[job(1e3, None)]);
-        let after = engine.memo_stats();
-        assert_eq!(after.hits, before.hits);
-        assert_eq!(after.misses, before.misses);
-    }
-
-    #[test]
-    fn memo_capacity_bounds_and_eviction() {
-        let (f1, fd) = (1e6, 10e3);
-        let job = |r: f64| {
-            MpdeSweepJob::new(
-                format!("r{r}"),
-                vec![0.1],
-                1.0 / f1,
-                1.0 / fd,
-                small_opts(),
-                rc_family(f1, fd, r, 160e-12),
-            )
-            .with_memo_token(format!("rc/{r}"))
-        };
-        let engine = SweepEngine::with_pool(WorkerPool::new(1)).with_solution_memo(1);
-        let _ = engine.run_mpde_batch(&[job(1e3)]);
-        let _ = engine.run_mpde_batch(&[job(2e3)]);
-        let stats = engine.memo_stats();
-        assert_eq!(stats.len, 1, "{stats:?}");
-        assert_eq!(stats.evictions, 1, "{stats:?}");
-        // The 1 kΩ entry was evicted: re-running it is a miss + re-solve.
-        let _ = engine.run_mpde_batch(&[job(1e3)]);
-        assert_eq!(engine.memo_stats().hits, 0);
-        // Targeted eviction by token, then wholesale.
-        assert_eq!(engine.evict_memo(Some("rc/1000")), 1);
-        let _ = engine.run_mpde_batch(&[job(2e3)]);
-        assert_eq!(engine.evict_memo(None), 1);
-        assert_eq!(engine.memo_stats().len, 0);
-        // Capacity 0 disables the memo outright.
-        let off = SweepEngine::with_pool(WorkerPool::new(1)).with_solution_memo(0);
-        let _ = off.run_mpde_batch(&[job(1e3)]);
-        let _ = off.run_mpde_batch(&[job(1e3)]);
-        let stats = off.memo_stats();
-        assert_eq!(stats.hits + stats.misses + stats.insertions, 0, "{stats:?}");
-    }
-
-    #[test]
-    fn memo_hit_matches_fresh_deterministic_resolve() {
-        // Deterministic mode: a memo hit must be bit-identical to what a
-        // fresh engine would solve for the same job.
-        let (f1, fd) = (1e6, 10e3);
-        let job = || {
-            vec![MpdeSweepJob::new(
-                "rc",
-                vec![0.1, 0.2],
-                1.0 / f1,
-                1.0 / fd,
-                small_opts(),
-                rc_family(f1, fd, 1e3, 160e-12),
-            )
-            .with_memo_token("rc/1k")]
-        };
-        let engine = SweepEngine::with_pool(WorkerPool::new(1)).chain_topology_groups(false);
-        let _ = engine.run_mpde_batch(&job());
-        let memo = engine.run_mpde_batch(&job());
-        assert_eq!(engine.memo_stats().hits, 1);
-        let fresh_engine = SweepEngine::with_pool(WorkerPool::new(1)).chain_topology_groups(false);
-        let fresh = fresh_engine.run_mpde_batch(&job());
-        for (m, f) in memo[0]
-            .as_ref()
-            .expect("memo")
-            .iter()
-            .zip(fresh[0].as_ref().expect("fresh"))
-        {
-            assert_eq!(m.solution.solution.data, f.solution.solution.data);
-        }
-    }
-
-    #[test]
-    fn grid_sweep_covers_amplitude_times_spacing() {
-        let f1 = 1e6;
-        let sweep = MpdeGridSweep::new(
-            "rc-grid",
-            vec![0.1, 0.2],
-            vec![10e3, 20e3],
-            1.0 / f1,
-            MpdeOptions {
-                n1: 8,
-                n2: 4,
-                ..Default::default()
-            },
-            move |a, fd| rc_family(f1, fd, 1e3, 160e-12)(a),
-        );
-        let engine = SweepEngine::with_pool(WorkerPool::new(2));
-        let points = engine.run_mpde_grid(&sweep).expect("grid");
-        assert_eq!(points.len(), 4);
-        // Row-major: spacing outer, amplitude inner.
-        assert_eq!(points[0].spacing, 10e3);
-        assert_eq!(points[1].spacing, 10e3);
-        assert_eq!(points[3].spacing, 20e3);
-        assert_eq!(points[0].amplitude, 0.1);
-        assert_eq!(points[1].amplitude, 0.2);
-        // Tone spacing changes values, not structure: one pattern serves
-        // the whole grid.
-        assert_eq!(engine.cache_stats().patterns, 1);
-        // Linearity across the grid: each row scales with amplitude.
-        for row in 0..2 {
-            let p0 = &points[2 * row];
-            let p1 = &points[2 * row + 1];
-            let peak = |p: &MpdeGridPoint| {
-                p.solution
-                    .solution
-                    .surface(1)
-                    .iter()
-                    .fold(0.0f64, |m, v| m.max(v.abs()))
-            };
-            assert!((peak(p1) / peak(p0) - 2.0).abs() < 0.05);
-        }
-    }
-
-    fn small_grid(f1: f64) -> MpdeGridSweep {
-        MpdeGridSweep::new(
-            "rc-grid",
-            vec![0.1, 0.2],
-            vec![10e3, 20e3],
-            1.0 / f1,
-            MpdeOptions {
-                n1: 8,
-                n2: 4,
-                ..Default::default()
-            },
-            move |a, fd| rc_family(f1, fd, 1e3, 160e-12)(a),
-        )
-    }
-
-    #[test]
-    fn grid_sweep_memoises_rows_under_one_token() {
-        let f1 = 1e6;
-        let sweep = small_grid(f1).with_memo_token("rc_grid/1k");
-        let engine = SweepEngine::with_pool(WorkerPool::new(2));
-        let first = engine.run_mpde_grid(&sweep).expect("grid");
-        let after_first = engine.solver_stats();
-        assert_eq!(after_first.engine_memo_hits, 0);
-        assert_eq!(after_first.engine_memo_misses, 2, "one miss per row");
-        assert_eq!(engine.memo_stats().insertions, 2);
-
-        let again = engine.run_mpde_grid(&sweep).expect("grid repeat");
-        assert_eq!(engine.memo_stats().hits, 2, "each row served from memo");
-        // No Newton ran on the repeat: the factorisation counters held.
-        let after_again = engine.solver_stats();
-        assert_eq!(
-            after_again.refactorizations + after_again.full_factorizations,
-            after_first.refactorizations + after_first.full_factorizations,
-        );
-        for (a, b) in first.iter().zip(&again) {
-            assert_eq!(a.solution.solution.data, b.solution.solution.data);
-        }
-
-        // Rows share the token but not the key: the 20 kHz row's
-        // t2_period folds into its identity, so an untokened grid or a
-        // different family never aliases it. Eviction by the single
-        // token clears both rows.
-        assert_eq!(engine.evict_memo(Some("rc_grid/1k")), 2);
-        assert_eq!(engine.memo_stats().len, 0);
+        assert_eq!(stats.full_fallbacks, 0, "{stats:?}");
     }
 
     #[test]
@@ -2346,21 +1515,5 @@ mod tests {
             !faulted.is_interrupted(),
             "a diverge fault is a numerical failure, not an interruption: {faulted}"
         );
-    }
-
-    #[test]
-    fn grid_cancel_surfaces_interruption() {
-        let f1 = 1e6;
-        let sweep = small_grid(f1);
-        let engine = SweepEngine::with_pool(WorkerPool::new(2));
-        let token = rfsim_numerics::CancelToken::new();
-        token.cancel();
-        let budget = SolveBudget::unlimited().with_cancel(token);
-        let err = engine
-            .run_mpde_grid_with_budget(&sweep, &budget)
-            .expect_err("cancelled grid");
-        assert!(err.is_interrupted(), "{err}");
-        // And the engine still serves the grid afterwards.
-        assert_eq!(engine.run_mpde_grid(&sweep).expect("retry").len(), 4);
     }
 }

@@ -1181,15 +1181,8 @@ impl SimService {
         let mut shards = Vec::with_capacity(shard_count);
         let mut schedulers = Vec::with_capacity(shard_count);
         for index in 0..shard_count {
-            // The engine's own solution memo stays off: this service
-            // already memoises whole jobs in its store, with richer
-            // (per-family, explicit-evict) invalidation than the engine's
-            // token rules — two memo layers would just shadow each
-            // other's eviction decisions (and hollow out the fresh-solve
-            // bench baselines).
             let engine = SweepEngine::with_pool(WorkerPool::new(config.threads))
                 .with_cache_capacity(config.workspace_capacity)
-                .with_solution_memo(0)
                 .chain_topology_groups(!config.deterministic);
             let inner = Arc::new(Inner {
                 engine,

@@ -4,10 +4,10 @@
 //! quantised job parameters (see [`rfsim_rf::key`]) — and holding
 //! [`Arc`]s of completed [`JobResult`]s, so a hit is one hash probe and
 //! one refcount bump: the stored samples are handed back byte-for-byte,
-//! which is what makes replay *bit-identical by construction*. The
-//! recency and eviction rules are the shared [`TaggedLru`]'s — the same
-//! map the sweep engine's solution memo runs on — with entries tagged by
-//! family name for targeted eviction.
+//! which is what makes replay *bit-identical by construction*. This is
+//! the stack's one solution memo: the sweep engine below it keeps none.
+//! The recency and eviction rules are [`TaggedLru`]'s, with entries
+//! tagged by family name for targeted eviction.
 
 use std::sync::Arc;
 

@@ -1,7 +1,8 @@
 //! Batched multi-topology sweeps through the [`SweepEngine`]: four circuit
 //! families (two Jacobian structures) traced over amplitude in one batch,
 //! with the fingerprint-keyed workspace cache and warm-start chaining
-//! doing the heavy lifting, plus an amplitude × tone-spacing grid.
+//! doing the heavy lifting, plus an amplitude × tone-spacing grid run as
+//! one job per spacing row.
 //!
 //! Run with: `cargo run --release --example batched_topology_sweep`
 //!
@@ -11,7 +12,7 @@ use rfsim::circuit::{BiWaveform, Circuit, CircuitBuilder, CircuitError, Envelope
 use rfsim::mpde::solver::MpdeOptions;
 use rfsim::rf::measure::ratio_to_db;
 use rfsim::rf::pool::WorkerPool;
-use rfsim::rf::sweep::{MpdeGridSweep, MpdeSweepJob, SweepEngine};
+use rfsim::rf::sweep::{MpdeSweepJob, SweepEngine};
 use std::error::Error;
 
 const F1: f64 = 1e6;
@@ -132,45 +133,54 @@ fn main() -> Result<(), Box<dyn Error>> {
         stats.patterns, stats.hits, stats.misses
     );
 
-    // The same engine (and cache) drives a multi-parameter grid: amplitude
-    // sweep per tone spacing, rows in parallel, one structure for all rows.
-    let grid = MpdeGridSweep::new(
-        "rc grid",
-        vec![0.1, 0.4],
-        vec![5e3, 10e3, 20e3],
-        1.0 / F1,
-        opts,
-        |a, fd| {
-            let mut b = CircuitBuilder::new();
-            let inp = b.node("in");
-            let out = b.node("out");
-            b.vsource(
-                "VRF",
-                inp,
-                GROUND,
-                BiWaveform::ShearedCarrier {
-                    amplitude: a,
-                    k: 1,
-                    f1: F1,
-                    fd,
-                    phase: 0.0,
-                    envelope: Envelope::Unit,
+    // The same engine (and cache) drives a multi-parameter grid: one
+    // amplitude-sweep job per tone spacing, rows in parallel, one structure
+    // for all rows.
+    let spacings = [5e3, 10e3, 20e3];
+    let grid: Vec<MpdeSweepJob> = spacings
+        .iter()
+        .map(|&fd| {
+            MpdeSweepJob::new(
+                format!("rc grid/fd={fd}"),
+                vec![0.1, 0.4],
+                1.0 / F1,
+                1.0 / fd,
+                opts.clone(),
+                move |a: f64| {
+                    let mut b = CircuitBuilder::new();
+                    let inp = b.node("in");
+                    let out = b.node("out");
+                    b.vsource(
+                        "VRF",
+                        inp,
+                        GROUND,
+                        BiWaveform::ShearedCarrier {
+                            amplitude: a,
+                            k: 1,
+                            f1: F1,
+                            fd,
+                            phase: 0.0,
+                            envelope: Envelope::Unit,
+                        },
+                    )?;
+                    b.resistor("R1", inp, out, 1e3)?;
+                    b.capacitor("C1", out, GROUND, 160e-12)?;
+                    b.build()
                 },
-            )?;
-            b.resistor("R1", inp, out, 1e3)?;
-            b.capacitor("C1", out, GROUND, 160e-12)?;
-            b.build()
-        },
-    );
+            )
+        })
+        .collect();
     println!("\namplitude × tone-spacing grid (|H| at f1 − fd):");
-    for p in engine.run_mpde_grid(&grid)? {
-        let a1 = p.solution.solution.fast_harmonic_magnitude(1, 1);
-        println!(
-            "  a = {:>4.2} V, fd = {:>5.0} Hz  →  {:.4}",
-            p.amplitude,
-            p.spacing,
-            a1 / p.amplitude
-        );
+    for (fd, row) in spacings.iter().zip(engine.run_mpde_batch(&grid)) {
+        for p in row? {
+            let a1 = p.solution.solution.fast_harmonic_magnitude(1, 1);
+            println!(
+                "  a = {:>4.2} V, fd = {:>5.0} Hz  →  {:.4}",
+                p.value,
+                fd,
+                a1 / p.value
+            );
+        }
     }
     Ok(())
 }

@@ -11,12 +11,18 @@
 //! ```
 //!
 //! and review the diff like any other contract change.
+//!
+//! The CLI and the wire must agree: every steady-state netlist served
+//! through `submit_netlist` returns the digest `rfsim run` reports.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use rfsim::netlist::Netlist;
 use rfsim::runner::run_netlist;
+use rfsim::serve::service::{ServeConfig, SimService};
+use rfsim::serve::spec::Priority;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("test_cases")
@@ -138,4 +144,33 @@ fn corpus_digests_match_the_goldens() {
              regenerate with RFSIM_REGEN_GOLDENS=1 and review the diff"
         );
     }
+}
+
+#[test]
+fn served_digests_match_cli_digests() {
+    let service = SimService::start(ServeConfig::default());
+    let mut served = 0;
+    for path in corpus_files() {
+        let text = std::fs::read_to_string(&path).expect("read corpus file");
+        let netlist = Netlist::parse(&text).expect("corpus parses");
+        if !netlist.analysis.is_steady_state() {
+            continue;
+        }
+        let name = path.display();
+        let cli = run_netlist(&netlist).unwrap_or_else(|e| panic!("{name} must solve: {e}"));
+        let submission = service
+            .submit_netlist(&text, Priority::Normal, None)
+            .unwrap_or_else(|e| panic!("{name} must be servable: {e}"));
+        let wire = service
+            .wait(submission.job_id, Duration::from_secs(300))
+            .unwrap_or_else(|e| panic!("{name} must be served: {e}"));
+        assert_eq!(
+            format!("{:016x}", wire.digest()),
+            format!("{:016x}", cli.digest),
+            "{name}: the served digest differs from the CLI's"
+        );
+        served += 1;
+    }
+    service.shutdown();
+    assert!(served > 0, "the corpus holds steady-state netlists");
 }

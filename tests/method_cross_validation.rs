@@ -12,7 +12,7 @@ use rfsim::hb::hb2::{hb2_solve, Hb2Options};
 use rfsim::mpde::solver::{solve_mpde, MpdeOptions};
 use rfsim::numerics::diff::DiffScheme;
 use rfsim::rf::pool::WorkerPool;
-use rfsim::rf::sweep::{amplitude_sweep, MpdeGridSweep, MpdeSweepJob, SweepEngine};
+use rfsim::rf::sweep::{amplitude_sweep, MpdeSweepJob, SweepEngine};
 use rfsim::shooting::{periodic_fd_pss, shooting_pss, PeriodicFdOptions, ShootingOptions};
 use std::f64::consts::PI;
 
@@ -302,55 +302,62 @@ fn hb2_matches_mpde_across_amplitude_spacing_grid() {
     let f1 = 1e6;
     let (r, c) = (1e3, 160e-12);
     let amplitudes = vec![0.5, 1.0];
-    let spacings = vec![10e3, 25e3];
-    let sweep = MpdeGridSweep::new(
-        "rc-grid",
-        amplitudes.clone(),
-        spacings.clone(),
-        1.0 / f1,
-        MpdeOptions {
-            n1: 64,
-            n2: 16,
-            scheme1: DiffScheme::Central2,
-            scheme2: DiffScheme::Central2,
-            ..Default::default()
-        },
-        move |a, fd| Ok(rc_sheared(r, c, f1, fd, a)?.0),
-    );
+    let spacings = [10e3, 25e3];
+    // One job per spacing row, the way the service and the CLI run grids.
+    let jobs: Vec<MpdeSweepJob> = spacings
+        .iter()
+        .map(|&fd| {
+            MpdeSweepJob::new(
+                format!("rc-grid/fd={fd}"),
+                amplitudes.clone(),
+                1.0 / f1,
+                1.0 / fd,
+                MpdeOptions {
+                    n1: 64,
+                    n2: 16,
+                    scheme1: DiffScheme::Central2,
+                    scheme2: DiffScheme::Central2,
+                    ..Default::default()
+                },
+                move |a: f64| Ok(rc_sheared(r, c, f1, fd, a)?.0),
+            )
+        })
+        .collect();
     let engine = SweepEngine::with_pool(WorkerPool::new(2));
-    let points = engine.run_mpde_grid(&sweep).expect("grid");
-    assert_eq!(points.len(), amplitudes.len() * spacings.len());
+    let rows = engine.run_mpde_batch(&jobs);
     // One Jacobian structure serves the whole grid.
     assert_eq!(engine.cache_stats().patterns, 1);
-    for p in &points {
-        let fd = p.spacing;
-        let (ckt, out) = rc_sheared(r, c, f1, fd, p.amplitude).expect("build");
-        let a_mpde = p.solution.solution.fast_harmonic_magnitude(out, 1);
-        let a_ana = p.amplitude * rc_mag(r, c, f1 - fd);
-        assert!(
-            (a_mpde - a_ana).abs() < 0.02 * p.amplitude,
-            "({}, {fd}): MPDE {a_mpde} vs analytic {a_ana}",
-            p.amplitude
-        );
-        let hb = hb2_solve(
-            &ckt,
-            1.0 / f1,
-            1.0 / fd,
-            None,
-            Hb2Options {
-                n1: 8,
-                n2: 8,
-                ..Default::default()
-            },
-        )
-        .expect("hb2");
-        let row: Vec<f64> = (0..8).map(|i| hb.state(i, 0)[out]).collect();
-        let a_hb = rfsim::numerics::fft::harmonic_amplitude(&row, 1);
-        assert!(
-            (a_mpde - a_hb).abs() < 0.02 * p.amplitude,
-            "({}, {fd}): MPDE {a_mpde} vs HB {a_hb}",
-            p.amplitude
-        );
+    for (&fd, row) in spacings.iter().zip(&rows) {
+        let row = row.as_ref().expect("grid row");
+        assert_eq!(row.len(), amplitudes.len());
+        for p in row {
+            let amplitude = p.value;
+            let (ckt, out) = rc_sheared(r, c, f1, fd, amplitude).expect("build");
+            let a_mpde = p.solution.solution.fast_harmonic_magnitude(out, 1);
+            let a_ana = amplitude * rc_mag(r, c, f1 - fd);
+            assert!(
+                (a_mpde - a_ana).abs() < 0.02 * amplitude,
+                "({amplitude}, {fd}): MPDE {a_mpde} vs analytic {a_ana}"
+            );
+            let hb = hb2_solve(
+                &ckt,
+                1.0 / f1,
+                1.0 / fd,
+                None,
+                Hb2Options {
+                    n1: 8,
+                    n2: 8,
+                    ..Default::default()
+                },
+            )
+            .expect("hb2");
+            let hb_row: Vec<f64> = (0..8).map(|i| hb.state(i, 0)[out]).collect();
+            let a_hb = rfsim::numerics::fft::harmonic_amplitude(&hb_row, 1);
+            assert!(
+                (a_mpde - a_hb).abs() < 0.02 * amplitude,
+                "({amplitude}, {fd}): MPDE {a_mpde} vs HB {a_hb}"
+            );
+        }
     }
 }
 
