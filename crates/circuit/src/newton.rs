@@ -812,6 +812,8 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
     let mut trial = vec![0.0; n];
     let mut trial_res = vec![0.0; n];
     let mut jac = Triplets::with_capacity(n, n, 16 * n);
+    let mut neg_f = vec![0.0; n];
+    let mut scaled_dx = vec![0.0; n];
     let mut damped = false;
     let mut stagnant = 0usize;
     let mut prev_norm = f64::INFINITY;
@@ -840,7 +842,9 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         res_norm = norm2(&residual);
 
         // Newton step: J·dx = −F.
-        let neg_f: Vec<f64> = residual.iter().map(|v| -v).collect();
+        for (nf, r) in neg_f.iter_mut().zip(&residual) {
+            *nf = -r;
+        }
         let mut dx = if fresh {
             match options.linear.solve_with(workspace, &jac, &neg_f, budget) {
                 Ok(dx) => dx,
@@ -937,7 +941,9 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         // essentially undamped (quadratic regime) or the residual itself is
         // small. A heavily damped tiny step must not masquerade as
         // convergence.
-        let scaled_dx: Vec<f64> = dx.iter().map(|d| alpha * d).collect();
+        for (s, d) in scaled_dx.iter_mut().zip(&dx) {
+            *s = alpha * d;
+        }
         let ratio = weighted_update_ratio(&scaled_dx, &x, kinds, &options);
         // Stagnation at the linear-solver noise floor: if the residual sits
         // below `residual_tol` and stops improving, the update criterion can

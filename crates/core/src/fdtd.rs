@@ -171,15 +171,20 @@ impl NewtonSystem for MpdeSystem<'_> {
         out.fill(0.0);
         let mut q = vec![0.0; n];
         let mut f = vec![0.0; n];
+        // Per-point stamp scratch, reused across the grid.
+        let mut c_trip = Triplets::with_capacity(n, n, 8 * n);
+        let mut g_trip = Triplets::with_capacity(n, n, 8 * n);
+        let mut c = c_trip.to_csr();
+        let mut g = g_trip.to_csr();
         for j in 0..n2 {
             for i in 0..n1 {
                 let src = self.grid.point(i, j) * n;
                 let xj = &x[src..src + n];
-                let mut c_trip = Triplets::with_capacity(n, n, 8 * n);
-                let mut g_trip = Triplets::with_capacity(n, n, 8 * n);
+                c_trip.clear();
+                g_trip.clear();
                 self.circuit.eval_q(xj, &mut q, Some(&mut c_trip));
                 self.circuit.eval_f(xj, &mut f, Some(&mut g_trip));
-                let c = c_trip.to_csr();
+                c_trip.to_csr_into(&mut c);
                 let scatter = |dst_gp: usize, coeff: f64, out: &mut [f64], jac: &mut Triplets| {
                     let dst = dst_gp * n;
                     for u in 0..n {
@@ -200,7 +205,7 @@ impl NewtonSystem for MpdeSystem<'_> {
                     let row_j = (j as isize - off).rem_euclid(n2 as isize) as usize;
                     scatter(self.grid.point(i, row_j), w / h2, out, jac);
                 }
-                let g = g_trip.to_csr();
+                g_trip.to_csr_into(&mut g);
                 for r in 0..n {
                     let (cols, vals) = g.row(r);
                     for (cc, v) in cols.iter().zip(vals) {

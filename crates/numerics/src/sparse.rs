@@ -166,19 +166,44 @@ impl Triplets {
 
     /// Converts to compressed-sparse-row form, summing duplicates.
     pub fn to_csr(&self) -> CsrMatrix {
-        let (indptr, indices, data) = compress(self.rows, &self.entries, |&(r, c, v)| (r, c, v));
-        CsrMatrix {
+        let mut out = CsrMatrix {
             rows: self.rows,
             cols: self.cols,
-            indptr,
-            indices,
-            data,
-        }
+            indptr: Vec::new(),
+            indices: Vec::new(),
+            data: Vec::new(),
+        };
+        self.to_csr_into(&mut out);
+        out
+    }
+
+    /// [`Triplets::to_csr`] written over `out`, reusing its allocations:
+    /// the same pattern and the same duplicate sums, bit for bit. For
+    /// assembly loops that convert many small stamp sets.
+    pub fn to_csr_into(&self, out: &mut CsrMatrix) {
+        out.rows = self.rows;
+        out.cols = self.cols;
+        compress(
+            self.rows,
+            &self.entries,
+            |&(r, c, v)| (r, c, v),
+            &mut out.indptr,
+            &mut out.indices,
+            &mut out.data,
+        );
     }
 
     /// Converts to compressed-sparse-column form, summing duplicates.
     pub fn to_csc(&self) -> CscMatrix {
-        let (indptr, indices, data) = compress(self.cols, &self.entries, |&(r, c, v)| (c, r, v));
+        let (mut indptr, mut indices, mut data) = (Vec::new(), Vec::new(), Vec::new());
+        compress(
+            self.cols,
+            &self.entries,
+            |&(r, c, v)| (c, r, v),
+            &mut indptr,
+            &mut indices,
+            &mut data,
+        );
         CscMatrix {
             rows: self.rows,
             cols: self.cols,
@@ -199,59 +224,63 @@ impl Triplets {
 }
 
 /// Shared compression kernel: groups entries by `major`, sorts by `minor`,
-/// sums duplicates.
+/// sums duplicates. Writes over `indptr`, `indices` and `data`, keeping
+/// their allocations.
 fn compress<F>(
     majors: usize,
     entries: &[(usize, usize, f64)],
     proj: F,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>)
-where
+    indptr: &mut Vec<usize>,
+    indices: &mut Vec<usize>,
+    data: &mut Vec<f64>,
+) where
     F: Fn(&(usize, usize, f64)) -> (usize, usize, f64),
 {
-    // Counting sort by major index.
-    let mut counts = vec![0usize; majors + 1];
+    // Counting sort by major index into `(minor, value)` runs. It is
+    // stable, so each run keeps insertion order. While placing,
+    // `indptr[m + 1]` walks from run m's start to its end; the pass below
+    // then overwrites it with the compressed end.
+    indptr.clear();
+    indptr.resize(majors + 1, 0);
     for e in entries {
-        counts[proj(e).0 + 1] += 1;
+        indptr[proj(e).0 + 1] += 1;
     }
+    let mut start = 0;
+    for slot in &mut indptr[1..] {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut runs = vec![(0usize, 0.0f64); entries.len()];
+    for e in entries {
+        let (maj, min, v) = proj(e);
+        runs[indptr[maj + 1]] = (min, v);
+        indptr[maj + 1] += 1;
+    }
+    indices.clear();
+    data.clear();
+    indices.reserve(entries.len());
+    data.reserve(entries.len());
+    let mut lo = 0;
     for m in 0..majors {
-        counts[m + 1] += counts[m];
-    }
-    let mut order = vec![0usize; entries.len()];
-    {
-        let mut cursor = counts.clone();
-        for (k, e) in entries.iter().enumerate() {
-            let (maj, _, _) = proj(e);
-            order[cursor[maj]] = k;
-            cursor[maj] += 1;
-        }
-    }
-    let mut indptr = Vec::with_capacity(majors + 1);
-    let mut indices = Vec::with_capacity(entries.len());
-    let mut data = Vec::with_capacity(entries.len());
-    indptr.push(0);
-    let mut scratch: Vec<(usize, f64)> = Vec::new();
-    for m in 0..majors {
-        scratch.clear();
-        for &k in &order[counts[m]..counts[m + 1]] {
-            let (_, min, v) = proj(&entries[k]);
-            scratch.push((min, v));
-        }
-        scratch.sort_unstable_by_key(|&(min, _)| min);
+        let hi = indptr[m + 1];
+        let run = &mut runs[lo..hi];
+        run.sort_unstable_by_key(|&(min, _)| min);
         let mut i = 0;
-        while i < scratch.len() {
-            let (min, mut v) = scratch[i];
+        while i < run.len() {
+            let (min, mut v) = run[i];
             let mut j = i + 1;
-            while j < scratch.len() && scratch[j].0 == min {
-                v += scratch[j].1;
+            while j < run.len() && run[j].0 == min {
+                v += run[j].1;
                 j += 1;
             }
             indices.push(min);
             data.push(v);
             i = j;
         }
-        indptr.push(indices.len());
+        indptr[m + 1] = indices.len();
+        lo = hi;
     }
-    (indptr, indices, data)
 }
 
 /// Compressed sparse row matrix.
@@ -537,8 +566,8 @@ fn build_slot_map<F>(
 where
     F: Fn(&(usize, usize, f64)) -> (usize, usize),
 {
-    // Counting sort by major index (same structure as `compress`, but
-    // keeping track of which original entry lands where).
+    // Counting sort by major index, keeping track of which original
+    // entry lands where.
     let mut counts = vec![0usize; majors + 1];
     for e in entries {
         counts[proj(e).0 + 1] += 1;
@@ -1048,6 +1077,87 @@ mod tests {
             let mut csr = csr_asm.zero_matrix();
             prop_assert!(csr_asm.scatter(&t, &mut csr));
             prop_assert!(csr == t.to_csr());
+        }
+    }
+
+    /// A straightforward compression kernel (an `order` index, a
+    /// per-major `scratch` copy, fresh outputs): the bit-identity
+    /// reference for `compress`.
+    fn reference_compress<F>(
+        majors: usize,
+        entries: &[(usize, usize, f64)],
+        proj: F,
+    ) -> (Vec<usize>, Vec<usize>, Vec<f64>)
+    where
+        F: Fn(&(usize, usize, f64)) -> (usize, usize, f64),
+    {
+        let mut counts = vec![0usize; majors + 1];
+        for e in entries {
+            counts[proj(e).0 + 1] += 1;
+        }
+        for m in 0..majors {
+            counts[m + 1] += counts[m];
+        }
+        let mut order = vec![0usize; entries.len()];
+        let mut cursor = counts.clone();
+        for (k, e) in entries.iter().enumerate() {
+            let (maj, _, _) = proj(e);
+            order[cursor[maj]] = k;
+            cursor[maj] += 1;
+        }
+        let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        for m in 0..majors {
+            scratch.clear();
+            for &k in &order[counts[m]..counts[m + 1]] {
+                let (_, min, v) = proj(&entries[k]);
+                scratch.push((min, v));
+            }
+            scratch.sort_unstable_by_key(|&(min, _)| min);
+            let mut i = 0;
+            while i < scratch.len() {
+                let (min, mut v) = scratch[i];
+                let mut j = i + 1;
+                while j < scratch.len() && scratch[j].0 == min {
+                    v += scratch[j].1;
+                    j += 1;
+                }
+                indices.push(min);
+                data.push(v);
+                i = j;
+            }
+            indptr.push(indices.len());
+        }
+        (indptr, indices, data)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_compress_matches_reference_bit_for_bit(entries in proptest::collection::vec(
+            (0usize..5, 0usize..4, -10.0f64..10.0), 0..160)) {
+            // Few positions, many entries: rows past the small-sort cutoff,
+            // full of duplicates whose summation order shows in the bits.
+            let mut t = Triplets::new(5, 4);
+            for (r, c, v) in entries {
+                t.push(r, c, v);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (indptr, indices, data) = reference_compress(5, &t.entries, |&(r, c, v)| (r, c, v));
+            // Reuse a matrix of another shape with stale contents.
+            let mut reused = Triplets::new(7, 9);
+            reused.push(6, 8, 1.5);
+            let mut reused = reused.to_csr();
+            t.to_csr_into(&mut reused);
+            prop_assert!(reused == t.to_csr());
+            prop_assert_eq!((reused.rows(), reused.cols()), (5, 4));
+            prop_assert_eq!(reused.indptr(), &indptr[..]);
+            prop_assert_eq!(reused.indices(), &indices[..]);
+            prop_assert_eq!(bits(reused.data()), bits(&data));
+            let (indptr, indices, data) = reference_compress(4, &t.entries, |&(r, c, v)| (c, r, v));
+            let csc = t.to_csc();
+            prop_assert_eq!(csc.indptr(), &indptr[..]);
+            prop_assert_eq!(csc.indices(), &indices[..]);
+            prop_assert_eq!(bits(csc.data()), bits(&data));
         }
     }
 
