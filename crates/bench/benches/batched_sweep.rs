@@ -24,7 +24,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rfsim_circuit::newton::LinearSolverWorkspace;
 use rfsim_circuit::{BiWaveform, Circuit, CircuitBuilder, Envelope, Result, GROUND};
 use rfsim_circuits::{BalancedMixer, BalancedMixerParams};
-use rfsim_mpde::solver::{solve_mpde_with_workspace, MpdeOptions};
+use rfsim_mpde::solver::{solve_mpde_budgeted, MpdeOptions};
+use rfsim_numerics::SolveBudget;
 use rfsim_rf::sweep::{amplitude_sweep, MpdeSweepJob, SweepEngine};
 
 const F_LO: f64 = 10e6;
@@ -188,11 +189,13 @@ fn bench_mixed_stream(c: &mut Criterion) {
         let make = make_mixed.clone();
         b.iter(|| {
             let mut ws = LinearSolverWorkspace::new();
+            let unlimited = SolveBudget::unlimited();
             let mut n = 0usize;
             for &v in &stream {
                 let circuit = make(v).expect("build");
-                let sol = solve_mpde_with_workspace(&circuit, t1, t2, grid_options(), &mut ws)
-                    .expect("solve");
+                let sol =
+                    solve_mpde_budgeted(&circuit, t1, t2, grid_options(), &mut ws, &unlimited)
+                        .expect("solve");
                 n += sol.stats.system_size;
             }
             n

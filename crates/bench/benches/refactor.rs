@@ -24,9 +24,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rfsim_bench::gate::{drift_scenario, drift_sequence, mpde_jacobian, DRIFT_STEPS};
 use rfsim_circuit::newton::LinearSolverWorkspace;
 use rfsim_circuit::transient::{transient, Integrator, TransientOptions};
-use rfsim_mpde::solver::{solve_mpde, solve_mpde_with_workspace, MpdeOptions};
+use rfsim_mpde::solver::{solve_mpde, solve_mpde_budgeted, MpdeOptions};
 use rfsim_numerics::sparse::CscAssembly;
 use rfsim_numerics::sparse_lu::{LuOptions, SparseLu};
+use rfsim_numerics::SolveBudget;
 
 use rfsim_bench::paper::scaled_mixer;
 
@@ -95,23 +96,26 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
     group.bench_function("mpde_solve_warm", |b| {
         let mut ws = LinearSolverWorkspace::new();
+        let unlimited = SolveBudget::unlimited();
         // Prime the workspace so the measurement shows the steady state of
         // a warm-started sweep.
-        solve_mpde_with_workspace(
+        solve_mpde_budgeted(
             &mixer.circuit,
             mixer.params.t1_period(),
             mixer.params.t2_period(),
             opts.clone(),
             &mut ws,
+            &unlimited,
         )
         .expect("prime");
         b.iter(|| {
-            solve_mpde_with_workspace(
+            solve_mpde_budgeted(
                 &mixer.circuit,
                 mixer.params.t1_period(),
                 mixer.params.t2_period(),
                 opts.clone(),
                 &mut ws,
+                &unlimited,
             )
             .expect("mpde")
         })

@@ -13,9 +13,10 @@ use std::time::Instant;
 
 use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonSystem};
 use rfsim_mpde::fdtd::MpdeSystem;
-use rfsim_mpde::solver::{solve_mpde_with_workspace, MpdeOptions};
+use rfsim_mpde::solver::{solve_mpde_budgeted, MpdeOptions};
 use rfsim_numerics::sparse::Triplets;
 use rfsim_numerics::sparse_lu::{LuOptions, Ordering, SparseLu};
+use rfsim_numerics::SolveBudget;
 
 use crate::paper::{comparison_grid, scaled_mixer};
 
@@ -257,35 +258,39 @@ pub fn mpde_warm_vs_cold(reps: usize) -> (f64, f64) {
         n2: 12,
         ..Default::default()
     };
+    let unlimited = SolveBudget::unlimited();
     let mut ws = LinearSolverWorkspace::new();
-    solve_mpde_with_workspace(
+    solve_mpde_budgeted(
         &mixer.circuit,
         mixer.params.t1_period(),
         mixer.params.t2_period(),
         opts.clone(),
         &mut ws,
+        &unlimited,
     )
     .expect("prime");
     let (warm, cold) = time_paired_median_ns(
         reps,
         || {
-            solve_mpde_with_workspace(
+            solve_mpde_budgeted(
                 &mixer.circuit,
                 mixer.params.t1_period(),
                 mixer.params.t2_period(),
                 opts.clone(),
                 &mut ws,
+                &unlimited,
             )
             .expect("warm solve");
         },
         || {
             let mut cold_ws = LinearSolverWorkspace::new();
-            solve_mpde_with_workspace(
+            solve_mpde_budgeted(
                 &mixer.circuit,
                 mixer.params.t1_period(),
                 mixer.params.t2_period(),
                 opts.clone(),
                 &mut cold_ws,
+                &unlimited,
             )
             .expect("cold solve");
         },
@@ -657,7 +662,6 @@ pub fn recovery_ladder_scenario(reps: usize) -> LadderOutcome {
     use rfsim_circuit::fault::SolveFault;
     use rfsim_circuit::newton::NewtonOptions;
     use rfsim_circuit::CircuitError;
-    use rfsim_numerics::SolveBudget;
 
     /// Finite residual only at the seed: the first step diverges.
     struct NanRidge;

@@ -14,13 +14,13 @@
 //! assembles in place through the cached slot maps and runs a numeric-only
 //! [`SparseLu::refactor_in_place`]. Callers that solve many same-structure
 //! systems in sequence (transient timesteps, gmin/source stepping,
-//! MPDE continuation, shooting, parameter sweeps) should create one
-//! workspace and pass it to [`newton_solve_with_workspace`] so the cache
-//! also persists *across* Newton solves; [`newton_solve`] is the
-//! convenience wrapper that scopes the workspace to a single solve.
+//! MPDE continuation, shooting, parameter sweeps) pass one workspace to
+//! every [`newton_solve_budgeted`] call so the cache also persists
+//! *across* Newton solves. That function is the one Newton entry point;
+//! the backends reach it through the
+//! [`NewtonDriver`](crate::driver::NewtonDriver) recovery ladder.
 
 use rfsim_numerics::krylov::{gmres_budgeted, BlockJacobiPrecond, GmresOptions, Ilu0};
-use rfsim_numerics::pool::WorkerPool;
 use rfsim_numerics::sparse::{
     CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, PatternFingerprint, Triplets,
 };
@@ -31,28 +31,6 @@ use rfsim_numerics::SolveBudget;
 
 use crate::circuit::UnknownKind;
 use crate::{CircuitError, Result};
-
-/// How a [`LinearSolverWorkspace`] runs the numeric refactorisation that
-/// dominates every direct Newton iteration after the first.
-///
-/// Both strategies ride the same resilience ladder
-/// (see [`rfsim_numerics::sparse_lu`]): numeric-only refresh of the cached
-/// symbolic structure, KLU-style in-pattern pivot exchange when an
-/// operating-point jump kills a recorded pivot, and a full
-/// re-factorisation only when no in-pattern row qualifies.
-#[derive(Debug, Clone, Default)]
-pub enum RefactorStrategy {
-    /// Refactor on the calling thread. The default, and the right choice
-    /// on single-core hosts or for small circuit Jacobians.
-    #[default]
-    Sequential,
-    /// Pipeline the per-column numeric refactorisation across the pool's
-    /// workers ([`SparseLu::refactor_in_place_parallel`]). Worth it for
-    /// the large MPDE/HB grid Jacobians (`n·N1·N2` unknowns) on
-    /// multi-core hosts; pivot exchanges still run on the sequential
-    /// fallback inside the same call.
-    Parallel(WorkerPool),
-}
 
 /// How each Newton linear system `J·dx = −F` is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -199,9 +177,6 @@ pub struct WorkspaceStats {
     pub full_factorizations: usize,
     /// Numeric-only refactorisations through the cached symbolic structure.
     pub refactorizations: usize,
-    /// Refactorisations carried by the parallel column pipeline
-    /// ([`RefactorStrategy::Parallel`]); a subset of `refactorizations`.
-    pub parallel_refactorizations: usize,
     /// KLU-style in-pattern pivot exchanges performed by restricted
     /// pivoting — operating-point jumps that would previously have cost a
     /// full re-factorisation each.
@@ -222,9 +197,6 @@ pub struct WorkspaceStats {
     /// In-place numeric refreshes of a cached ILU(0)/block-Jacobi
     /// preconditioner over its existing pattern (no allocation).
     pub precond_refreshes: usize,
-    /// Preconditioner refreshes carried by the pooled block-parallel path
-    /// ([`RefactorStrategy::Parallel`]); a subset of `precond_refreshes`.
-    pub parallel_precond_refreshes: usize,
     /// Preconditioner (re)builds from scratch (first use, structural
     /// change, or recovery from a refresh breakdown).
     pub precond_rebuilds: usize,
@@ -246,7 +218,6 @@ impl WorkspaceStats {
         let WorkspaceStats {
             full_factorizations,
             refactorizations,
-            parallel_refactorizations,
             pivot_exchanges,
             full_fallbacks,
             pattern_rebuilds,
@@ -254,14 +225,12 @@ impl WorkspaceStats {
             iterative_solves,
             direct_fallbacks,
             precond_refreshes,
-            parallel_precond_refreshes,
             precond_rebuilds,
             rung_attempts,
             rung_successes,
         } = other;
         self.full_factorizations += full_factorizations;
         self.refactorizations += refactorizations;
-        self.parallel_refactorizations += parallel_refactorizations;
         self.pivot_exchanges += pivot_exchanges;
         self.full_fallbacks += full_fallbacks;
         self.pattern_rebuilds += pattern_rebuilds;
@@ -269,7 +238,6 @@ impl WorkspaceStats {
         self.iterative_solves += iterative_solves;
         self.direct_fallbacks += direct_fallbacks;
         self.precond_refreshes += precond_refreshes;
-        self.parallel_precond_refreshes += parallel_precond_refreshes;
         self.precond_rebuilds += precond_rebuilds;
         self.rung_attempts += rung_attempts;
         self.rung_successes += rung_successes;
@@ -299,8 +267,6 @@ pub struct LinearSolverWorkspace {
     /// Cached block-Jacobi preconditioner, refreshed in place per solve
     /// while the dimensions and block size hold.
     block_jacobi: Option<BlockJacobiPrecond>,
-    /// How direct refactorisations run (sequential or pooled).
-    refactor_strategy: RefactorStrategy,
     /// Reuse counters (diagnostics; cheap to read, never reset internally).
     pub stats: WorkspaceStats,
 }
@@ -309,27 +275,6 @@ impl LinearSolverWorkspace {
     /// Creates an empty workspace; caches fill in on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty workspace running direct refactorisations under
-    /// `strategy`.
-    pub fn with_strategy(strategy: RefactorStrategy) -> Self {
-        LinearSolverWorkspace {
-            refactor_strategy: strategy,
-            ..Default::default()
-        }
-    }
-
-    /// Replaces the refactorisation strategy (cached factors and
-    /// preconditioners are kept — the strategy only changes how the next
-    /// numeric refresh is scheduled).
-    pub fn set_refactor_strategy(&mut self, strategy: RefactorStrategy) {
-        self.refactor_strategy = strategy;
-    }
-
-    /// The current refactorisation strategy.
-    pub fn refactor_strategy(&self) -> &RefactorStrategy {
-        &self.refactor_strategy
     }
 
     /// Assembles `jac` into the cached CSC matrix through the slot map,
@@ -397,25 +342,11 @@ impl LinearSolverWorkspace {
         let csr = self.csr.as_ref().expect("assembled above");
         match &mut self.block_jacobi {
             Some(bj) if bj.block_size() == block_size && bj.matches(csr) => {
-                // The blocks are embarrassingly parallel, so the refresh
-                // follows the workspace's refactor strategy the same way
-                // the direct LU path does (bit-identical either way).
-                let refreshed = match &self.refactor_strategy {
-                    RefactorStrategy::Sequential => bj.refactor_in_place(csr).map(|()| false),
-                    RefactorStrategy::Parallel(pool) => bj.refactor_in_place_parallel(csr, pool),
-                };
-                match refreshed {
-                    Err(e) => {
-                        self.block_jacobi = None;
-                        return Err(e.into());
-                    }
-                    Ok(pooled) => {
-                        self.stats.precond_refreshes += 1;
-                        if pooled {
-                            self.stats.parallel_precond_refreshes += 1;
-                        }
-                    }
+                if let Err(e) = bj.refactor_in_place(csr) {
+                    self.block_jacobi = None;
+                    return Err(e.into());
                 }
+                self.stats.precond_refreshes += 1;
             }
             _ => {
                 self.block_jacobi = Some(BlockJacobiPrecond::new(csr, block_size)?);
@@ -427,37 +358,26 @@ impl LinearSolverWorkspace {
 
     /// The shared direct-LU path: in-place assembly, numeric-only
     /// refactorisation when the cached symbolic structure still applies
-    /// (restricted pivoting repairs vanished pivots in-pattern; the
-    /// strategy decides sequential vs pooled execution), full
+    /// (restricted pivoting repairs vanished pivots in-pattern), full
     /// factorisation otherwise. Used by [`LinearSolver::Direct`] and as
     /// the fallback of both Krylov configurations.
     fn solve_direct(&mut self, jac: &Triplets, rhs: &[f64]) -> Result<Vec<f64>> {
         self.assemble_csc(jac);
         let csc = self.csc.as_ref().expect("assembled above");
         match &mut self.lu {
-            Some(lu) => {
-                let refreshed = match &self.refactor_strategy {
-                    RefactorStrategy::Sequential => lu.refactor_in_place(csc),
-                    RefactorStrategy::Parallel(pool) => lu.refactor_in_place_parallel(csc, pool),
-                };
-                match refreshed {
-                    Ok(report) => {
-                        self.stats.refactorizations += 1;
-                        self.stats.pivot_exchanges += report.pivot_exchanges;
-                        if report.parallel {
-                            self.stats.parallel_refactorizations += 1;
-                        }
-                    }
-                    Err(_) => {
-                        // No admissible in-pattern pivot (or stale
-                        // structure): fall back to a full factorisation,
-                        // free to repivot.
-                        *lu = SparseLu::factor(csc, LuOptions::default())?;
-                        self.stats.full_factorizations += 1;
-                        self.stats.full_fallbacks += 1;
-                    }
+            Some(lu) => match lu.refactor_in_place(csc) {
+                Ok(report) => {
+                    self.stats.refactorizations += 1;
+                    self.stats.pivot_exchanges += report.pivot_exchanges;
                 }
-            }
+                Err(_) => {
+                    // No admissible in-pattern pivot (or stale structure):
+                    // fall back to a full factorisation, free to repivot.
+                    *lu = SparseLu::factor(csc, LuOptions::default())?;
+                    self.stats.full_factorizations += 1;
+                    self.stats.full_fallbacks += 1;
+                }
+            },
             None => {
                 self.lu = Some(SparseLu::factor(csc, LuOptions::default())?);
                 self.stats.full_factorizations += 1;
@@ -661,7 +581,8 @@ pub trait NewtonSystem {
     fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets);
 }
 
-/// Options for [`newton_solve`].
+/// Options for [`newton_solve_budgeted`], and through it for every
+/// [`NewtonDriver`](crate::driver::NewtonDriver) rung.
 #[derive(Debug, Clone, Copy)]
 pub struct NewtonOptions {
     /// Maximum Newton iterations.
@@ -723,60 +644,20 @@ pub struct NewtonStats {
     pub damped: bool,
 }
 
-/// Solves `F(x) = 0` by damped Newton with sparse LU linear solves.
+/// Solves `F(x) = 0` by damped Newton under a [`SolveBudget`]: the one
+/// Newton entry point, and the solve control plane's entry into the
+/// Newton core.
 ///
 /// `kinds` selects the absolute tolerance per unknown; pass an empty slice
 /// to treat every unknown as voltage-like.
-///
-/// # Errors
-///
-/// * [`CircuitError::ConvergenceFailure`] if the iteration budget is
-///   exhausted.
-/// * [`CircuitError::Diverged`] if every damping trial of some step
-///   produces a non-finite residual — the iterate is left untouched and
-///   the error returns immediately, never after `max_iters` of NaN.
-/// * [`CircuitError::Numerics`] if the Jacobian is singular.
-pub fn newton_solve<S: NewtonSystem>(
-    system: &S,
-    x0: &[f64],
-    kinds: &[UnknownKind],
-    options: NewtonOptions,
-) -> Result<(Vec<f64>, NewtonStats)> {
-    let mut workspace = LinearSolverWorkspace::new();
-    newton_solve_with_workspace(system, x0, kinds, options, &mut workspace)
-}
-
-/// [`newton_solve`] with caller-owned linear-solver state.
 ///
 /// Passing the same [`LinearSolverWorkspace`] to a sequence of solves over
 /// the same circuit structure (transient timesteps, gmin/source-stepping
 /// rungs, continuation steps, shooting sweeps) reuses the assembly slot
 /// maps and the symbolic LU across *all* of them: after the very first
 /// iteration of the first solve, every direct linear solve is a numeric
-/// refactorisation.
-///
-/// # Errors
-///
-/// Same contract as [`newton_solve`].
-pub fn newton_solve_with_workspace<S: NewtonSystem>(
-    system: &S,
-    x0: &[f64],
-    kinds: &[UnknownKind],
-    options: NewtonOptions,
-    workspace: &mut LinearSolverWorkspace,
-) -> Result<(Vec<f64>, NewtonStats)> {
-    newton_solve_budgeted(
-        system,
-        x0,
-        kinds,
-        options,
-        workspace,
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`newton_solve_with_workspace`] under a [`SolveBudget`] — the solve
-/// control plane's entry into the Newton core.
+/// refactorisation. Pass [`SolveBudget::unlimited`] for an unbudgeted
+/// solve.
 ///
 /// The budget is polled cooperatively: at the top of every iteration, at
 /// every damping (line-search) trial, and — through
@@ -795,8 +676,13 @@ pub fn newton_solve_with_workspace<S: NewtonSystem>(
 ///
 /// # Errors
 ///
-/// [`CircuitError::Interrupted`] when the budget fires, plus everything
-/// [`newton_solve`] returns.
+/// * [`CircuitError::Interrupted`] when the budget fires.
+/// * [`CircuitError::ConvergenceFailure`] if the iteration budget is
+///   exhausted.
+/// * [`CircuitError::Diverged`] if every damping trial of some step
+///   produces a non-finite residual — the iterate is left untouched and
+///   the error returns immediately, never after `max_iters` of NaN.
+/// * [`CircuitError::Numerics`] if the Jacobian is singular.
 pub fn newton_solve_budgeted<S: NewtonSystem>(
     system: &S,
     x0: &[f64],
@@ -1049,6 +935,25 @@ fn weighted_update_ratio(
 mod tests {
     use super::*;
 
+    /// An unbudgeted solve through `ws`, every unknown voltage-like.
+    fn solve_in<S: NewtonSystem>(
+        system: &S,
+        x0: &[f64],
+        options: NewtonOptions,
+        ws: &mut LinearSolverWorkspace,
+    ) -> Result<(Vec<f64>, NewtonStats)> {
+        newton_solve_budgeted(system, x0, &[], options, ws, &SolveBudget::unlimited())
+    }
+
+    /// [`solve_in`] on a fresh workspace.
+    fn solve<S: NewtonSystem>(
+        system: &S,
+        x0: &[f64],
+        options: NewtonOptions,
+    ) -> Result<(Vec<f64>, NewtonStats)> {
+        solve_in(system, x0, options, &mut LinearSolverWorkspace::new())
+    }
+
     /// Scalar test system: x² − 4 = 0.
     struct Quadratic;
 
@@ -1087,16 +992,14 @@ mod tests {
 
     #[test]
     fn solves_quadratic() {
-        let (x, stats) =
-            newton_solve(&Quadratic, &[3.0], &[], NewtonOptions::default()).expect("newton");
+        let (x, stats) = solve(&Quadratic, &[3.0], NewtonOptions::default()).expect("newton");
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!(stats.iterations < 10);
     }
 
     #[test]
     fn solves_coupled_system() {
-        let (x, _) =
-            newton_solve(&Coupled, &[2.5, 0.1], &[], NewtonOptions::default()).expect("newton");
+        let (x, _) = solve(&Coupled, &[2.5, 0.1], NewtonOptions::default()).expect("newton");
         // Roots: (1, 2) or (2, 1). The update-based convergence criterion
         // guarantees ~reltol·|x| accuracy, not machine precision.
         let ok = (x[0] - 1.0).abs() < 1e-4 && (x[1] - 2.0).abs() < 1e-4
@@ -1108,8 +1011,7 @@ mod tests {
     fn quadratic_convergence_rate() {
         // From a good starting point, Newton on x²−4 should converge in
         // very few iterations.
-        let (_, stats) =
-            newton_solve(&Quadratic, &[2.1], &[], NewtonOptions::default()).expect("newton");
+        let (_, stats) = solve(&Quadratic, &[2.1], NewtonOptions::default()).expect("newton");
         assert!(stats.iterations <= 4, "iterations = {}", stats.iterations);
         assert!(!stats.damped);
     }
@@ -1123,7 +1025,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            newton_solve(&Quadratic, &[100.0], &[], opts),
+            solve(&Quadratic, &[100.0], opts),
             Err(CircuitError::ConvergenceFailure { .. })
         ));
     }
@@ -1149,8 +1051,8 @@ mod tests {
 
     #[test]
     fn non_finite_damping_trials_return_typed_divergence() {
-        let err = newton_solve(&NaNRidge, &[0.0], &[], NewtonOptions::default())
-            .expect_err("no finite step exists");
+        let err =
+            solve(&NaNRidge, &[0.0], NewtonOptions::default()).expect_err("no finite step exists");
         match err {
             CircuitError::Diverged {
                 analysis,
@@ -1174,12 +1076,11 @@ mod tests {
 
     #[test]
     fn divergence_does_not_commit_nan_iterate() {
-        // Run through the workspace wrapper too, and assert the error is
-        // recoverable (ladder fuel), not an interruption.
+        // Run through a caller-owned workspace too, and assert the error
+        // is recoverable (ladder fuel), not an interruption.
         let mut ws = LinearSolverWorkspace::new();
         let err =
-            newton_solve_with_workspace(&NaNRidge, &[0.0], &[], NewtonOptions::default(), &mut ws)
-                .expect_err("diverges");
+            solve_in(&NaNRidge, &[0.0], NewtonOptions::default(), &mut ws).expect_err("diverges");
         assert!(err.is_recoverable());
         assert!(!err.is_interrupted());
     }
@@ -1215,19 +1116,16 @@ mod tests {
                 jac.push(0, 0, x[0].clamp(-700.0, 700.0).exp());
             }
         }
-        let (x, _) =
-            newton_solve(&Exponential, &[-30.0], &[], NewtonOptions::default()).expect("newton");
+        let (x, _) = solve(&Exponential, &[-30.0], NewtonOptions::default()).expect("newton");
         assert!(x[0].abs() < 1e-4, "root of e^x−1 is 0, got {}", x[0]);
     }
 
     #[test]
     fn chord_newton_matches_full_newton() {
-        let full = newton_solve(&Coupled, &[2.5, 0.1], &[], NewtonOptions::default())
-            .expect("full newton");
-        let chord = newton_solve(
+        let full = solve(&Coupled, &[2.5, 0.1], NewtonOptions::default()).expect("full newton");
+        let chord = solve(
             &Coupled,
             &[2.5, 0.1],
-            &[],
             NewtonOptions {
                 jacobian_reuse: 3,
                 ..Default::default()
@@ -1253,10 +1151,9 @@ mod tests {
                 jac.push(0, 0, x[0].clamp(-700.0, 700.0).exp());
             }
         }
-        let (x, _) = newton_solve(
+        let (x, _) = solve(
             &Exponential,
             &[3.0],
-            &[],
             NewtonOptions {
                 jacobian_reuse: 4,
                 ..Default::default()
@@ -1269,27 +1166,15 @@ mod tests {
     #[test]
     fn workspace_reuses_symbolic_across_solves() {
         let mut ws = LinearSolverWorkspace::new();
-        let (x1, _) = newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut ws,
-        )
-        .expect("first solve");
+        let (x1, _) = solve_in(&Coupled, &[2.5, 0.1], NewtonOptions::default(), &mut ws)
+            .expect("first solve");
         // One structural setup, then numeric-only refactorisations.
         assert_eq!(ws.stats.full_factorizations, 1);
         assert_eq!(ws.stats.pattern_rebuilds, 1);
         assert!(ws.stats.refactorizations >= 1);
         let refactors_after_first = ws.stats.refactorizations;
-        let (x2, _) = newton_solve_with_workspace(
-            &Coupled,
-            &[2.0, 0.5],
-            &[],
-            NewtonOptions::default(),
-            &mut ws,
-        )
-        .expect("second solve");
+        let (x2, _) = solve_in(&Coupled, &[2.0, 0.5], NewtonOptions::default(), &mut ws)
+            .expect("second solve");
         assert_eq!(
             ws.stats.full_factorizations, 1,
             "second solve must not redo symbolic work"
@@ -1311,8 +1196,7 @@ mod tests {
             jacobian_reuse: 3,
             ..Default::default()
         };
-        let (x, _) = newton_solve_with_workspace(&Coupled, &[2.5, 0.1], &[], opts, &mut ws)
-            .expect("chord newton");
+        let (x, _) = solve_in(&Coupled, &[2.5, 0.1], opts, &mut ws).expect("chord newton");
         let ok = (x[0] - 1.0).abs() < 1e-3 && (x[1] - 2.0).abs() < 1e-3
             || (x[0] - 2.0).abs() < 1e-3 && (x[1] - 1.0).abs() < 1e-3;
         assert!(ok, "got {x:?}");
@@ -1328,17 +1212,9 @@ mod tests {
         // Solving a different system with the same workspace must rebuild
         // the caches transparently and still converge.
         let mut ws = LinearSolverWorkspace::new();
-        newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut ws,
-        )
-        .expect("coupled");
-        let (x, _) =
-            newton_solve_with_workspace(&Quadratic, &[3.0], &[], NewtonOptions::default(), &mut ws)
-                .expect("quadratic after coupled");
+        solve_in(&Coupled, &[2.5, 0.1], NewtonOptions::default(), &mut ws).expect("coupled");
+        let (x, _) = solve_in(&Quadratic, &[3.0], NewtonOptions::default(), &mut ws)
+            .expect("quadratic after coupled");
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert_eq!(ws.stats.pattern_rebuilds, 2);
         assert_eq!(ws.stats.full_factorizations, 2);
@@ -1364,18 +1240,10 @@ mod tests {
         let mut cache = WorkspaceCache::new();
         // Warm one workspace on each system.
         let mut ws_c = cache.checkout(probe(2));
-        newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut ws_c,
-        )
-        .expect("coupled");
+        solve_in(&Coupled, &[2.5, 0.1], NewtonOptions::default(), &mut ws_c).expect("coupled");
         let key_c = ws_c.pattern_fingerprint().expect("warmed");
         let mut ws_q = cache.checkout(probe(1));
-        newton_solve_with_workspace(&Quadratic, &[3.0], &[], NewtonOptions::default(), &mut ws_q)
-            .expect("quadratic");
+        solve_in(&Quadratic, &[3.0], NewtonOptions::default(), &mut ws_q).expect("quadratic");
         let key_q = ws_q.pattern_fingerprint().expect("warmed");
         assert_ne!(key_c, key_q);
         cache.checkin(key_c, ws_c);
@@ -1388,14 +1256,7 @@ mod tests {
         let mut ws = cache.checkout(key_c);
         assert_eq!(ws.pattern_fingerprint(), Some(key_c));
         let before = ws.stats;
-        newton_solve_with_workspace(
-            &Coupled,
-            &[2.0, 0.5],
-            &[],
-            NewtonOptions::default(),
-            &mut ws,
-        )
-        .expect("coupled again");
+        solve_in(&Coupled, &[2.0, 0.5], NewtonOptions::default(), &mut ws).expect("coupled again");
         assert_eq!(ws.stats.pattern_rebuilds, before.pattern_rebuilds);
         assert_eq!(ws.stats.full_factorizations, before.full_factorizations);
         assert!(ws.stats.refactorizations > before.refactorizations);
@@ -1423,117 +1284,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strategy_matches_sequential_and_counts() {
-        // Width-2 pool: even on a single-core host the pipeline threads
-        // run (timeshared), so correctness and counters are testable
-        // everywhere; the speedup itself is covered by the multi-core CI
-        // job.
-        let mut seq_ws = LinearSolverWorkspace::new();
-        let (x_seq, _) = newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut seq_ws,
-        )
-        .expect("sequential");
-        let mut par_ws =
-            LinearSolverWorkspace::with_strategy(RefactorStrategy::Parallel(WorkerPool::new(2)));
-        assert!(matches!(
-            par_ws.refactor_strategy(),
-            RefactorStrategy::Parallel(_)
-        ));
-        let (x_par, _) = newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut par_ws,
-        )
-        .expect("parallel");
-        assert_eq!(x_seq, x_par, "pipeline must be bit-identical");
-        assert!(par_ws.stats.refactorizations >= 1);
-        assert_eq!(
-            par_ws.stats.parallel_refactorizations, par_ws.stats.refactorizations,
-            "every refresh of this solve should ride the pipeline"
-        );
-        assert_eq!(seq_ws.stats.parallel_refactorizations, 0);
-        // Strategy can be swapped mid-life without losing the caches.
-        par_ws.set_refactor_strategy(RefactorStrategy::Sequential);
-        let before = par_ws.stats;
-        newton_solve_with_workspace(
-            &Coupled,
-            &[2.0, 0.5],
-            &[],
-            NewtonOptions::default(),
-            &mut par_ws,
-        )
-        .expect("after strategy swap");
-        assert_eq!(par_ws.stats.full_factorizations, before.full_factorizations);
-        assert_eq!(
-            par_ws.stats.parallel_refactorizations,
-            before.parallel_refactorizations
-        );
-    }
-
-    #[test]
     fn gmres_ilu0_refreshes_cached_preconditioner() {
-        // Two solves over one structure: the first builds the ILU(0)
-        // preconditioner, every later iteration refreshes it in place.
-        let opts = NewtonOptions {
-            linear: LinearSolver::gmres_default(),
-            ..Default::default()
+        // Both Krylov configurations: two solves over one structure build
+        // the preconditioner once, every later iteration refreshes it in
+        // place. Block size 1 gives the 2-unknown system two blocks.
+        let block_jacobi = LinearSolver::GmresBlockJacobi {
+            block_size: 1,
+            rtol: 1e-10,
+            restart: 20,
+            max_iters: 200,
         };
-        let mut ws = LinearSolverWorkspace::new();
-        newton_solve_with_workspace(&Coupled, &[2.5, 0.1], &[], opts, &mut ws).expect("first");
-        newton_solve_with_workspace(&Coupled, &[2.0, 0.5], &[], opts, &mut ws).expect("second");
-        assert!(ws.stats.iterative_solves >= 2);
-        assert_eq!(
-            ws.stats.precond_rebuilds, 1,
-            "one build, then in-place refreshes: {:?}",
-            ws.stats
-        );
-        assert!(
-            ws.stats.precond_refreshes >= 1,
-            "later iterations must refresh, not rebuild: {:?}",
-            ws.stats
-        );
-        // A structural change rebuilds the preconditioner transparently.
-        newton_solve_with_workspace(&Quadratic, &[3.0], &[], opts, &mut ws)
-            .expect("different structure");
-        assert_eq!(ws.stats.precond_rebuilds, 2);
-    }
-
-    #[test]
-    fn gmres_block_jacobi_parallel_refresh_matches_sequential() {
-        // block_size 1 on the 2-unknown system gives two independent
-        // blocks — enough for the pooled refresh to actually chunk.
-        let opts = NewtonOptions {
-            linear: LinearSolver::GmresBlockJacobi {
-                block_size: 1,
-                rtol: 1e-10,
-                restart: 20,
-                max_iters: 200,
-            },
-            ..Default::default()
-        };
-        let mut seq = LinearSolverWorkspace::new();
-        let (x_seq, _) = newton_solve_with_workspace(&Coupled, &[2.5, 0.1], &[], opts, &mut seq)
-            .expect("sequential");
-        newton_solve_with_workspace(&Coupled, &[2.0, 0.5], &[], opts, &mut seq).expect("seq 2");
-        let mut par =
-            LinearSolverWorkspace::with_strategy(RefactorStrategy::Parallel(WorkerPool::new(2)));
-        let (x_par, _) = newton_solve_with_workspace(&Coupled, &[2.5, 0.1], &[], opts, &mut par)
-            .expect("parallel");
-        newton_solve_with_workspace(&Coupled, &[2.0, 0.5], &[], opts, &mut par).expect("par 2");
-        assert_eq!(x_seq, x_par, "block-parallel refresh must be bit-identical");
-        assert!(par.stats.precond_refreshes >= 1, "{:?}", par.stats);
-        assert_eq!(
-            par.stats.parallel_precond_refreshes, par.stats.precond_refreshes,
-            "every refresh under the Parallel strategy rides the pool: {:?}",
-            par.stats
-        );
-        assert_eq!(seq.stats.parallel_precond_refreshes, 0);
+        for linear in [LinearSolver::gmres_default(), block_jacobi] {
+            let opts = NewtonOptions {
+                linear,
+                ..Default::default()
+            };
+            let mut ws = LinearSolverWorkspace::new();
+            solve_in(&Coupled, &[2.5, 0.1], opts, &mut ws).expect("first");
+            solve_in(&Coupled, &[2.0, 0.5], opts, &mut ws).expect("second");
+            assert!(ws.stats.iterative_solves >= 2, "{linear:?}: {:?}", ws.stats);
+            assert_eq!(ws.stats.direct_fallbacks, 0, "{linear:?}: {:?}", ws.stats);
+            assert_eq!(
+                ws.stats.precond_rebuilds, 1,
+                "{linear:?}: one build, then in-place refreshes: {:?}",
+                ws.stats
+            );
+            assert!(
+                ws.stats.precond_refreshes >= 1,
+                "{linear:?}: later iterations must refresh, not rebuild: {:?}",
+                ws.stats
+            );
+            // A structural change rebuilds the preconditioner transparently.
+            solve_in(&Quadratic, &[3.0], opts, &mut ws).expect("different structure");
+            assert_eq!(ws.stats.precond_rebuilds, 2, "{linear:?}: {:?}", ws.stats);
+        }
     }
 
     #[test]
@@ -1545,17 +1329,9 @@ mod tests {
         };
         let mut cache = WorkspaceCache::with_capacity(1);
         let mut ws_a = cache.checkout(probe(2));
-        newton_solve_with_workspace(
-            &Coupled,
-            &[2.5, 0.1],
-            &[],
-            NewtonOptions::default(),
-            &mut ws_a,
-        )
-        .expect("a");
+        solve_in(&Coupled, &[2.5, 0.1], NewtonOptions::default(), &mut ws_a).expect("a");
         let mut ws_b = cache.checkout(probe(1));
-        newton_solve_with_workspace(&Quadratic, &[3.0], &[], NewtonOptions::default(), &mut ws_b)
-            .expect("b");
+        solve_in(&Quadratic, &[3.0], NewtonOptions::default(), &mut ws_b).expect("b");
         let expect_refactors = ws_a.stats.refactorizations + ws_b.stats.refactorizations;
         let key_a = ws_a.pattern_fingerprint().expect("warmed");
         let key_b = ws_b.pattern_fingerprint().expect("warmed");

@@ -67,30 +67,22 @@ pub fn continuation_solve(
     x0: &[f64],
     options: ContinuationOptions,
 ) -> Result<(Vec<f64>, ContinuationStats)> {
-    let mut workspace = LinearSolverWorkspace::new();
-    continuation_solve_with_workspace(system, x0, options, &mut workspace)
+    continuation_solve_budgeted(
+        system,
+        x0,
+        options,
+        &mut LinearSolverWorkspace::new(),
+        &SolveBudget::unlimited(),
+    )
 }
 
-/// [`continuation_solve`] with caller-owned linear-solver state.
+/// [`continuation_solve`] with caller-owned linear-solver state, under a
+/// [`SolveBudget`].
 ///
 /// λ scales the excitation, never the Jacobian structure, so every Newton
 /// solve along the homotopy shares one symbolic factorisation: pass the
 /// workspace that already served the plain-Newton attempt and the whole
 /// continuation runs on numeric-only refactorisations.
-///
-/// # Errors
-///
-/// See [`continuation_solve`].
-pub fn continuation_solve_with_workspace(
-    system: &mut MpdeSystem<'_>,
-    x0: &[f64],
-    options: ContinuationOptions,
-    workspace: &mut LinearSolverWorkspace,
-) -> Result<(Vec<f64>, ContinuationStats)> {
-    continuation_solve_budgeted(system, x0, options, workspace, &SolveBudget::unlimited())
-}
-
-/// [`continuation_solve_with_workspace`] under a [`SolveBudget`].
 ///
 /// The budget covers every Newton solve along the homotopy. An
 /// interruption aborts the whole continuation — λ-step halving is for

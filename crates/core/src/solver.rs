@@ -156,39 +156,24 @@ pub fn solve_mpde(
     t2_period: f64,
     options: MpdeOptions,
 ) -> Result<MpdeSolution> {
-    let mut workspace = LinearSolverWorkspace::new();
-    solve_mpde_with_workspace(circuit, t1_period, t2_period, options, &mut workspace)
+    solve_mpde_budgeted(
+        circuit,
+        t1_period,
+        t2_period,
+        options,
+        &mut LinearSolverWorkspace::new(),
+        &SolveBudget::unlimited(),
+    )
 }
 
-/// [`solve_mpde`] with caller-owned linear-solver state.
+/// [`solve_mpde`] with caller-owned linear-solver state, under a
+/// [`SolveBudget`].
 ///
 /// The grid Jacobian's structure depends only on the circuit and the grid,
 /// so warm-started parameter sweeps (same circuit, same `n1 × n2`) that
 /// pass one workspace across calls pay for the RCM ordering, symbolic
 /// reach and pivot search exactly once; the workspace is also shared with
 /// the continuation fallback inside each call.
-///
-/// # Errors
-///
-/// See [`solve_mpde`].
-pub fn solve_mpde_with_workspace(
-    circuit: &Circuit,
-    t1_period: f64,
-    t2_period: f64,
-    options: MpdeOptions,
-    workspace: &mut LinearSolverWorkspace,
-) -> Result<MpdeSolution> {
-    solve_mpde_budgeted(
-        circuit,
-        t1_period,
-        t2_period,
-        options,
-        workspace,
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`solve_mpde_with_workspace`] under a [`SolveBudget`].
 ///
 /// The budget covers the initial-guess construction (DC solve or envelope
 /// sweeps), the global Newton solve and the continuation fallback. An

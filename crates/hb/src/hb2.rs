@@ -245,46 +245,22 @@ pub fn hb2_solve(
     initial_guess: Option<&[f64]>,
     options: Hb2Options,
 ) -> Result<Hb2Result> {
-    let mut workspace = LinearSolverWorkspace::new();
-    hb2_solve_with_workspace(
-        circuit,
-        period1,
-        period2,
-        initial_guess,
-        options,
-        &mut workspace,
-    )
-}
-
-/// [`hb2_solve`] with caller-owned linear-solver state: the dense spectral
-/// coupling makes the HB Jacobian expensive to analyse, so warm-started
-/// re-solves on the same grid shape should share one workspace.
-///
-/// # Errors
-///
-/// See [`hb2_solve`].
-pub fn hb2_solve_with_workspace(
-    circuit: &Circuit,
-    period1: f64,
-    period2: f64,
-    initial_guess: Option<&[f64]>,
-    options: Hb2Options,
-    workspace: &mut LinearSolverWorkspace,
-) -> Result<Hb2Result> {
     hb2_solve_budgeted(
         circuit,
         period1,
         period2,
         initial_guess,
         options,
-        workspace,
+        &mut LinearSolverWorkspace::new(),
         &rfsim_numerics::SolveBudget::unlimited(),
     )
 }
 
-/// [`hb2_solve_with_workspace`] under a
+/// [`hb2_solve`] with caller-owned linear-solver state, under a
 /// [`SolveBudget`](rfsim_numerics::SolveBudget): the budget covers the DC
-/// seed and the two-tone spectral Newton solve.
+/// seed and the two-tone spectral Newton solve. The dense spectral
+/// coupling makes the HB Jacobian expensive to analyse, so warm-started
+/// re-solves on the same grid shape should share one workspace.
 ///
 /// # Errors
 ///
@@ -604,11 +580,13 @@ mod tests {
             ..Default::default()
         };
         let mut ws = LinearSolverWorkspace::new();
+        let unlimited = rfsim_numerics::SolveBudget::unlimited();
         let (low_ckt, p1, p2) = detector(0.05);
-        let low = hb2_solve_with_workspace(&low_ckt, p1, p2, None, opts, &mut ws).expect("low");
+        let low =
+            hb2_solve_budgeted(&low_ckt, p1, p2, None, opts, &mut ws, &unlimited).expect("low");
         let (high_ckt, p1, p2) = detector(2.0);
-        hb2_solve_with_workspace(&high_ckt, p1, p2, Some(&low.samples), opts, &mut ws)
-            .expect("high");
+        let guess = Some(low.samples.as_slice());
+        hb2_solve_budgeted(&high_ckt, p1, p2, guess, opts, &mut ws, &unlimited).expect("high");
         assert_eq!(
             ws.stats.full_factorizations, 1,
             "the jump must not discard the symbolic analysis: {:?}",

@@ -7,8 +7,8 @@
 //! every solver sharing it stops at its next check point), an optional
 //! deadline, an optional stagnation guard (give up early when the best
 //! residual stops improving), and an optional progress callback. The
-//! solvers — Newton's iteration and damping loops, the GMRES/BiCGStab
-//! inner loops, and everything stacked on them — poll the budget at
+//! solvers — Newton's iteration and damping loops, the GMRES inner
+//! loops, and everything stacked on them — poll the budget at
 //! loop boundaries, so interruption is *cooperative*: a solve is never
 //! torn down mid-factorisation, its workspace is never poisoned, and an
 //! interrupted call returns a typed [`SolveInterrupted`] describing how

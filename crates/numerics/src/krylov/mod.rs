@@ -1,15 +1,13 @@
 //! Krylov-subspace iterative solvers and preconditioners.
 //!
 //! The paper notes that the MPDE systems are solved "using iterative linear
-//! solution methods"; this module provides restarted [`gmres`] and
-//! [`bicgstab`] over a matrix-free [`LinearOperator`] abstraction, with
-//! identity/Jacobi/ILU(0) preconditioning.
+//! solution methods"; this module provides restarted [`gmres`] over a
+//! matrix-free [`LinearOperator`] abstraction, with identity, Jacobi,
+//! ILU(0) and block-Jacobi preconditioning.
 
-mod bicgstab;
 mod gmres;
 mod precond;
 
-pub use bicgstab::{bicgstab, bicgstab_budgeted, BiCgStabOptions};
 pub use gmres::{gmres, gmres_budgeted, GmresOptions, GmresStats};
 pub use precond::{BlockJacobiPrecond, IdentityPrecond, Ilu0, JacobiPrecond, Preconditioner};
 

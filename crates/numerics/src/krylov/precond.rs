@@ -1,9 +1,6 @@
 //! Preconditioners for the Krylov solvers.
 
-use std::sync::Mutex;
-
 use crate::dense::{DenseLu, DenseMatrix};
-use crate::pool::WorkerPool;
 use crate::sparse::CsrMatrix;
 use crate::{NumericsError, Result};
 
@@ -327,59 +324,6 @@ impl BlockJacobiPrecond {
         }
         Ok(())
     }
-
-    /// [`BlockJacobiPrecond::refactor_in_place`] with the blocks spread
-    /// across `pool`'s workers. Every block is an independent dense
-    /// refactorisation, so the blocks are split into one contiguous chunk
-    /// per worker and each chunk refreshes through its own scratch buffer;
-    /// the per-block arithmetic is untouched, making the refreshed factors
-    /// **bit-identical** to the sequential refresh. A width-1 pool (or a
-    /// single block) delegates to the sequential, allocation-free path —
-    /// the returned flag is `true` only when the pooled path actually ran.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BlockJacobiPrecond::refactor_in_place`]: on a
-    /// singular block, the error reported is the lowest-indexed failing
-    /// block's (chunks are scanned in block order), other chunks may or
-    /// may not have refreshed, and the caller must refresh or rebuild
-    /// before the next apply.
-    pub fn refactor_in_place_parallel(&mut self, a: &CsrMatrix, pool: &WorkerPool) -> Result<bool> {
-        let nb = self.blocks.len();
-        if pool.threads().min(nb) <= 1 {
-            return self.refactor_in_place(a).map(|()| false);
-        }
-        if !self.matches(a) {
-            return Err(NumericsError::DimensionMismatch {
-                context: format!(
-                    "BlockJacobi::refactor_in_place_parallel: {}x{} matrix into {} blocks of {}",
-                    a.rows(),
-                    a.cols(),
-                    nb,
-                    self.block_size
-                ),
-            });
-        }
-        let bs = self.block_size;
-        let chunk = nb.div_ceil(pool.threads().min(nb));
-        let chunks: Vec<Mutex<(usize, &mut [DenseLu])>> = self
-            .blocks
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, blocks)| Mutex::new((c * chunk, blocks)))
-            .collect();
-        let outcomes = pool.run(chunks.len(), |c| {
-            let mut guard = chunks[c].lock().expect("chunk slot poisoned");
-            let (base, blocks) = &mut *guard;
-            let mut scratch = DenseMatrix::zeros(bs, bs);
-            for (i, lu) in blocks.iter_mut().enumerate() {
-                gather_block(a, bs, *base + i, &mut scratch);
-                lu.refactor(&scratch)?;
-            }
-            Ok(())
-        });
-        outcomes.into_iter().collect::<Result<()>>().map(|()| true)
-    }
 }
 
 impl Preconditioner for BlockJacobiPrecond {
@@ -490,65 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn block_jacobi_parallel_refresh_bit_identical_to_sequential() {
-        // 12 blocks of 4: enough to give every worker several chunks.
-        let (nb, bs) = (12, 4);
-        let n = nb * bs;
-        let mk = |scale: f64| {
-            let mut t = Triplets::new(n, n);
-            for b in 0..nb {
-                let base = b * bs;
-                for i in 0..bs {
-                    for j in 0..bs {
-                        let v = if i == j {
-                            4.0 + (base + i) as f64 * 0.1
-                        } else {
-                            0.3 * ((base + i + 2 * j) as f64).sin()
-                        };
-                        t.push(base + i, base + j, v * scale);
-                    }
-                }
-            }
-            t.to_csr()
-        };
-        let a0 = mk(1.0);
-        let a1 = mk(1.5);
-        let mut seq = BlockJacobiPrecond::new(&a0, bs).expect("factor");
-        let mut par = seq.clone();
-        seq.refactor_in_place(&a1).expect("sequential refresh");
-        let pooled = par
-            .refactor_in_place_parallel(&a1, &WorkerPool::new(4))
-            .expect("parallel refresh");
-        assert!(pooled, "a width-4 pool over 12 blocks must run pooled");
-        // Identical per-block arithmetic → identical applications, to the
-        // bit, on any probe vector.
-        let r: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).cos()).collect();
-        let (mut zs, mut zp) = (vec![0.0; n], vec![0.0; n]);
-        seq.apply(&r, &mut zs);
-        par.apply(&r, &mut zp);
-        for (s, p) in zs.iter().zip(&zp) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-        // Width-1 pools delegate to the allocation-free sequential path
-        // (and report that they did).
-        let mut inline = BlockJacobiPrecond::new(&a0, bs).expect("factor");
-        let pooled = inline
-            .refactor_in_place_parallel(&a1, &WorkerPool::new(1))
-            .expect("inline refresh");
-        assert!(!pooled, "width-1 delegation must not claim the pooled path");
-        let mut zi = vec![0.0; n];
-        inline.apply(&r, &mut zi);
-        assert_eq!(zi, zs);
-        // Dimension mismatch still rejected.
-        let wrong = spd_example(8);
-        assert!(par
-            .refactor_in_place_parallel(&wrong, &WorkerPool::new(4))
-            .is_err());
-    }
-
-    #[test]
-    fn block_jacobi_parallel_refresh_reports_singular_block() {
-        // Zero out one block; both paths must reject with a singular error.
+    fn block_jacobi_refresh_reports_singular_block() {
+        // Zero out one block: the in-place refresh must reject it.
         let mut t = Triplets::new(8, 8);
         for i in 0..8 {
             t.push(i, i, if (4..6).contains(&i) { 1.0 } else { 2.0 });
@@ -561,7 +448,7 @@ mod tests {
         let bad = bad_t.to_csr();
         let mut bj = BlockJacobiPrecond::new(&good, 2).expect("factor");
         assert!(matches!(
-            bj.refactor_in_place_parallel(&bad, &WorkerPool::new(3)),
+            bj.refactor_in_place(&bad),
             Err(NumericsError::SingularMatrix { .. })
         ));
     }

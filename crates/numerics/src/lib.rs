@@ -19,11 +19,9 @@
 //!   patterns) and numeric-only refactorisation
 //!   ([`sparse_lu::SparseLu::refactor_in_place`]) for the
 //!   pattern-invariant matrices of Newton hot paths.
-//! * [`krylov`] — restarted GMRES and BiCGStab with pluggable
-//!   preconditioners (identity, Jacobi, ILU(0), block-Jacobi), all of
-//!   which support in-place numeric refresh over their cached patterns.
-//! * [`pool`] — the fixed-thread [`pool::WorkerPool`] shared by the sweep
-//!   engine and the parallel numeric refactorisation.
+//! * [`krylov`] — restarted GMRES with pluggable preconditioners
+//!   (identity, Jacobi, ILU(0), block-Jacobi); ILU(0) and block-Jacobi
+//!   support in-place numeric refresh over their cached patterns.
 //! * [`telemetry`] — fixed-allocation observability primitives: the
 //!   log-bucketed [`telemetry::LatencyHistogram`] and the bounded
 //!   per-job lifecycle [`telemetry::Timeline`], fed by the budget's
@@ -64,7 +62,6 @@ pub mod fft;
 pub mod interp;
 pub mod json;
 pub mod krylov;
-pub mod pool;
 pub mod sparse;
 pub mod sparse_lu;
 pub mod telemetry;

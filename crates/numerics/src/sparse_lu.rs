@@ -82,46 +82,13 @@
 //! [`SymbolicLu`], which nothing mutates afterwards. Its own triangular
 //! solve runs earlier, on indices that each passed a bounds-checked
 //! index into a length-`n` array when the reach was computed.
-//!
-//! # Parallel numeric refactorisation
-//!
-//! [`SparseLu::refactor_in_place_parallel`] runs the numeric sweep as a
-//! column pipeline over a fixed-width [`WorkerPool`]: workers claim columns
-//! in order from an atomic counter and spin on per-column done flags for
-//! their recorded `U`-dependencies, so independent subtrees of the
-//! elimination DAG factor concurrently while every value lands exactly
-//! where the sequential sweep would put it. Restricted pivoting needs the
-//! permutation to be stable while workers scatter ahead, so a vanished
-//! pivot aborts the pipeline and the call transparently retries on the
-//! sequential path (which may exchange) before reporting failure.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use crate::pool::WorkerPool;
 use crate::sparse::CscMatrix;
 use crate::{NumericsError, Result};
 
 const NONE: usize = usize::MAX;
-
-/// Raw shared-mutable pointer handed to the refactor pipeline workers.
-/// Every dereference site argues its own disjointness/ordering; the
-/// wrapper exists only to move the pointer into the scoped threads.
-struct SharedMut(*mut f64);
-
-impl SharedMut {
-    /// The wrapped pointer. A method rather than field access so closures
-    /// capture the (`Sync`) wrapper, not the raw pointer itself.
-    fn ptr(&self) -> *mut f64 {
-        self.0
-    }
-}
-
-// SAFETY: the pipeline writes disjoint per-column ranges and orders
-// cross-column reads through Acquire/Release done flags; see the use
-// sites in `SparseLu::refactor_in_place_parallel`.
-unsafe impl Send for SharedMut {}
-unsafe impl Sync for SharedMut {}
 
 /// Column ordering strategy applied before factorisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -389,10 +356,6 @@ pub struct RefactorReport {
     /// In-pattern pivot exchanges performed by restricted pivoting during
     /// this call (0 on the happy path where every recorded pivot held).
     pub pivot_exchanges: usize,
-    /// Whether the parallel column pipeline carried the numeric sweep
-    /// (`false` for sequential execution, including the sequential retry
-    /// after a pipeline abort).
-    pub parallel: bool,
 }
 
 /// Sparse LU factors `P·A·Q = L·U` with unit lower-triangular `L`.
@@ -796,162 +759,7 @@ impl SparseLu {
         }
         Ok(RefactorReport {
             pivot_exchanges: exchanges,
-            parallel: false,
         })
-    }
-
-    /// [`SparseLu::refactor_in_place`] with the numeric sweep pipelined
-    /// over `pool`'s width: workers claim columns in order and spin on
-    /// per-column done flags for their recorded `U`-dependencies, so
-    /// independent elimination subtrees factor concurrently and every
-    /// value lands exactly where the sequential sweep would put it.
-    ///
-    /// Restricted pivoting requires a stable permutation while workers
-    /// scatter ahead, so a vanished pivot aborts the pipeline and retries
-    /// once on the sequential path (which may exchange in-pattern) before
-    /// reporting failure. A width-1 pool (or a 1×1 system) runs the
-    /// sequential path directly. Unlike the sequential path, the pipeline
-    /// allocates per-call worker state (one dense accumulator per worker
-    /// plus the done flags).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SparseLu::refactor_in_place`].
-    pub fn refactor_in_place_parallel(
-        &mut self,
-        a: &CscMatrix,
-        pool: &WorkerPool,
-    ) -> Result<RefactorReport> {
-        let n = self.sym.n;
-        let width = pool.threads().min(n.max(1));
-        if width <= 1 {
-            return self.refactor_in_place(a);
-        }
-        if !self.sym.matches(a) {
-            return Err(NumericsError::InvalidArgument {
-                context: format!(
-                    "SparseLu::refactor_in_place_parallel: pattern of {}x{} matrix (nnz {}) \
-                     differs from the factored pattern",
-                    a.rows(),
-                    a.cols(),
-                    a.nnz()
-                ),
-            });
-        }
-        let error = {
-            let SparseLu {
-                sym,
-                lx,
-                ux,
-                udiag,
-                scratch: _,
-                p_cur: _,
-                pinv_cur,
-            } = &mut *self;
-            let sym: &SymbolicLu = sym;
-            let pinv: &[usize] = pinv_cur;
-            let mut par_scratch = vec![0.0f64; width * n];
-            let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-            let abort = AtomicBool::new(false);
-            let next = AtomicUsize::new(0);
-            let error: Mutex<Option<NumericsError>> = Mutex::new(None);
-            let lx_ptr = SharedMut(lx.as_mut_ptr());
-            let ux_ptr = SharedMut(ux.as_mut_ptr());
-            let udiag_ptr = SharedMut(udiag.as_mut_ptr());
-            let scratch_ptr = SharedMut(par_scratch.as_mut_ptr());
-            pool.run(width, |w| {
-                // SAFETY: each worker owns the disjoint accumulator chunk
-                // `[w*n, (w+1)*n)`; `par_scratch` outlives the scoped pool
-                // threads, which all join before it drops.
-                let x = unsafe { std::slice::from_raw_parts_mut(scratch_ptr.ptr().add(w * n), n) };
-                loop {
-                    let k = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    if k >= n || abort.load(AtomicOrdering::Relaxed) {
-                        return;
-                    }
-                    let (rows, vals) = a.col(sym.q[k]);
-                    for (&i, &v) in rows.iter().zip(vals) {
-                        x[pinv[i]] += v;
-                    }
-                    let mut aborted = false;
-                    for t in sym.up[k]..sym.up[k + 1] {
-                        let i = sym.ui[t];
-                        // Columns are claimed in order, so every
-                        // U-dependency i < k is owned by some worker and
-                        // will either complete or abort.
-                        while !done[i].load(AtomicOrdering::Acquire) {
-                            if abort.load(AtomicOrdering::Relaxed) {
-                                aborted = true;
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                        if aborted {
-                            break;
-                        }
-                        let xi = x[i];
-                        // SAFETY: only column k's owner writes
-                        // ux[up[k]..up[k+1]] and udiag[k]; L-column reads
-                        // below are ordered after the owner's writes by
-                        // the Acquire load of done[i].
-                        unsafe { *ux_ptr.ptr().add(t) = xi };
-                        if xi != 0.0 {
-                            for idx in sym.lp[i]..sym.lp[i + 1] {
-                                x[sym.li[idx]] -= unsafe { *lx_ptr.ptr().add(idx) } * xi;
-                            }
-                        }
-                    }
-                    if aborted {
-                        x.fill(0.0);
-                        return;
-                    }
-                    let piv = x[k];
-                    let mut colmax = piv.abs();
-                    for idx in sym.lp[k]..sym.lp[k + 1] {
-                        colmax = colmax.max(x[sym.li[idx]].abs());
-                    }
-                    let vanish = sym.pivot_abs_min.max(sym.refactor_rel_threshold * colmax);
-                    if piv.abs() <= vanish || piv.is_nan() {
-                        let mut slot = error.lock().expect("refactor error slot poisoned");
-                        if slot.is_none() {
-                            *slot = Some(NumericsError::SingularMatrix {
-                                index: k,
-                                pivot: piv.abs(),
-                            });
-                        }
-                        abort.store(true, AtomicOrdering::Relaxed);
-                        x.fill(0.0);
-                        return;
-                    }
-                    // SAFETY: see the ux write above.
-                    unsafe { *udiag_ptr.ptr().add(k) = piv };
-                    for idx in sym.lp[k]..sym.lp[k + 1] {
-                        unsafe { *lx_ptr.ptr().add(idx) = x[sym.li[idx]] / piv };
-                    }
-                    done[k].store(true, AtomicOrdering::Release);
-                    x[k] = 0.0;
-                    for t in sym.up[k]..sym.up[k + 1] {
-                        x[sym.ui[t]] = 0.0;
-                    }
-                    for idx in sym.lp[k]..sym.lp[k + 1] {
-                        x[sym.li[idx]] = 0.0;
-                    }
-                }
-            });
-            error.into_inner().expect("refactor error slot poisoned")
-        };
-        match error {
-            None => Ok(RefactorReport {
-                pivot_exchanges: 0,
-                parallel: true,
-            }),
-            // A vanished pivot needs the permutation-mutating sequential
-            // path to attempt the in-pattern exchange.
-            Some(NumericsError::SingularMatrix { .. }) if self.sym.restricted_pivoting => {
-                self.refactor_in_place(a)
-            }
-            Some(e) => Err(e),
-        }
     }
 
     /// The symbolic structure of this factorisation.
@@ -1834,7 +1642,6 @@ mod mna_pivot_regression {
 #[cfg(test)]
 mod restricted_pivoting {
     use super::*;
-    use crate::pool::WorkerPool;
     use crate::sparse::Triplets;
     use crate::vector::{norm_inf, sub};
     use proptest::prelude::*;
@@ -2030,101 +1837,6 @@ mod restricted_pivoting {
         let b = vec![1.0; n];
         let r = sub(&t2.to_csc().matvec(&lu.solve(&b)), &b);
         assert!(norm_inf(&r) < 1e-9);
-    }
-
-    #[test]
-    fn parallel_refactor_is_bit_identical_to_sequential() {
-        // 2-D periodic grid (the MPDE Jacobian shape) refreshed with new
-        // values: the column pipeline must reproduce the sequential sweep
-        // bit for bit (same per-column arithmetic, only scheduled across
-        // workers).
-        let (n1, n2) = (8, 6);
-        let n = n1 * n2;
-        let mut t1 = Triplets::new(n, n);
-        for j in 0..n2 {
-            for i in 0..n1 {
-                let me = j * n1 + i;
-                t1.push(me, me, 4.2);
-                t1.push(me, j * n1 + (i + 1) % n1, -1.0);
-                t1.push(me, j * n1 + (i + n1 - 1) % n1, -1.0);
-                t1.push(me, ((j + 1) % n2) * n1 + i, -1.0);
-                t1.push(me, ((j + n2 - 1) % n2) * n1 + i, -1.0);
-            }
-        }
-        let a1 = t1.to_csc();
-        let mut seq = SparseLu::factor(&a1, LuOptions::default()).expect("factor");
-        let mut par = seq.clone();
-        let pool = WorkerPool::new(3);
-        let b: Vec<f64> = (0..n).map(|k| ((k * 29 % 13) as f64) - 6.0).collect();
-        for step in 1..4 {
-            let tk = remap(&t1, |i, j, v| {
-                v * (1.0 + 0.07 * step as f64 * ((i + 3 * j) as f64).cos())
-            });
-            let ak = tk.to_csc();
-            seq.refactor_in_place(&ak).expect("sequential");
-            let report = par
-                .refactor_in_place_parallel(&ak, &pool)
-                .expect("parallel");
-            assert!(report.parallel, "width-3 pool must take the pipeline");
-            assert_eq!(seq.solve(&b), par.solve(&b), "step {step}");
-        }
-    }
-
-    #[test]
-    fn parallel_refactor_falls_back_to_sequential_exchange() {
-        let t1 = dense_blocks(11, 2, 4);
-        let a1 = t1.to_csc();
-        let mut lu = SparseLu::factor(&a1, natural_opts()).expect("factor");
-        let victim = lu.current_row_permutation()[0];
-        let t2 = remap(
-            &t1,
-            |i, j, v| {
-                if i == victim && j == 0 {
-                    v * 1e-13
-                } else {
-                    v
-                }
-            },
-        );
-        let a2 = t2.to_csc();
-        let pool = WorkerPool::new(2);
-        let report = lu
-            .refactor_in_place_parallel(&a2, &pool)
-            .expect("pipeline abort must retry sequentially and exchange");
-        assert!(!report.parallel, "exchange requires the sequential path");
-        assert!(report.pivot_exchanges >= 1);
-        let b = vec![1.0; 8];
-        let fresh = SparseLu::factor(&a2, natural_opts()).expect("fresh");
-        assert_match_1e12(&lu.solve(&b), &fresh.solve(&b));
-        // Once the permutation delta holds the exchange, the pipeline
-        // carries further refreshes of the drifted values.
-        let report = lu.refactor_in_place_parallel(&a2, &pool).expect("steady");
-        assert!(report.parallel);
-        assert_match_1e12(&lu.solve(&b), &fresh.solve(&b));
-    }
-
-    #[test]
-    fn parallel_refactor_reports_truly_singular() {
-        let mut t1 = Triplets::new(2, 2);
-        t1.push(0, 0, 1.0);
-        t1.push(0, 1, 2.0);
-        t1.push(1, 0, 3.0);
-        t1.push(1, 1, 4.0);
-        let mut lu = SparseLu::factor(&t1.to_csc(), LuOptions::default()).expect("factor");
-        let mut t2 = Triplets::new(2, 2);
-        t2.push(0, 0, 1.0);
-        t2.push(0, 1, 2.0);
-        t2.push(1, 0, 2.0);
-        t2.push(1, 1, 4.0);
-        let pool = WorkerPool::new(2);
-        assert!(matches!(
-            lu.refactor_in_place_parallel(&t2.to_csc(), &pool),
-            Err(NumericsError::SingularMatrix { .. })
-        ));
-        // And the factor recovers, as on the sequential path.
-        lu.refactor_in_place(&t1.to_csc()).expect("recover");
-        let x = lu.solve(&[5.0, 11.0]);
-        assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -2395,7 +2107,6 @@ mod kernel_oracle {
         }
         Ok(RefactorReport {
             pivot_exchanges: exchanges,
-            parallel: false,
         })
     }
 

@@ -197,37 +197,22 @@ pub fn periodic_fd_pss(
     initial_guess: Option<&[f64]>,
     options: PeriodicFdOptions,
 ) -> Result<PeriodicFdResult> {
-    let mut workspace = LinearSolverWorkspace::new();
-    periodic_fd_pss_with_workspace(circuit, period, initial_guess, options, &mut workspace)
-}
-
-/// [`periodic_fd_pss`] with caller-owned linear-solver state: warm-started
-/// re-solves (parameter sweeps, refinement studies on the same `n_samples`)
-/// reuse the collocation Jacobian's symbolic factorisation across calls.
-///
-/// # Errors
-///
-/// See [`periodic_fd_pss`].
-pub fn periodic_fd_pss_with_workspace(
-    circuit: &Circuit,
-    period: f64,
-    initial_guess: Option<&[f64]>,
-    options: PeriodicFdOptions,
-    workspace: &mut LinearSolverWorkspace,
-) -> Result<PeriodicFdResult> {
     periodic_fd_pss_budgeted(
         circuit,
         period,
         initial_guess,
         options,
-        workspace,
+        &mut LinearSolverWorkspace::new(),
         &rfsim_numerics::SolveBudget::unlimited(),
     )
 }
 
-/// [`periodic_fd_pss_with_workspace`] under a
+/// [`periodic_fd_pss`] with caller-owned linear-solver state, under a
 /// [`SolveBudget`](rfsim_numerics::SolveBudget): the budget covers the DC
-/// seed and the global collocation Newton solve.
+/// seed and the global collocation Newton solve. Warm-started re-solves
+/// (parameter sweeps, refinement studies on the same `n_samples`) that
+/// share one workspace reuse the collocation Jacobian's symbolic
+/// factorisation across calls.
 ///
 /// # Errors
 ///
@@ -461,9 +446,11 @@ mod tests {
             ..Default::default()
         };
         let mut ws = LinearSolverWorkspace::new();
-        let low = periodic_fd_pss_with_workspace(&rectifier(0.05), 1e-6, None, opts, &mut ws)
+        let unlimited = rfsim_numerics::SolveBudget::unlimited();
+        let low = periodic_fd_pss_budgeted(&rectifier(0.05), 1e-6, None, opts, &mut ws, &unlimited)
             .expect("low drive");
-        periodic_fd_pss_with_workspace(&rectifier(2.0), 1e-6, Some(&low.samples), opts, &mut ws)
+        let guess = Some(low.samples.as_slice());
+        periodic_fd_pss_budgeted(&rectifier(2.0), 1e-6, guess, opts, &mut ws, &unlimited)
             .expect("high drive");
         assert_eq!(
             ws.stats.full_factorizations, 1,

@@ -10,7 +10,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`numerics`] | `rfsim-numerics` | dense/sparse LA, sparse LU with symbolic reuse, GMRES/BiCGStab, FFT, periodic differentiation |
+//! | [`numerics`] | `rfsim-numerics` | dense/sparse LA, sparse LU with symbolic reuse, GMRES, FFT, periodic differentiation |
 //! | [`circuit`] | `rfsim-circuit` | MNA, device models, DC operating point, transient |
 //! | [`shooting`] | `rfsim-shooting` | Newton/Krylov shooting, periodic FD collocation |
 //! | [`hb`] | `rfsim-hb` | single- and two-tone harmonic balance |
