@@ -1,17 +1,18 @@
 //! The CI bench-regression gate.
 //!
 //! Measures the refactor, drifting-operating-point, warm-workspace,
-//! solution-store, netlist-submit, build-free-submit, cancel-latency,
-//! recovery-ladder, sharded-throughput and telemetry-overhead scenarios
-//! in-process, checks the machine-portable speedup *ratios* against the
-//! committed baseline JSON within a relative tolerance and against their
-//! hard floors, and writes every measured check to the `--out` JSON (see
-//! `docs/benching.md` for the schema and the rationale). Exit code 0 =
-//! every check passes; 1 = regression.
+//! Krylov-vs-direct, solution-store, netlist-submit, build-free-submit,
+//! cancel-latency, recovery-ladder, sharded-throughput and
+//! telemetry-overhead scenarios in-process, checks the machine-portable
+//! speedup *ratios* against the committed baseline JSON within a
+//! relative tolerance and against their hard floors, and writes every
+//! measured check to the `--out` JSON (see `docs/benching.md` for the
+//! schema and the rationale). Exit code 0 = every check passes; 1 =
+//! regression.
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr13.json --out BENCH_pr15.json --tolerance 0.25
+//!     --baseline BENCH_pr15.json --out BENCH_pr16.json --tolerance 0.25
 //! ```
 
 use std::io::Write;
@@ -19,8 +20,9 @@ use std::process::ExitCode;
 
 use rfsim_bench::gate::{
     bench_json, cancel_latency_scenario, drift_scenario, evaluate, keyless_submit_scenario,
-    memo_roundtrip, mpde_warm_vs_cold, netlist_submit_scenario, recovery_ladder_scenario,
-    refactor_vs_full, sharded_throughput_scenario, telemetry_overhead_scenario, GateCheck, Json,
+    memo_roundtrip, mpde_krylov_vs_direct, mpde_warm_vs_cold, netlist_submit_scenario,
+    recovery_ladder_scenario, refactor_vs_full, sharded_throughput_scenario,
+    telemetry_overhead_scenario, GateCheck, Json,
 };
 
 struct Args {
@@ -32,8 +34,8 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        baseline: "BENCH_pr13.json".into(),
-        out: "BENCH_pr15.json".into(),
+        baseline: "BENCH_pr15.json".into(),
+        out: "BENCH_pr16.json".into(),
         // Cross-machine reproducibility of the micro ratios is ~±20%
         // (measured by re-running a pinned build against a baseline
         // recorded on a different container), so a tighter band is
@@ -82,6 +84,19 @@ fn main() -> ExitCode {
     let (warm_ns, cold_ns) = mpde_warm_vs_cold(args.reps);
     let warm_speedup = cold_ns / warm_ns;
     println!("  mpde warm {warm_ns:.0} ns vs cold {cold_ns:.0} ns → {warm_speedup:.2}x");
+
+    let krylov = mpde_krylov_vs_direct(args.reps);
+    println!(
+        "  mpde 40x30: krylov {:.0} ns vs direct {:.0} ns → {:.2}x, \
+         {} Newton iterations, {} Krylov solves, {} matvecs, {} direct fallbacks",
+        krylov.krylov_ns,
+        krylov.direct_ns,
+        krylov.speedup(),
+        krylov.newton_iterations,
+        krylov.stats.iterative_solves,
+        krylov.stats.krylov_matvecs,
+        krylov.stats.direct_fallbacks,
+    );
 
     let memo = memo_roundtrip(args.reps);
     println!(
@@ -219,6 +234,16 @@ fn main() -> ExitCode {
             measured: warm_speedup,
             baseline: baseline_warm_vs_cold,
             floor: 1.1,
+        },
+        // The Newton grid policy's GMRES + block-Jacobi against direct LU
+        // on the paper's 40x30 fig4 solve, both cold (measured 2.6–3.0x
+        // on 2 vCPUs). The floor keeps the policy's choice clearly worth
+        // it.
+        GateCheck {
+            name: "mpde_krylov_vs_direct".into(),
+            measured: krylov.speedup(),
+            baseline: baseline.number_at("ratios.mpde_krylov_vs_direct"),
+            floor: 1.5,
         },
         // The two memo-hit ratios are floor-gated only: their numerator
         // — a ~1 ms fresh solve — swings far more than ±25% with
@@ -395,6 +420,8 @@ fn main() -> ExitCode {
         ("drift/full_fallback_sequence", drift.fallback_ns),
         ("mpde/solve_warm_workspace", warm_ns),
         ("mpde/solve_cold_workspace", cold_ns),
+        ("mpde/fig4_cold_krylov", krylov.krylov_ns),
+        ("mpde/fig4_cold_direct", krylov.direct_ns),
         ("serve/grid_fresh_solve", memo.fresh_ns),
         ("serve/grid_memo_hit", memo.memo_ns),
         ("serve/netlist_submit_cold", netlist.fresh_ns),
@@ -407,6 +434,21 @@ fn main() -> ExitCode {
         ("serve/fresh_solve_telemetry_off", telemetry.off_ns),
     ];
     let sections = vec![
+        (
+            "krylov",
+            Json::object([
+                ("newton_iterations", Json::from(krylov.newton_iterations)),
+                (
+                    "iterative_solves",
+                    Json::from(krylov.stats.iterative_solves),
+                ),
+                ("krylov_matvecs", Json::from(krylov.stats.krylov_matvecs)),
+                (
+                    "direct_fallbacks",
+                    Json::from(krylov.stats.direct_fallbacks),
+                ),
+            ]),
+        ),
         (
             "drift",
             Json::object([

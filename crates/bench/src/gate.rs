@@ -11,7 +11,10 @@
 
 use std::time::Instant;
 
-use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonSystem};
+use rfsim_circuit::newton::{
+    LinearSolver, LinearSolverWorkspace, NewtonOptions, NewtonSystem, WorkspaceStats,
+};
+use rfsim_circuits::{BalancedMixer, BalancedMixerParams};
 use rfsim_mpde::fdtd::MpdeSystem;
 use rfsim_mpde::solver::{solve_mpde_budgeted, MpdeOptions};
 use rfsim_numerics::sparse::Triplets;
@@ -296,6 +299,78 @@ pub fn mpde_warm_vs_cold(reps: usize) -> (f64, f64) {
         },
     );
     (warm, cold)
+}
+
+/// Outcome of the Krylov-vs-direct MPDE scenario.
+#[derive(Debug, Clone, Copy)]
+pub struct KrylovOutcome {
+    /// Median ns of a cold `MpdeOptions::default()` solve (GMRES +
+    /// block-Jacobi under the Newton grid policy).
+    pub krylov_ns: f64,
+    /// Median ns of the same cold solve pinned to direct LU.
+    pub direct_ns: f64,
+    /// Workspace counters of one default solve.
+    pub stats: WorkspaceStats,
+    /// Newton iterations of that solve.
+    pub newton_iterations: usize,
+}
+
+impl KrylovOutcome {
+    /// Krylov speedup: direct solve time over default solve time.
+    pub fn speedup(&self) -> f64 {
+        self.direct_ns / self.krylov_ns
+    }
+}
+
+/// The paper's fig4 solve — the balanced mixer carrying pattern `1011`
+/// on the 40×30 grid, 18 000 unknowns — with `MpdeOptions::default()`,
+/// which the Newton grid policy sends to GMRES + block-Jacobi, paired
+/// against the same options pinned to [`LinearSolver::Direct`]. Both
+/// sides solve on cold workspaces, as perfbench's `fig4_mixer` does.
+pub fn mpde_krylov_vs_direct(reps: usize) -> KrylovOutcome {
+    let mixer = BalancedMixer::build(BalancedMixerParams {
+        rf_bits: vec![true, false, true, true],
+        ..Default::default()
+    })
+    .expect("mixer builds");
+    let krylov = MpdeOptions::default();
+    let direct = MpdeOptions {
+        newton: NewtonOptions {
+            linear: LinearSolver::Direct,
+            ..krylov.newton
+        },
+        ..krylov.clone()
+    };
+    let unlimited = SolveBudget::unlimited();
+    let solve = |options: &MpdeOptions| {
+        let mut ws = LinearSolverWorkspace::new();
+        let sol = solve_mpde_budgeted(
+            &mixer.circuit,
+            mixer.params.t1_period(),
+            mixer.params.t2_period(),
+            options.clone(),
+            &mut ws,
+            &unlimited,
+        )
+        .expect("40x30 solve");
+        (ws.stats, sol.stats.newton_iterations)
+    };
+    let (stats, newton_iterations) = solve(&krylov);
+    let (krylov_ns, direct_ns) = time_paired_median_ns(
+        reps,
+        || {
+            solve(&krylov);
+        },
+        || {
+            solve(&direct);
+        },
+    );
+    KrylovOutcome {
+        krylov_ns,
+        direct_ns,
+        stats,
+        newton_iterations,
+    }
 }
 
 /// Outcome of the repeated-batch memoisation scenario.

@@ -49,7 +49,8 @@ use rfsim_numerics::SolveBudget;
 use crate::circuit::UnknownKind;
 use crate::error::CircuitError;
 use crate::newton::{
-    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonStats, NewtonSystem,
+    newton_solve_budgeted, LinearSolver, LinearSolverWorkspace, NewtonOptions, NewtonStats,
+    NewtonSystem,
 };
 use crate::Result;
 
@@ -95,9 +96,11 @@ pub enum NewtonProfile {
     /// collocation systems are larger and stiffer than one timestep but
     /// warm-started by sweeps — a doubled budget.
     SteadyState,
-    /// Large multi-time grid solves (MPDE): default depth plus chord
-    /// (modified-Newton) reuse — on the grid systems refactorisation is
-    /// the dominant cost.
+    /// Large multi-time grid solves (MPDE): default depth, the
+    /// [`LinearSolver::Auto`] size policy (GMRES + block-Jacobi on grids
+    /// of 8 000 unknowns and more, direct LU below) and chord
+    /// (modified-Newton) reuse of direct factors, which on the smaller
+    /// grids are the dominant cost.
     Grid,
     /// Continuation inner steps: each λ step starts near the previous
     /// solution, so a short budget fails fast and lets the step-halving
@@ -121,6 +124,7 @@ impl NewtonProfile {
                 ..Default::default()
             },
             NewtonProfile::Grid => NewtonOptions {
+                linear: LinearSolver::Auto,
                 jacobian_reuse: 2,
                 ..Default::default()
             },
@@ -558,6 +562,7 @@ mod tests {
         let grid = NewtonProfile::Grid.options();
         assert_eq!(grid.max_iters, NewtonOptions::default().max_iters);
         assert_eq!(grid.jacobian_reuse, 2);
+        assert_eq!(grid.linear, LinearSolver::Auto);
         assert_eq!(NewtonProfile::ContinuationStep.options().max_iters, 60);
         assert_eq!(
             NewtonProfile::Standard.options().max_iters,

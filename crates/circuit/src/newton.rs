@@ -20,7 +20,7 @@
 //! the backends reach it through the
 //! [`NewtonDriver`](crate::driver::NewtonDriver) recovery ladder.
 
-use rfsim_numerics::krylov::{gmres_budgeted, BlockJacobiPrecond, GmresOptions, Ilu0};
+use rfsim_numerics::krylov::{gmres_budgeted, BlockJacobiPrecond, GmresOptions};
 use rfsim_numerics::sparse::{
     CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, PatternFingerprint, Triplets,
 };
@@ -38,25 +38,13 @@ pub enum LinearSolver {
     /// Sparse direct LU (Gilbert–Peierls with RCM ordering). The default.
     #[default]
     Direct,
-    /// Restarted GMRES preconditioned with ILU(0); falls back to the direct
-    /// solver if the preconditioner or iteration breaks down. This is the
-    /// "iterative linear solution methods" configuration of the paper.
-    /// Note: MNA matrices with voltage sources have structurally zero
-    /// diagonals, which ILU(0) rejects — prefer
-    /// [`LinearSolver::GmresBlockJacobi`] for such systems.
-    GmresIlu0 {
-        /// Relative residual tolerance of the inner solve.
-        rtol: f64,
-        /// Restart length.
-        restart: usize,
-        /// Matvec budget.
-        max_iters: usize,
-    },
     /// Restarted GMRES preconditioned with block-Jacobi over fixed-size
     /// diagonal blocks. The right choice for MPDE grid Jacobians
     /// (`block_size` = circuit unknowns per grid point): every block is a
     /// locally nonsingular circuit matrix even when individual rows have
-    /// zero diagonals. Falls back to the direct solver on breakdown.
+    /// zero diagonals. When the preconditioner refresh or GMRES breaks
+    /// down, that step falls back to direct LU and the rest of the Newton
+    /// solve stays direct; the next solve tries GMRES again.
     GmresBlockJacobi {
         /// Diagonal block size (must divide the system dimension).
         block_size: usize,
@@ -67,105 +55,92 @@ pub enum LinearSolver {
         /// Matvec budget.
         max_iters: usize,
     },
+    /// The grid-solve policy of
+    /// [`NewtonProfile::Grid`](crate::driver::NewtonProfile::Grid),
+    /// resolved at the first fresh Jacobian of each Newton solve. A
+    /// Jacobian with at least 8 000 unknowns that declares its diagonal
+    /// block size ([`Triplets::declare_block_size`], as the MPDE grid
+    /// Jacobian does) runs [`LinearSolver::GmresBlockJacobi`] with fixed
+    /// inner settings. Anything else runs [`LinearSolver::Direct`], with
+    /// the same bits and counters as asking for it outright.
+    Auto,
+}
+
+/// Unknowns from which [`LinearSolver::Auto`] runs GMRES + block-Jacobi.
+/// Set from the warm-workspace crossover, where direct LU skips its full
+/// factor (the sweep engine's and serve's case). Krylov speedup over
+/// direct on the fig4 mixer (pattern 1011, best of 5–7 solves each, two
+/// runs on 2 vCPUs): 0.69× at 1 920 unknowns, 0.83× at 4 320, 1.02–1.04×
+/// at 5 760, 1.06× at 6 720, 0.96–0.97× at 7 680, 1.09–1.11× at 8 100,
+/// 1.27× at 8 400, 1.17× at 9 600, 1.40× at 11 520, 1.79× at 18 000.
+/// Cold workspaces favour Krylov from 4 320 up (1.22×). Every serve grid
+/// and corpus netlist sits far below the threshold.
+const KRYLOV_MIN_DIM: usize = 8_000;
+
+/// Inner relative tolerance of the [`LinearSolver::Auto`] Krylov solve.
+/// Measured on the 40×30 fig4 grid: 1e-3 takes 8 Newton iterations on
+/// every pattern (79 ms per solve); 1e-2 takes 9 (73 ms); 1e-1 takes 10
+/// (67 ms) and moves the envelope by 8.6e-8 V; 1e-8 doubles the time and
+/// saves no iteration. An Eisenstat–Walker forcing term (choice 2,
+/// γ = 0.9, α = 2) took 82–99 ms and 9–10.6 iterations.
+const KRYLOV_RTOL: f64 = 1e-3;
+
+/// Restart length of the [`LinearSolver::Auto`] Krylov solve. Restart 60
+/// measured the same on fig4 (81.4 vs 81.7 ms per solve); 30 holds half
+/// the basis.
+const KRYLOV_RESTART: usize = 30;
+
+/// Matvec cap per [`LinearSolver::Auto`] linear solve. fig4 needs about
+/// 8.7 per Newton step, so an attempt that is going to fail is cut off
+/// cheaply and falls back to direct LU.
+const KRYLOV_MAX_MATVECS: usize = 300;
+
+/// What [`LinearSolver::Auto`] means for a `dim`-unknown Jacobian `jac`.
+fn resolve_auto(dim: usize, jac: &Triplets) -> LinearSolver {
+    match jac.block_size() {
+        Some(block_size) if dim >= KRYLOV_MIN_DIM => LinearSolver::GmresBlockJacobi {
+            block_size,
+            rtol: KRYLOV_RTOL,
+            restart: KRYLOV_RESTART,
+            max_iters: KRYLOV_MAX_MATVECS,
+        },
+        _ => LinearSolver::Direct,
+    }
 }
 
 impl LinearSolver {
-    /// A reasonable GMRES+ILU(0) configuration.
-    pub fn gmres_default() -> Self {
-        LinearSolver::GmresIlu0 {
-            rtol: 1e-9,
-            restart: 80,
-            max_iters: 2000,
-        }
-    }
-
+    /// Solves one fresh Newton system. A Krylov breakdown falls back to
+    /// direct LU, counts one `direct_fallbacks` and turns `self` into
+    /// [`LinearSolver::Direct`], so a failing Krylov attempt is paid once
+    /// per Newton solve.
     fn solve_with(
-        &self,
+        &mut self,
         ws: &mut LinearSolverWorkspace,
         jac: &Triplets,
         rhs: &[f64],
         budget: &SolveBudget,
     ) -> Result<Vec<f64>> {
-        match self {
-            LinearSolver::Direct => ws.solve_direct(jac, rhs),
-            LinearSolver::GmresIlu0 {
+        debug_assert!(*self != LinearSolver::Auto, "resolved before solving");
+        if let LinearSolver::GmresBlockJacobi {
+            block_size,
+            rtol,
+            restart,
+            max_iters,
+        } = *self
+        {
+            let opts = GmresOptions {
                 rtol,
                 restart,
                 max_iters,
-            } => {
-                let opts = GmresOptions {
-                    rtol: *rtol,
-                    restart: *restart,
-                    max_iters: *max_iters,
-                    ..Default::default()
-                };
-                let x0 = vec![0.0; rhs.len()];
-                let solved = match ws.ilu_ready(jac) {
-                    Ok(()) => {
-                        let csr = ws.csr.as_ref().expect("assembled by ilu_ready");
-                        let ilu = ws.ilu.as_ref().expect("refreshed by ilu_ready");
-                        // An interruption is a control-plane stop, not an
-                        // iteration breakdown: it must propagate, never
-                        // trigger the direct fallback.
-                        match gmres_budgeted(csr, ilu, rhs, &x0, opts, budget) {
-                            Ok(pair) => Some(pair),
-                            Err(NumericsError::Interrupted(i)) => return Err(i.into()),
-                            Err(_) => None,
-                        }
-                    }
-                    Err(_) => None,
-                };
-                match solved {
-                    Some((x, _)) => {
-                        ws.stats.iterative_solves += 1;
-                        Ok(x)
-                    }
-                    None => {
-                        ws.stats.direct_fallbacks += 1;
-                        ws.solve_direct(jac, rhs)
-                    }
-                }
+                ..Default::default()
+            };
+            if let Some(x) = ws.solve_block_jacobi(jac, rhs, block_size, opts, budget)? {
+                return Ok(x);
             }
-            LinearSolver::GmresBlockJacobi {
-                block_size,
-                rtol,
-                restart,
-                max_iters,
-            } => {
-                let opts = GmresOptions {
-                    rtol: *rtol,
-                    restart: *restart,
-                    max_iters: *max_iters,
-                    ..Default::default()
-                };
-                let x0 = vec![0.0; rhs.len()];
-                let solved = match ws.block_jacobi_ready(jac, *block_size) {
-                    Ok(()) => {
-                        let csr = ws.csr.as_ref().expect("assembled by block_jacobi_ready");
-                        let pre = ws
-                            .block_jacobi
-                            .as_ref()
-                            .expect("refreshed by block_jacobi_ready");
-                        match gmres_budgeted(csr, pre, rhs, &x0, opts, budget) {
-                            Ok(pair) => Some(pair),
-                            Err(NumericsError::Interrupted(i)) => return Err(i.into()),
-                            Err(_) => None,
-                        }
-                    }
-                    Err(_) => None,
-                };
-                match solved {
-                    Some((x, _)) => {
-                        ws.stats.iterative_solves += 1;
-                        Ok(x)
-                    }
-                    None => {
-                        ws.stats.direct_fallbacks += 1;
-                        ws.solve_direct(jac, rhs)
-                    }
-                }
-            }
+            ws.stats.direct_fallbacks += 1;
+            *self = LinearSolver::Direct;
         }
+        ws.solve_direct(jac, rhs)
     }
 }
 
@@ -192,10 +167,13 @@ pub struct WorkspaceStats {
     pub cached_solves: usize,
     /// Successful preconditioned-Krylov solves.
     pub iterative_solves: usize,
+    /// Matrix–vector products of those solves (their
+    /// [`GmresStats::iterations`](rfsim_numerics::krylov::GmresStats)).
+    pub krylov_matvecs: usize,
     /// Krylov breakdowns recovered by the shared direct path.
     pub direct_fallbacks: usize,
-    /// In-place numeric refreshes of a cached ILU(0)/block-Jacobi
-    /// preconditioner over its existing pattern (no allocation).
+    /// In-place numeric refreshes of a cached block-Jacobi
+    /// preconditioner (no allocation).
     pub precond_refreshes: usize,
     /// Preconditioner (re)builds from scratch (first use, structural
     /// change, or recovery from a refresh breakdown).
@@ -223,6 +201,7 @@ impl WorkspaceStats {
             pattern_rebuilds,
             cached_solves,
             iterative_solves,
+            krylov_matvecs,
             direct_fallbacks,
             precond_refreshes,
             precond_rebuilds,
@@ -236,6 +215,7 @@ impl WorkspaceStats {
         self.pattern_rebuilds += pattern_rebuilds;
         self.cached_solves += cached_solves;
         self.iterative_solves += iterative_solves;
+        self.krylov_matvecs += krylov_matvecs;
         self.direct_fallbacks += direct_fallbacks;
         self.precond_refreshes += precond_refreshes;
         self.precond_rebuilds += precond_rebuilds;
@@ -261,9 +241,6 @@ pub struct LinearSolverWorkspace {
     lu: Option<SparseLu>,
     csr_assembly: Option<CsrAssembly>,
     csr: Option<CsrMatrix>,
-    /// Cached ILU(0) preconditioner, refreshed in place per solve while
-    /// the CSR pattern holds.
-    ilu: Option<Ilu0>,
     /// Cached block-Jacobi preconditioner, refreshed in place per solve
     /// while the dimensions and block size hold.
     block_jacobi: Option<BlockJacobiPrecond>,
@@ -293,40 +270,10 @@ impl LinearSolverWorkspace {
     fn assemble_csr(&mut self, jac: &Triplets) -> &CsrMatrix {
         if CsrAssembly::assemble_cached(&mut self.csr_assembly, &mut self.csr, jac) {
             self.stats.pattern_rebuilds += 1;
-            // Cached preconditioners describe the old pattern.
-            self.ilu = None;
+            // The cached preconditioner describes the old pattern.
             self.block_jacobi = None;
         }
         self.csr.as_ref().expect("assembled above")
-    }
-
-    /// Assembles `jac` and brings the cached ILU(0) preconditioner up to
-    /// date with it: an in-place numeric refresh while the pattern holds,
-    /// a rebuild otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ILU(0) breakdown (structurally missing diagonal or zero
-    /// pivot); the caller falls back to the direct path.
-    fn ilu_ready(&mut self, jac: &Triplets) -> Result<()> {
-        self.assemble_csr(jac);
-        let csr = self.csr.as_ref().expect("assembled above");
-        match &mut self.ilu {
-            Some(ilu) if ilu.same_pattern(csr) => {
-                if let Err(e) = ilu.refactor_in_place(csr) {
-                    // Breakdown leaves unspecified values: drop the cache
-                    // so the next attempt rebuilds.
-                    self.ilu = None;
-                    return Err(e.into());
-                }
-                self.stats.precond_refreshes += 1;
-            }
-            _ => {
-                self.ilu = Some(Ilu0::new(csr)?);
-                self.stats.precond_rebuilds += 1;
-            }
-        }
-        Ok(())
     }
 
     /// Assembles `jac` and brings the cached block-Jacobi preconditioner
@@ -356,11 +303,46 @@ impl LinearSolverWorkspace {
         Ok(())
     }
 
+    /// GMRES + block-Jacobi on `jac`, or `None` when the preconditioner
+    /// refresh or GMRES breaks down (the caller falls back to direct LU).
+    ///
+    /// # Errors
+    ///
+    /// Only an interruption: a control-plane stop, not a breakdown, so it
+    /// propagates instead of triggering the direct fallback.
+    fn solve_block_jacobi(
+        &mut self,
+        jac: &Triplets,
+        rhs: &[f64],
+        block_size: usize,
+        opts: GmresOptions,
+        budget: &SolveBudget,
+    ) -> Result<Option<Vec<f64>>> {
+        if self.block_jacobi_ready(jac, block_size).is_err() {
+            return Ok(None);
+        }
+        let csr = self.csr.as_ref().expect("assembled by block_jacobi_ready");
+        let pre = self
+            .block_jacobi
+            .as_ref()
+            .expect("refreshed by block_jacobi_ready");
+        let x0 = vec![0.0; rhs.len()];
+        match gmres_budgeted(csr, pre, rhs, &x0, opts, budget) {
+            Ok((x, gmres)) => {
+                self.stats.iterative_solves += 1;
+                self.stats.krylov_matvecs += gmres.iterations;
+                Ok(Some(x))
+            }
+            Err(NumericsError::Interrupted(i)) => Err(i.into()),
+            Err(_) => Ok(None),
+        }
+    }
+
     /// The shared direct-LU path: in-place assembly, numeric-only
     /// refactorisation when the cached symbolic structure still applies
     /// (restricted pivoting repairs vanished pivots in-pattern), full
     /// factorisation otherwise. Used by [`LinearSolver::Direct`] and as
-    /// the fallback of both Krylov configurations.
+    /// the Krylov fallback.
     fn solve_direct(&mut self, jac: &Triplets, rhs: &[f64]) -> Result<Vec<f64>> {
         self.assemble_csc(jac);
         let csc = self.csc.as_ref().expect("assembled above");
@@ -606,8 +588,9 @@ pub struct NewtonOptions {
     /// factorisation, reuse the factors for up to this many further
     /// iterations. Convergence is only declared on a fresh-Jacobian step,
     /// so accuracy is unaffected; large sparse systems (the MPDE grids)
-    /// typically gain 2–3× wall clock. Only applies to
-    /// [`LinearSolver::Direct`].
+    /// typically gain 2–3× wall clock. Only applies to direct LU steps:
+    /// [`LinearSolver::Direct`], [`LinearSolver::Auto`] when it resolves
+    /// to direct, and the rest of a solve after a Krylov fallback.
     pub jacobian_reuse: usize,
     /// Per-iteration clamp on voltage-unknown updates (volts). Plays the
     /// role of SPICE's junction limiting: exponential devices (diode, BJT)
@@ -704,9 +687,12 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
     let mut stagnant = 0usize;
     let mut prev_norm = f64::INFINITY;
 
+    // The linear solver of this solve: `Auto` is resolved at the first
+    // fresh Jacobian, and a Krylov breakdown turns it direct.
+    let mut linear = options.linear;
     // Chord (modified-Newton) state: how many more iterations may reuse
     // the workspace's last factorisation outright.
-    let chord_enabled = options.jacobian_reuse > 0 && options.linear == LinearSolver::Direct;
+    let mut chord_enabled = options.jacobian_reuse > 0 && linear == LinearSolver::Direct;
     let mut chord_left = 0usize;
 
     system.residual(&x, &mut residual);
@@ -718,6 +704,10 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         if fresh {
             jac.clear();
             system.residual_and_jacobian(&x, &mut residual, &mut jac);
+            if linear == LinearSolver::Auto {
+                linear = resolve_auto(n, &jac);
+                chord_enabled = options.jacobian_reuse > 0 && linear == LinearSolver::Direct;
+            }
             if chord_enabled {
                 chord_left = options.jacobian_reuse;
             }
@@ -732,13 +722,21 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
             *nf = -r;
         }
         let mut dx = if fresh {
-            match options.linear.solve_with(workspace, &jac, &neg_f, budget) {
+            let krylov = linear != LinearSolver::Direct;
+            let dx = match linear.solve_with(workspace, &jac, &neg_f, budget) {
                 Ok(dx) => dx,
                 // Re-stamp an inner-loop interruption with outer
                 // (Newton-level) iteration context before reporting.
                 Err(CircuitError::Interrupted(i)) => return Err(meter.interrupt(i.reason).into()),
                 Err(e) => return Err(e),
+            };
+            if krylov && linear == LinearSolver::Direct {
+                // The Krylov attempt fell back: the rest of this solve is
+                // direct, with chord reuse of the factors just computed.
+                chord_enabled = options.jacobian_reuse > 0;
+                chord_left = options.jacobian_reuse;
             }
+            dx
         } else {
             // The fresh-step decision above checked `has_factors()`, but a
             // missing factorisation here must degrade to a typed error,
@@ -1284,40 +1282,201 @@ mod tests {
     }
 
     #[test]
-    fn gmres_ilu0_refreshes_cached_preconditioner() {
-        // Both Krylov configurations: two solves over one structure build
-        // the preconditioner once, every later iteration refreshes it in
-        // place. Block size 1 gives the 2-unknown system two blocks.
-        let block_jacobi = LinearSolver::GmresBlockJacobi {
-            block_size: 1,
-            rtol: 1e-10,
-            restart: 20,
-            max_iters: 200,
+    fn gmres_block_jacobi_refreshes_cached_preconditioner() {
+        // Two solves over one structure build the preconditioner once,
+        // every later iteration refreshes it in place. Block size 1 gives
+        // the 2-unknown system two blocks.
+        let opts = NewtonOptions {
+            linear: LinearSolver::GmresBlockJacobi {
+                block_size: 1,
+                rtol: 1e-10,
+                restart: 20,
+                max_iters: 200,
+            },
+            ..Default::default()
         };
-        for linear in [LinearSolver::gmres_default(), block_jacobi] {
-            let opts = NewtonOptions {
-                linear,
-                ..Default::default()
-            };
-            let mut ws = LinearSolverWorkspace::new();
-            solve_in(&Coupled, &[2.5, 0.1], opts, &mut ws).expect("first");
-            solve_in(&Coupled, &[2.0, 0.5], opts, &mut ws).expect("second");
-            assert!(ws.stats.iterative_solves >= 2, "{linear:?}: {:?}", ws.stats);
-            assert_eq!(ws.stats.direct_fallbacks, 0, "{linear:?}: {:?}", ws.stats);
-            assert_eq!(
-                ws.stats.precond_rebuilds, 1,
-                "{linear:?}: one build, then in-place refreshes: {:?}",
-                ws.stats
-            );
-            assert!(
-                ws.stats.precond_refreshes >= 1,
-                "{linear:?}: later iterations must refresh, not rebuild: {:?}",
-                ws.stats
-            );
-            // A structural change rebuilds the preconditioner transparently.
-            solve_in(&Quadratic, &[3.0], opts, &mut ws).expect("different structure");
-            assert_eq!(ws.stats.precond_rebuilds, 2, "{linear:?}: {:?}", ws.stats);
+        let mut ws = LinearSolverWorkspace::new();
+        solve_in(&Coupled, &[2.5, 0.1], opts, &mut ws).expect("first");
+        solve_in(&Coupled, &[2.0, 0.5], opts, &mut ws).expect("second");
+        assert!(ws.stats.iterative_solves >= 2, "{:?}", ws.stats);
+        assert!(
+            ws.stats.krylov_matvecs >= ws.stats.iterative_solves,
+            "every Krylov solve costs at least one matvec: {:?}",
+            ws.stats
+        );
+        assert_eq!(ws.stats.direct_fallbacks, 0, "{:?}", ws.stats);
+        assert_eq!(
+            ws.stats.precond_rebuilds, 1,
+            "one build, then in-place refreshes: {:?}",
+            ws.stats
+        );
+        assert!(
+            ws.stats.precond_refreshes >= 1,
+            "later iterations must refresh, not rebuild: {:?}",
+            ws.stats
+        );
+        // A structural change rebuilds the preconditioner transparently.
+        solve_in(&Quadratic, &[3.0], opts, &mut ws).expect("different structure");
+        assert_eq!(ws.stats.precond_rebuilds, 2, "{:?}", ws.stats);
+    }
+
+    /// A nonlinear periodic chain of 2-unknown blocks, each coupled to the
+    /// next, shaped like a grid Jacobian. With `declare` it declares its
+    /// block size. With `singular_first_block` the first block's rows
+    /// read only the second block's unknowns, and the first block's
+    /// unknowns are read by the second block's rows instead: the Jacobian
+    /// stays nonsingular, but its first diagonal block is empty, so no
+    /// block-Jacobi preconditioner can be built.
+    struct BlockChain {
+        blocks: usize,
+        declare: bool,
+        singular_first_block: bool,
+    }
+
+    impl BlockChain {
+        fn grid(blocks: usize) -> Self {
+            BlockChain {
+                blocks,
+                declare: true,
+                singular_first_block: false,
+            }
         }
+
+        /// The fewest blocks that reach the Krylov threshold.
+        fn above_threshold() -> Self {
+            Self::grid(KRYLOV_MIN_DIM.div_ceil(2))
+        }
+
+        fn eval(&self, x: &[f64], out: &mut [f64], mut jac: Option<&mut Triplets>) {
+            let mut push = |r: usize, c: usize, v: f64| {
+                if let Some(j) = jac.as_deref_mut() {
+                    j.push(r, c, v);
+                }
+            };
+            for k in 0..self.blocks {
+                let (a, b) = (2 * k, 2 * k + 1);
+                if k == 0 && self.singular_first_block {
+                    out[a] = x[2] - 1.0;
+                    out[b] = x[3] - 1.0;
+                    push(a, 2, 1.0);
+                    push(b, 3, 1.0);
+                    continue;
+                }
+                let next = 2 * ((k + 1) % self.blocks);
+                out[a] = 3.0 * x[a] + x[b] + 0.1 * x[a].powi(3) - 0.5 * x[next] - 1.0;
+                out[b] = x[a] + 2.0 * x[b] + 0.1 * x[b].powi(3) - 0.5 * x[next + 1] - 2.0;
+                push(a, a, 3.0 + 0.3 * x[a] * x[a]);
+                push(a, b, 1.0);
+                push(a, next, -0.5);
+                push(b, a, 1.0);
+                push(b, b, 2.0 + 0.3 * x[b] * x[b]);
+                push(b, next + 1, -0.5);
+                if k == 1 && self.singular_first_block {
+                    out[a] += x[0];
+                    out[b] += x[1];
+                    push(a, 0, 1.0);
+                    push(b, 1, 1.0);
+                }
+            }
+        }
+    }
+
+    impl NewtonSystem for BlockChain {
+        fn dim(&self) -> usize {
+            2 * self.blocks
+        }
+        fn residual(&self, x: &[f64], out: &mut [f64]) {
+            self.eval(x, out, None);
+        }
+        fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets) {
+            self.eval(x, out, Some(jac));
+            if self.declare {
+                jac.declare_block_size(2);
+            }
+        }
+    }
+
+    fn grid_profile() -> NewtonOptions {
+        crate::driver::NewtonProfile::Grid.options()
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn auto_is_direct_bit_for_bit_below_threshold_or_undeclared() {
+        let direct = NewtonOptions {
+            linear: LinearSolver::Direct,
+            ..grid_profile()
+        };
+        let undeclared = BlockChain {
+            declare: false,
+            ..BlockChain::above_threshold()
+        };
+        for system in [BlockChain::grid(64), undeclared] {
+            let x0 = vec![0.0; system.dim()];
+            let mut ws_auto = LinearSolverWorkspace::new();
+            let mut ws_direct = LinearSolverWorkspace::new();
+            let (xa, sa) = solve_in(&system, &x0, grid_profile(), &mut ws_auto).expect("auto");
+            let (xd, sd) = solve_in(&system, &x0, direct, &mut ws_direct).expect("direct");
+            assert_eq!(bits(&xa), bits(&xd));
+            assert_eq!(sa, sd);
+            assert_eq!(ws_auto.stats, ws_direct.stats);
+            assert!(ws_auto.stats.cached_solves > 0, "chord reuse kept");
+        }
+    }
+
+    #[test]
+    fn auto_runs_block_jacobi_gmres_above_threshold() {
+        let system = BlockChain::above_threshold();
+        let x0 = vec![0.0; system.dim()];
+        let mut ws = LinearSolverWorkspace::new();
+        let (x, _) = solve_in(&system, &x0, grid_profile(), &mut ws).expect("krylov");
+        assert!(ws.stats.iterative_solves > 0, "{:?}", ws.stats);
+        assert!(ws.stats.krylov_matvecs > 0, "{:?}", ws.stats);
+        assert_eq!(ws.stats.full_factorizations, 0, "{:?}", ws.stats);
+        assert_eq!(ws.stats.direct_fallbacks, 0, "{:?}", ws.stats);
+        assert_eq!(ws.stats.cached_solves, 0, "no chord steps on Krylov");
+        let direct = NewtonOptions {
+            linear: LinearSolver::Direct,
+            ..grid_profile()
+        };
+        let (xd, _) = solve(&system, &x0, direct).expect("direct");
+        let d = rfsim_numerics::vector::norm_inf(&rfsim_numerics::vector::sub(&x, &xd));
+        assert!(d < 1e-6, "Krylov vs direct: {d}");
+    }
+
+    #[test]
+    fn krylov_fallback_is_sticky_within_a_solve() {
+        let system = BlockChain {
+            singular_first_block: true,
+            ..BlockChain::above_threshold()
+        };
+        let x0 = vec![0.0; system.dim()];
+        let mut ws = LinearSolverWorkspace::new();
+        let (x, stats) = solve_in(&system, &x0, grid_profile(), &mut ws).expect("fallback");
+        assert!(stats.iterations > 2, "several fresh Jacobians: {stats:?}");
+        // One failed Krylov attempt, then direct work only: one full
+        // factor, and refactors or chord solves for the later steps.
+        assert_eq!(ws.stats.direct_fallbacks, 1, "{:?}", ws.stats);
+        assert_eq!(ws.stats.iterative_solves, 0, "{:?}", ws.stats);
+        assert_eq!(ws.stats.full_factorizations, 1, "{:?}", ws.stats);
+        assert!(ws.stats.refactorizations > 0, "{:?}", ws.stats);
+        assert!(ws.stats.cached_solves > 0, "chord reuse after the fallback");
+        // The direct solve with the same chord reuse takes the same steps.
+        let direct = NewtonOptions {
+            linear: LinearSolver::Direct,
+            ..grid_profile()
+        };
+        let mut ws_direct = LinearSolverWorkspace::new();
+        let (xd, _) = solve_in(&system, &x0, direct, &mut ws_direct).expect("direct");
+        assert_eq!(bits(&x), bits(&xd));
+        assert_eq!(ws.stats.refactorizations, ws_direct.stats.refactorizations);
+        assert_eq!(ws.stats.cached_solves, ws_direct.stats.cached_solves);
+        // The next Newton solve tries Krylov again.
+        solve_in(&system, &x0, grid_profile(), &mut ws).expect("second");
+        assert_eq!(ws.stats.direct_fallbacks, 2, "{:?}", ws.stats);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! central or BDF2 for higher accuracy). The resulting `n·N1·N2` nonlinear
 //! system is handed to the damped Newton solver; its Jacobian couples each
 //! grid point to its stencil neighbours only, so sparse LU with RCM
-//! ordering (or GMRES+ILU(0)) stays tractable — this is the structural
-//! reason the method beats 300 000-step shooting.
+//! ordering (GMRES with one block-Jacobi block per grid point on large
+//! grids) stays tractable — this is the structural reason the method
+//! beats 300 000-step shooting.
 //!
 //! Two homotopy knobs support the continuation solver:
 //! * `lambda` scales the AC part of the excitation
@@ -164,10 +165,14 @@ impl NewtonSystem for MpdeSystem<'_> {
         }
     }
 
+    /// Also declares the Jacobian's block size, `n` unknowns per grid
+    /// point, for the Newton grid policy
+    /// ([`LinearSolver::Auto`](rfsim_circuit::newton::LinearSolver::Auto)).
     fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets) {
         let n = self.n();
         let (n1, n2) = self.grid.shape();
         let (h1, h2) = (self.grid.h1(), self.grid.h2());
+        jac.declare_block_size(n);
         out.fill(0.0);
         let mut q = vec![0.0; n];
         let mut f = vec![0.0; n];
@@ -271,6 +276,7 @@ mod tests {
         let mut f0 = vec![0.0; dim];
         let mut jac = Triplets::new(dim, dim);
         sys.residual_and_jacobian(&x0, &mut f0, &mut jac);
+        assert_eq!(jac.block_size(), Some(ckt.num_unknowns()));
         let jm = jac.to_csr();
         let h = 1e-6;
         let mut fp = vec![0.0; dim];

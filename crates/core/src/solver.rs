@@ -63,8 +63,8 @@ impl Default for MpdeOptions {
             n2: 30,
             scheme1: DiffScheme::BackwardEuler,
             scheme2: DiffScheme::BackwardEuler,
-            // Chord (modified-Newton) reuse amortises the large grid
-            // factorisations — the driver's Grid profile.
+            // The driver's Grid profile: GMRES + block-Jacobi on large
+            // grids, direct LU with chord reuse below.
             newton: NewtonProfile::Grid.options(),
             initial_guess: InitialGuess::DcReplicate,
             continuation_fallback: true,

@@ -2,14 +2,14 @@
 //!
 //! The paper notes that the MPDE systems are solved "using iterative linear
 //! solution methods"; this module provides restarted [`gmres`] over a
-//! matrix-free [`LinearOperator`] abstraction, with identity, Jacobi,
-//! ILU(0) and block-Jacobi preconditioning.
+//! matrix-free [`LinearOperator`] abstraction, with identity and
+//! block-Jacobi preconditioning.
 
 mod gmres;
 mod precond;
 
 pub use gmres::{gmres, gmres_budgeted, GmresOptions, GmresStats};
-pub use precond::{BlockJacobiPrecond, IdentityPrecond, Ilu0, JacobiPrecond, Preconditioner};
+pub use precond::{BlockJacobiPrecond, IdentityPrecond, Preconditioner};
 
 use crate::sparse::CsrMatrix;
 

@@ -20,8 +20,8 @@
 //!   ([`sparse_lu::SparseLu::refactor_in_place`]) for the
 //!   pattern-invariant matrices of Newton hot paths.
 //! * [`krylov`] — restarted GMRES with pluggable preconditioners
-//!   (identity, Jacobi, ILU(0), block-Jacobi); ILU(0) and block-Jacobi
-//!   support in-place numeric refresh over their cached patterns.
+//!   (identity, block-Jacobi); block-Jacobi refreshes its factors in
+//!   place.
 //! * [`telemetry`] — fixed-allocation observability primitives: the
 //!   log-bucketed [`telemetry::LatencyHistogram`] and the bounded
 //!   per-job lifecycle [`telemetry::Timeline`], fed by the budget's

@@ -2,8 +2,8 @@
 //! pattern-caching assemblers.
 //!
 //! The circuit stamps assemble into [`Triplets`] (duplicates allowed and
-//! summed), which convert to [`CsrMatrix`] for matvecs/ILU and [`CscMatrix`]
-//! for the sparse LU factorisation.
+//! summed), which convert to [`CsrMatrix`] for matvecs and the block-Jacobi
+//! preconditioner and [`CscMatrix`] for the sparse LU factorisation.
 //!
 //! MNA and MPDE Jacobians have a sparsity pattern that is fixed for the life
 //! of a circuit while their *values* change every Newton iteration.
@@ -96,6 +96,8 @@ pub struct Triplets {
     rows: usize,
     cols: usize,
     entries: Vec<(usize, usize, f64)>,
+    /// Diagonal block size declared by the assembler, if any.
+    block_size: Option<usize>,
 }
 
 impl Triplets {
@@ -105,6 +107,7 @@ impl Triplets {
             rows,
             cols,
             entries: Vec::new(),
+            block_size: None,
         }
     }
 
@@ -114,6 +117,7 @@ impl Triplets {
             rows,
             cols,
             entries: Vec::with_capacity(cap),
+            block_size: None,
         }
     }
 
@@ -159,9 +163,26 @@ impl Triplets {
         self.entries.push((row, col, value));
     }
 
-    /// Removes all entries but keeps the allocation (for re-assembly).
+    /// Removes all entries and the declared block size, keeping the
+    /// allocation (for re-assembly).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.block_size = None;
+    }
+
+    /// Declares that the matrix is built from `block_size × block_size`
+    /// diagonal blocks that are each nonsingular on their own, as an MPDE
+    /// grid Jacobian is (one circuit block per grid point). Newton's grid
+    /// policy reads it to pick a block-Jacobi preconditioned Krylov solve.
+    /// It is not part of the pattern:
+    /// [`Triplets::pattern_fingerprint`] ignores it.
+    pub fn declare_block_size(&mut self, block_size: usize) {
+        self.block_size = Some(block_size);
+    }
+
+    /// The block size declared since the last [`Triplets::clear`], if any.
+    pub fn block_size(&self) -> Option<usize> {
+        self.block_size
     }
 
     /// Converts to compressed-sparse-row form, summing duplicates.
@@ -327,23 +348,6 @@ impl CsrMatrix {
     /// Mutable stored values (pattern is fixed).
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// The structure borrowed immutably alongside the values borrowed
-    /// mutably — `(indptr, indices, data)` — the shape in-place numeric
-    /// refreshes need, where pattern reads drive writes into the values.
-    pub fn parts_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
-        (&self.indptr, &self.indices, &mut self.data)
-    }
-
-    /// Whether `other` has exactly this matrix's sparsity pattern
-    /// (dimensions, row pointers and column indices — a slice compare, so
-    /// cheap next to the numeric work it gates).
-    pub fn same_pattern(&self, other: &CsrMatrix) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.indptr == other.indptr
-            && self.indices == other.indices
     }
 
     /// Column indices and values of row `i`.
@@ -782,8 +786,8 @@ impl CscAssembly {
 }
 
 /// Pattern-caching CSR assembler: the row-major sibling of [`CscAssembly`],
-/// used for the Krylov path (matvecs and ILU(0)/block-Jacobi
-/// preconditioners consume CSR).
+/// used for the Krylov path (matvecs and the block-Jacobi preconditioner
+/// consume CSR).
 #[derive(Debug, Clone)]
 pub struct CsrAssembly {
     map: SlotMap,
@@ -1043,6 +1047,18 @@ mod tests {
         let asm = CscAssembly::new(&t1);
         assert_eq!(asm.pattern_fingerprint(), t1.to_csc().pattern_fingerprint());
         assert_eq!(asm.pattern_fingerprint(), t1.pattern_fingerprint());
+    }
+
+    #[test]
+    fn declared_block_size_is_not_pattern_and_clears() {
+        let mut t = example();
+        let plain = t.pattern_fingerprint();
+        assert_eq!(t.block_size(), None);
+        t.declare_block_size(3);
+        assert_eq!(t.block_size(), Some(3));
+        assert_eq!(t.pattern_fingerprint(), plain);
+        t.clear();
+        assert_eq!(t.block_size(), None);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! The in-place preconditioner refreshes must be allocation-free and
+//! The in-place preconditioner refresh must be allocation-free and
 //! bit-identical to a rebuild: a counting global allocator wraps the
 //! system allocator, and the single test below (one test per binary, so no
 //! concurrent test thread pollutes the counter) asserts that
-//! `Ilu0::refactor_in_place`, `BlockJacobiPrecond::refactor_in_place` and
-//! both `apply` paths allocate nothing.
+//! `BlockJacobiPrecond::refactor_in_place` and its `apply` allocate
+//! nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rfsim_numerics::krylov::{BlockJacobiPrecond, Ilu0, Preconditioner};
+use rfsim_numerics::krylov::{BlockJacobiPrecond, Preconditioner};
 use rfsim_numerics::sparse::Triplets;
 
 struct CountingAlloc;
@@ -40,8 +40,7 @@ fn allocations() -> usize {
 
 /// A block-structured matrix in the shape of an MPDE grid Jacobian:
 /// `nb` diagonal circuit blocks of size `bs` plus inter-block coupling on
-/// the superdiagonal, with every row carrying its diagonal (so both ILU(0)
-/// and block-Jacobi accept it).
+/// the superdiagonal.
 fn grid_like(nb: usize, bs: usize, gain: f64) -> Triplets {
     let n = nb * bs;
     let mut t = Triplets::new(n, n);
@@ -73,23 +72,7 @@ fn precond_refresh_is_allocation_free_and_bit_identical() {
     let mut z_refresh = vec![0.0; n];
     let mut z_rebuild = vec![0.0; n];
 
-    // --- ILU(0): refresh ≡ rebuild, with zero allocations. ---
-    let mut ilu = Ilu0::new(&a1).expect("ilu new");
-    let before = allocations();
-    ilu.refactor_in_place(&a2).expect("ilu refresh");
-    assert_eq!(
-        allocations(),
-        before,
-        "Ilu0::refactor_in_place must not allocate"
-    );
-    let rebuilt = Ilu0::new(&a2).expect("ilu rebuild");
-    let before = allocations();
-    ilu.apply(&r, &mut z_refresh);
-    assert_eq!(allocations(), before, "Ilu0::apply must not allocate");
-    rebuilt.apply(&r, &mut z_rebuild);
-    assert_eq!(z_refresh, z_rebuild, "ILU(0) refresh must be bit-identical");
-
-    // --- Block-Jacobi: refresh ≡ rebuild, with zero allocations. ---
+    // Refresh ≡ rebuild, with zero allocations.
     let mut bj = BlockJacobiPrecond::new(&a1, 4).expect("bj new");
     let before = allocations();
     bj.refactor_in_place(&a2).expect("bj refresh");
@@ -112,21 +95,7 @@ fn precond_refresh_is_allocation_free_and_bit_identical() {
         "block-Jacobi refresh must be bit-identical"
     );
 
-    // Pattern/dimension gates: a different structure is rejected, factors
-    // left usable.
-    let odd = grid_like(6, 4, 1.0);
-    let mut odd_plus = Triplets::new(24, 24);
-    {
-        let csr = odd.to_csr();
-        for i in 0..24 {
-            let (cols, vals) = csr.row(i);
-            for (c, v) in cols.iter().zip(vals) {
-                odd_plus.push(i, *c, *v);
-            }
-        }
-        odd_plus.push(0, 23, 0.125);
-    }
-    assert!(ilu.refactor_in_place(&odd_plus.to_csr()).is_err());
+    // Dimension gate: a different system size is rejected.
     assert!(bj
         .refactor_in_place(&grid_like(5, 4, 1.0).to_csr())
         .is_err());

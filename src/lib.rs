@@ -38,7 +38,11 @@
 //!    then drives numeric-only
 //!    [`numerics::sparse_lu::SparseLu::refactor_in_place`] calls —
 //!    triangular solves over the recorded pattern, no ordering, no reach,
-//!    no pivot search, zero allocation.
+//!    no pivot search, zero allocation. MPDE grids of 8 000 unknowns and
+//!    more skip the factor: Newton solves them by GMRES preconditioned
+//!    with one dense block per grid point, which on the paper's 40×30
+//!    grid is 2.5–3× faster than direct LU, and falls back to this path
+//!    on breakdown.
 //! 3. **Persistence** — a [`circuit::newton::LinearSolverWorkspace`] owns
 //!    both caches plus the factors and lives *across* Newton solves: the
 //!    transient integrator carries one over all timesteps, the DC ladder
