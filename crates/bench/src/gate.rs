@@ -62,9 +62,9 @@ pub fn time_paired_median_ns(reps: usize, mut a: impl FnMut(), mut b: impl FnMut
     (median_ns(sa), median_ns(sb))
 }
 
-/// The scaled-mixer MPDE grid Jacobian used by the refactor benchmarks
-/// (assembled once at the DC operating point).
-pub fn mpde_jacobian(n1: usize, n2: usize) -> Triplets {
+/// The scaled-mixer MPDE grid Jacobian of the refactor check (assembled
+/// once at the DC operating point).
+fn mpde_jacobian(n1: usize, n2: usize) -> Triplets {
     let mixer = scaled_mixer(10e6, 200.0);
     let grid = comparison_grid(&mixer, n1, n2);
     let sys = MpdeSystem::new(&mixer.circuit, grid, Default::default(), Default::default())
@@ -173,7 +173,7 @@ fn remap(t: &Triplets, f: impl Fn(usize, usize, f64) -> f64) -> Triplets {
 }
 
 /// Pivot-stressing refreshes per [`drift_sequence`] run.
-pub const DRIFT_STEPS: usize = 12;
+const DRIFT_STEPS: usize = 12;
 
 /// One run of the drifting-operating-point sequence: value refreshes on a
 /// block Jacobian where every step kills the *current* pivot entry of one
@@ -188,7 +188,7 @@ pub const DRIFT_STEPS: usize = 12;
 /// honest responses to a detected kill.) Returns
 /// `(in_pattern_repairs, full_fallbacks)` over the [`DRIFT_STEPS`]
 /// stressed refreshes.
-pub fn drift_sequence(restricted: bool) -> (usize, usize) {
+fn drift_sequence(restricted: bool) -> (usize, usize) {
     let (nblocks, bs) = (48, 8);
     let t0 = dense_block_matrix(42, nblocks, bs);
     let a0 = t0.to_csc();
@@ -226,7 +226,7 @@ pub fn drift_sequence(restricted: bool) -> (usize, usize) {
     (repairs, fallbacks)
 }
 
-/// Times [`drift_sequence`] under both pivoting modes and aggregates the
+/// Times `drift_sequence` under both pivoting modes and aggregates the
 /// in-pattern/fallback counts of the restricted runs.
 pub fn drift_scenario(reps: usize) -> DriftOutcome {
     let (mut repairs, mut fallbacks) = (0usize, 0usize);
@@ -251,9 +251,8 @@ pub fn drift_scenario(reps: usize) -> DriftOutcome {
 }
 
 /// MPDE warm-workspace vs cold-workspace solve medians (ns) on the
-/// balanced mixer — the per-point reuse lever the sweep engine multiplies
-/// across batches (a leaner stand-in for the full `batched_sweep` bench,
-/// sized for a CI gate).
+/// balanced mixer — the reuse lever every sweep point after the first
+/// rides, sized for a CI gate.
 pub fn mpde_warm_vs_cold(reps: usize) -> (f64, f64) {
     let mixer = scaled_mixer(10e6, 100.0);
     let opts = MpdeOptions {

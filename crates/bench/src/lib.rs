@@ -3,8 +3,8 @@
 //!
 //! Every table and figure of the paper has a regeneration binary under
 //! `src/bin/` (run with `cargo run --release -p rfsim-bench --bin figN`);
-//! Criterion micro/macro benchmarks live under `benches/`. CSV outputs land
-//! in `target/repro/`. The experiment-to-binary map is in `DESIGN.md` §4
+//! the `bench_gate` binary is the CI regression gate (see
+//! `docs/benching.md`). CSV outputs land in `target/repro/`. The experiment-to-binary map is in `DESIGN.md` §4
 //! and measured results are recorded in `EXPERIMENTS.md`.
 
 pub mod doclinks;

@@ -46,7 +46,7 @@ pub fn scaled_mixer(f_lo: f64, disparity: f64) -> BalancedMixer {
 }
 
 /// Standard grid used when comparing methods at matched resolution.
-pub fn comparison_grid(mixer: &BalancedMixer, n1: usize, n2: usize) -> MultitimeGrid {
+pub(crate) fn comparison_grid(mixer: &BalancedMixer, n1: usize, n2: usize) -> MultitimeGrid {
     MultitimeGrid::new(n1, n2, mixer.params.t1_period(), mixer.params.t2_period())
 }
 

@@ -189,10 +189,10 @@ impl Circuit {
     /// fingerprint is independent of device *values* and of the evaluation
     /// point: two circuits with identical element connectivity fingerprint
     /// identically, while a topology change (an added element coupling new
-    /// node pairs, an added unknown) changes it. Used by the sweep engine
-    /// to group operating-point families that can share cached
-    /// linear-solver workspaces; it is a routing key, not a correctness
-    /// check (see [`rfsim_numerics::sparse::PatternFingerprint`]).
+    /// node pairs, an added unknown) changes it. The sweep engine groups
+    /// jobs and keys each sweep's linear-solver workspaces by it; it is a
+    /// routing key, not a correctness check (see
+    /// [`rfsim_numerics::sparse::PatternFingerprint`]).
     pub fn jacobian_fingerprint(&self) -> rfsim_numerics::sparse::PatternFingerprint {
         let zeros = vec![0.0; self.num_unknowns()];
         let (mut g, c) = self.jacobians_at(&zeros);

@@ -21,9 +21,7 @@
 //! [`NewtonDriver`](crate::driver::NewtonDriver) recovery ladder.
 
 use rfsim_numerics::krylov::{gmres_budgeted, BlockJacobiPrecond, GmresOptions};
-use rfsim_numerics::sparse::{
-    CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, PatternFingerprint, Triplets,
-};
+use rfsim_numerics::sparse::{CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, Triplets};
 use rfsim_numerics::sparse_lu::{LuOptions, SparseLu};
 use rfsim_numerics::vector::{norm2, wrms_ratio};
 use rfsim_numerics::NumericsError;
@@ -189,9 +187,8 @@ pub struct WorkspaceStats {
 }
 
 impl WorkspaceStats {
-    /// Adds `other`'s counters into `self` — the aggregation
-    /// [`WorkspaceCache::solver_stats`] and the sweep engine use to roll
-    /// per-workspace counters up to batch level.
+    /// Adds `other`'s counters into `self` — the aggregation the sweep
+    /// engine uses to roll per-workspace counters up to batch level.
     pub fn absorb(&mut self, other: &WorkspaceStats) {
         let WorkspaceStats {
             full_factorizations,
@@ -380,174 +377,6 @@ impl LinearSolverWorkspace {
     pub fn has_factors(&self) -> bool {
         self.lu.is_some()
     }
-
-    /// Fingerprint of the CSC Jacobian pattern this workspace is currently
-    /// tuned to, or `None` before its first direct assembly. Equal to the
-    /// fingerprint of the matrices it was fed, so a caller can verify that
-    /// a workspace checked out of a [`WorkspaceCache`] really did warm up
-    /// on the structure it is about to solve.
-    pub fn pattern_fingerprint(&self) -> Option<PatternFingerprint> {
-        self.csc_assembly
-            .as_ref()
-            .map(CscAssembly::pattern_fingerprint)
-    }
-}
-
-/// A pool of [`LinearSolverWorkspace`]s keyed by sparsity-pattern
-/// fingerprint, so batches of solves over *mixed* Jacobian structures each
-/// reuse a workspace warmed on their own structure instead of thrashing a
-/// single workspace through rebuild after rebuild.
-///
-/// The cache is a check-out / check-in pool rather than a map of borrows:
-/// [`WorkspaceCache::checkout`] removes a workspace (or creates a fresh one
-/// on a miss) and [`WorkspaceCache::checkin`] returns it after use, which
-/// lets several workers hold same-fingerprint workspaces concurrently while
-/// the cache itself sits behind one brief lock. A checked-in workspace is
-/// keyed by [`LinearSolverWorkspace::pattern_fingerprint`]; callers pass
-/// the key they routed by, and a workspace whose actual structure diverged
-/// (e.g. its last solve re-keyed it) is simply stored under its real key.
-///
-/// Fingerprints are routing keys, not correctness guarantees — the
-/// workspace itself still verifies every stamp position and the factor's
-/// stored pattern, so a colliding key costs one transparent rebuild, never
-/// a wrong solve (see [`PatternFingerprint`]).
-///
-/// Parked workspaces hold full LU factors, so a long-lived cache fed an
-/// unbounded stream of distinct structures would grow without limit; the
-/// pool therefore holds at most [`WorkspaceCache::capacity`] workspaces
-/// (default [`WorkspaceCache::DEFAULT_CAPACITY`]) and a check-in beyond
-/// that simply drops the incoming workspace — the next checkout of its
-/// pattern rebuilds, it never solves wrong.
-#[derive(Debug)]
-pub struct WorkspaceCache {
-    pool: std::collections::HashMap<PatternFingerprint, Vec<LinearSolverWorkspace>>,
-    capacity: usize,
-    /// Solver counters inherited from workspaces the cache has dropped
-    /// (capacity overflow or [`WorkspaceCache::clear`]), so
-    /// [`WorkspaceCache::solver_stats`] never loses history.
-    absorbed: WorkspaceStats,
-    /// Checkouts that found a warmed workspace.
-    pub hits: usize,
-    /// Checkouts that had to create a fresh workspace.
-    pub misses: usize,
-}
-
-impl Default for WorkspaceCache {
-    fn default() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-}
-
-impl WorkspaceCache {
-    /// Default bound on parked workspaces: comfortably above any realistic
-    /// concurrent-topology count while capping worst-case retention.
-    pub const DEFAULT_CAPACITY: usize = 64;
-
-    /// Creates an empty cache with the default capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache parking at most `capacity` workspaces
-    /// (clamped to ≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        WorkspaceCache {
-            pool: std::collections::HashMap::new(),
-            capacity: capacity.max(1),
-            absorbed: WorkspaceStats::default(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Maximum number of workspaces the pool will retain.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Takes a workspace warmed on `key`'s structure out of the pool, or
-    /// returns a fresh one when none is available.
-    pub fn checkout(&mut self, key: PatternFingerprint) -> LinearSolverWorkspace {
-        let popped = match self.pool.get_mut(&key) {
-            Some(parked) => {
-                let ws = parked.pop();
-                if parked.is_empty() {
-                    // Keep the map from accumulating empty entries over a
-                    // long-lived cache's lifetime.
-                    self.pool.remove(&key);
-                }
-                ws
-            }
-            None => None,
-        };
-        match popped {
-            Some(ws) => {
-                self.hits += 1;
-                ws
-            }
-            None => {
-                self.misses += 1;
-                LinearSolverWorkspace::new()
-            }
-        }
-    }
-
-    /// Returns a workspace to the pool under the structure it actually
-    /// holds (falling back to `key` for a never-used workspace). A full
-    /// pool (see [`WorkspaceCache::capacity`]) drops the workspace instead.
-    pub fn checkin(&mut self, key: PatternFingerprint, ws: LinearSolverWorkspace) {
-        if self.len() >= self.capacity {
-            self.absorbed.absorb(&ws.stats);
-            return;
-        }
-        let actual = ws.pattern_fingerprint().unwrap_or(key);
-        self.pool.entry(actual).or_default().push(ws);
-    }
-
-    /// Number of workspaces currently parked in the pool.
-    pub fn len(&self) -> usize {
-        self.pool.values().map(Vec::len).sum()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of distinct fingerprints with parked workspaces.
-    pub fn num_patterns(&self) -> usize {
-        self.pool.values().filter(|v| !v.is_empty()).count()
-    }
-
-    /// Aggregated solver counters across every workspace this cache has
-    /// seen: the currently parked ones plus everything absorbed from
-    /// dropped workspaces. Workspaces currently checked out report here
-    /// once they are checked back in.
-    pub fn solver_stats(&self) -> WorkspaceStats {
-        let mut total = self.absorbed;
-        for ws in self.pool.values().flatten() {
-            total.absorb(&ws.stats);
-        }
-        total
-    }
-
-    /// Folds externally accumulated counters into this cache's history —
-    /// how the sweep engine's determinism mode (which solves on private
-    /// throwaway caches) still reports its solver work through
-    /// [`WorkspaceCache::solver_stats`].
-    pub fn absorb_stats(&mut self, stats: &WorkspaceStats) {
-        self.absorbed.absorb(stats);
-    }
-
-    /// Drops all parked workspaces (counters are kept — their solver
-    /// stats fold into [`WorkspaceCache::solver_stats`]).
-    pub fn clear(&mut self) {
-        for (_, parked) in self.pool.drain() {
-            for ws in parked {
-                self.absorbed.absorb(&ws.stats);
-            }
-        }
-    }
 }
 
 /// A nonlinear algebraic system `F(x) = 0` with a sparse Jacobian.
@@ -654,8 +483,7 @@ pub struct NewtonStats {
 /// built-in stagnation-acceptance rule takes over.
 ///
 /// Interruption is a clean exit: the workspace keeps its cached
-/// structure and factors and checks back into any [`WorkspaceCache`]
-/// fully reusable.
+/// structure and factors, fully reusable by the next solve.
 ///
 /// # Errors
 ///
@@ -1220,65 +1048,10 @@ mod tests {
 
     #[test]
     fn workspace_is_send() {
-        // The sweep engine moves checked-out workspaces onto pool workers.
+        // A workspace holds no thread-bound state, so callers may hand it
+        // to a worker thread.
         fn assert_send<T: Send>() {}
         assert_send::<LinearSolverWorkspace>();
-        assert_send::<WorkspaceCache>();
-    }
-
-    #[test]
-    fn workspace_cache_routes_by_fingerprint() {
-        // Upfront keys, the way the sweep engine derives them: from the
-        // structure of the system about to be solved.
-        let probe = |dim: usize| {
-            Triplets::new(dim, dim)
-                .pattern_fingerprint()
-                .mix(dim as u64)
-        };
-        let mut cache = WorkspaceCache::new();
-        // Warm one workspace on each system.
-        let mut ws_c = cache.checkout(probe(2));
-        solve_in(&Coupled, &[2.5, 0.1], NewtonOptions::default(), &mut ws_c).expect("coupled");
-        let key_c = ws_c.pattern_fingerprint().expect("warmed");
-        let mut ws_q = cache.checkout(probe(1));
-        solve_in(&Quadratic, &[3.0], NewtonOptions::default(), &mut ws_q).expect("quadratic");
-        let key_q = ws_q.pattern_fingerprint().expect("warmed");
-        assert_ne!(key_c, key_q);
-        cache.checkin(key_c, ws_c);
-        cache.checkin(key_q, ws_q);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.num_patterns(), 2);
-
-        // Checking out by the right key returns the warmed workspace: the
-        // next solve does no structural work at all.
-        let mut ws = cache.checkout(key_c);
-        assert_eq!(ws.pattern_fingerprint(), Some(key_c));
-        let before = ws.stats;
-        solve_in(&Coupled, &[2.0, 0.5], NewtonOptions::default(), &mut ws).expect("coupled again");
-        assert_eq!(ws.stats.pattern_rebuilds, before.pattern_rebuilds);
-        assert_eq!(ws.stats.full_factorizations, before.full_factorizations);
-        assert!(ws.stats.refactorizations > before.refactorizations);
-        cache.checkin(key_c, ws);
-        assert_eq!(cache.hits, 1);
-        let fresh = cache.checkout(probe(7));
-        assert!(fresh.pattern_fingerprint().is_none());
-        assert_eq!(cache.misses, 3); // two warmups + the fresh probe
-    }
-
-    #[test]
-    fn workspace_cache_respects_capacity() {
-        let probe = |n: u64| Triplets::new(1, 1).pattern_fingerprint().mix(n);
-        let mut cache = WorkspaceCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        for n in 0..5 {
-            cache.checkin(probe(n), LinearSolverWorkspace::new());
-        }
-        // Check-ins beyond the bound are dropped, not parked.
-        assert_eq!(cache.len(), 2);
-        // Draining a key removes its (now empty) pool entry entirely.
-        let _ = cache.checkout(probe(0));
-        assert_eq!(cache.num_patterns(), 1);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -1477,35 +1250,6 @@ mod tests {
         // The next Newton solve tries Krylov again.
         solve_in(&system, &x0, grid_profile(), &mut ws).expect("second");
         assert_eq!(ws.stats.direct_fallbacks, 2, "{:?}", ws.stats);
-    }
-
-    #[test]
-    fn cache_aggregates_solver_stats_across_workspaces() {
-        let probe = |dim: usize| {
-            Triplets::new(dim, dim)
-                .pattern_fingerprint()
-                .mix(dim as u64)
-        };
-        let mut cache = WorkspaceCache::with_capacity(1);
-        let mut ws_a = cache.checkout(probe(2));
-        solve_in(&Coupled, &[2.5, 0.1], NewtonOptions::default(), &mut ws_a).expect("a");
-        let mut ws_b = cache.checkout(probe(1));
-        solve_in(&Quadratic, &[3.0], NewtonOptions::default(), &mut ws_b).expect("b");
-        let expect_refactors = ws_a.stats.refactorizations + ws_b.stats.refactorizations;
-        let key_a = ws_a.pattern_fingerprint().expect("warmed");
-        let key_b = ws_b.pattern_fingerprint().expect("warmed");
-        cache.checkin(key_a, ws_a);
-        // Capacity 1: the second check-in is dropped, but its counters are
-        // absorbed rather than lost.
-        cache.checkin(key_b, ws_b);
-        assert_eq!(cache.len(), 1);
-        let stats = cache.solver_stats();
-        assert_eq!(stats.refactorizations, expect_refactors);
-        assert_eq!(stats.full_factorizations, 2);
-        // Clear folds the parked workspace's counters into the absorbed
-        // total as well.
-        cache.clear();
-        assert_eq!(cache.solver_stats().refactorizations, expect_refactors);
     }
 
     #[test]

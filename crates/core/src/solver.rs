@@ -12,7 +12,6 @@ use rfsim_circuit::driver::{NewtonDriver, NewtonProfile, Rung, RungExec, RungKin
 use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions, NewtonSystem};
 use rfsim_circuit::{Circuit, Result};
 use rfsim_numerics::diff::DiffScheme;
-use rfsim_numerics::sparse::{PatternFingerprint, Triplets};
 use rfsim_numerics::SolveBudget;
 
 use crate::continuation::{continuation_solve_rung, ContinuationOptions};
@@ -106,37 +105,6 @@ pub struct MpdeSolution {
     pub solution: MultitimeSolution,
     /// Solve statistics.
     pub stats: MpdeStats,
-}
-
-/// Fingerprint of the MPDE grid Jacobian's CSC structure for `circuit`
-/// under `options` — the exact pattern every Newton iteration of
-/// [`solve_mpde`] assembles, so two solves with equal fingerprints can
-/// share one warmed [`LinearSolverWorkspace`].
-///
-/// The structure depends on the circuit's element connectivity, the grid
-/// shape `n1 × n2` and both differentiation stencils, but not on element
-/// values, source amplitudes or the periods (stamps keep exact zeros, so
-/// the pattern is value-independent). Costs one Jacobian assembly at the
-/// zero state — pay it once per topology group, not per sweep point.
-///
-/// # Errors
-///
-/// Propagates [`crate::fdtd::MpdeSystem`] construction failures (e.g. a
-/// source without a bivariate waveform).
-pub fn mpde_jacobian_fingerprint(
-    circuit: &Circuit,
-    t1_period: f64,
-    t2_period: f64,
-    options: &MpdeOptions,
-) -> Result<PatternFingerprint> {
-    let grid = MultitimeGrid::new(options.n1, options.n2, t1_period, t2_period);
-    let system = MpdeSystem::new(circuit, grid, options.scheme1, options.scheme2)?;
-    let dim = system.dim();
-    let x0 = vec![0.0; dim];
-    let mut residual = vec![0.0; dim];
-    let mut jac = Triplets::with_capacity(dim, dim, 16 * dim);
-    system.residual_and_jacobian(&x0, &mut residual, &mut jac);
-    Ok(jac.pattern_fingerprint())
 }
 
 /// Solves the sheared MPDE of a circuit over `[0, t1_period) ×

@@ -194,42 +194,6 @@ impl NewtonSystem for Hb2System<'_> {
     }
 }
 
-/// Fingerprint of the two-tone HB Jacobian's CSC structure for `circuit`
-/// under `options` — the pattern every Newton iteration of [`hb2_solve`]
-/// assembles. Depends on element connectivity and the (clamped) grid shape
-/// only, not on element values, amplitudes or periods, so warm-started HB
-/// sweeps route workspaces by it.
-///
-/// The spectral differentiation matrices are dense along each axis, which
-/// makes this pattern much denser than the finite-difference MPDE one —
-/// and all the more worth caching. Costs one Jacobian assembly at the zero
-/// state; pay it once per topology group.
-pub fn hb2_jacobian_fingerprint(
-    circuit: &Circuit,
-    period1: f64,
-    period2: f64,
-    options: &Hb2Options,
-) -> rfsim_numerics::sparse::PatternFingerprint {
-    let n = circuit.num_unknowns();
-    let (n1, n2) = (options.n1.max(4), options.n2.max(4));
-    let sys = Hb2System {
-        circuit,
-        n1,
-        n2,
-        w1: spectral_weights(n1, period1),
-        w2: spectral_weights(n2, period2),
-        // The excitation does not shape the Jacobian; zeros avoid
-        // requiring bivariate sources just to compute a routing key.
-        b_cache: vec![0.0; n1 * n2 * n],
-    };
-    let dim = sys.dim();
-    let x0 = vec![0.0; dim];
-    let mut residual = vec![0.0; dim];
-    let mut jac = Triplets::with_capacity(dim, dim, 16 * dim);
-    sys.residual_and_jacobian(&x0, &mut residual, &mut jac);
-    jac.pattern_fingerprint()
-}
-
 /// Solves the two-tone HB (spectral MPDE) system on a `n1 × n2` grid with
 /// periods `(period1, period2)`.
 ///

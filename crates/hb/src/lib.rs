@@ -18,4 +18,4 @@ pub mod hb2;
 pub mod spectrum;
 
 pub use hb1::{hb1_pss, hb1_pss_budgeted, Hb1Options, Hb1Result};
-pub use hb2::{hb2_jacobian_fingerprint, hb2_solve, hb2_solve_budgeted, Hb2Options, Hb2Result};
+pub use hb2::{hb2_solve, hb2_solve_budgeted, Hb2Options, Hb2Result};

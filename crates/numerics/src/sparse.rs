@@ -551,8 +551,7 @@ impl CscMatrix {
     }
 
     /// Fingerprint of this matrix's structure (dimensions, column pointers
-    /// and row indices), independent of the stored values. This is the key
-    /// the sweep engine's workspace cache routes by.
+    /// and row indices), independent of the stored values.
     pub fn pattern_fingerprint(&self) -> PatternFingerprint {
         PatternFingerprint::of_parts(self.rows, self.cols, &self.indptr, &self.indices)
     }

@@ -7,9 +7,9 @@
 //!   dB/dBm helpers, adjacent-channel power.
 //! * [`eye`] — eye diagrams and ISI metrics over baseband envelopes.
 //! * [`sweep`] — warm-started parameter sweeps (amplitude → compression)
-//!   and the batched multi-topology [`sweep::SweepEngine`]: a
-//!   fingerprint-keyed workspace cache with warm-start chaining per
-//!   topology group, executed on a hand-rolled worker pool.
+//!   and the batched multi-topology [`sweep::SweepEngine`]: independent
+//!   jobs grouped by circuit structure, executed on a hand-rolled worker
+//!   pool.
 //! * [`key`] — quantised [`key::JobKey`]s for cross-batch solution
 //!   memoisation: the identity the `rfsim-serve` solution store keys on.
 //! * [`lru`] — the bounded, tag-evictable [`lru::TaggedLru`] that store

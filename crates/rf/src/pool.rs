@@ -1,8 +1,8 @@
 //! A hand-rolled fixed-thread worker pool (no external dependencies).
 //!
 //! The pool runs the sweep engine, whose unit of concurrency is a
-//! *topology group*: a chain of warm-started solves that must run in order
-//! on one thread. The job model is therefore deliberately simple: `jobs`
+//! *topology group*: the jobs of a batch that share a circuit structure,
+//! run back to back on one thread. The job model is therefore deliberately simple: `jobs`
 //! independent indexed tasks, executed by a fixed number of scoped worker
 //! threads pulling from one atomic counter.
 //! There is no work stealing, no channels and no queues to poison: a
@@ -16,8 +16,8 @@
 //! (or a single job) runs inline on the caller's thread, with no thread
 //! spawned at all — useful both on single-core hosts, where scoped threads
 //! only add context-switch overhead, and for bit-for-bit determinism
-//! checks against sequential execution. Each extra worker holds one
-//! checked-out linear-solver workspace alive, so memory scales with
+//! checks against sequential execution. Each busy worker holds the
+//! workspaces of the one sweep it is running, so memory scales with
 //! `min(threads, concurrent topology groups)`, not with batch size.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

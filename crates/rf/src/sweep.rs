@@ -3,38 +3,28 @@
 //!
 //! Steady-state solutions vary smoothly with source amplitude, bias and
 //! tone spacing, so each sweep point seeds the next solve — the standard
-//! way to trace gain-compression curves cheaply. This module scales that
-//! idea from one circuit family to *batches* of families with mixed
-//! Jacobian structures:
+//! way to trace gain-compression curves cheaply. This module runs that
+//! idea for one circuit family ([`amplitude_sweep`]) and for *batches* of
+//! families with mixed Jacobian structures ([`SweepEngine`]):
 //!
-//! * **Fingerprint-keyed workspace cache** — every solver Jacobian pattern
-//!   is summarised by a
-//!   [`PatternFingerprint`]
-//!   (a hash of its CSC structure), and a
-//!   [`WorkspaceCache`] pools
-//!   [`LinearSolverWorkspace`]s under those keys. A batch of circuits with
-//!   mixed topologies routes every solve to a workspace warmed on *its*
-//!   structure, so nothing thrashes: each distinct pattern pays for its
-//!   RCM ordering, symbolic reach and pivot order exactly once per
-//!   concurrent user, however the batch interleaves. Fingerprints are
-//!   routing keys only — the workspace itself still verifies every stamp
-//!   position and the stored factor pattern, so a hash collision costs a
-//!   transparent rebuild, never a wrong solve.
-//! * **Warm-start grouping** — jobs whose Jacobians share a fingerprint
-//!   form a *topology group*. A group runs in order on one worker: later
-//!   jobs check the earlier jobs' workspace back out of the cache
-//!   (numeric-only refactorisations from their very first iteration) and,
-//!   when [`SweepEngine::chain_topology_groups`] is on (the default), the
-//!   first point of each job is seeded from the previous job's
-//!   *first-point* solution — the value-matched neighbour. The seed is a
-//!   hint, not a contract: a seeded solve that fails to converge is
-//!   retried from the job's own initial guess.
-//! * **Worker pool** — independent topology groups execute concurrently on
-//!   a hand-rolled fixed-thread [`WorkerPool`]: group count bounds useful
-//!   width, each busy worker holds at most one checked-out workspace, and
-//!   a width-1 pool degenerates to exact sequential execution (which is
-//!   how the cross-validation suite proves the engine bit-identical to
-//!   per-topology [`amplitude_sweep`] runs). Size it with
+//! * **Per-sweep workspaces** — a sweep owns its
+//!   [`LinearSolverWorkspace`]s, one per circuit structure it meets,
+//!   keyed by the circuit's MNA [`PatternFingerprint`] and the solution
+//!   size. Every point after the first on one structure runs
+//!   numeric-only refactorisations; a family that switches topology
+//!   mid-sweep re-keys to (or back to) the workspace warmed on its new
+//!   structure. Fingerprints are routing keys only — the workspace itself
+//!   still verifies every stamp position and the stored factor pattern,
+//!   so a hash collision costs a transparent rebuild, never a wrong solve.
+//! * **Independent jobs** — every job of a batch solves on its own
+//!   workspaces from its own initial guess, so its result is bit-identical
+//!   to running it alone through [`amplitude_sweep`], whatever else the
+//!   batch holds and however wide the pool is. The `rfsim-serve` solution
+//!   store relies on this: a re-solve reproduces the stored bytes.
+//! * **Worker pool** — jobs whose circuits share a structure form a
+//!   *topology group*; independent groups execute concurrently on a
+//!   hand-rolled fixed-thread [`WorkerPool`], and a width-1 pool
+//!   degenerates to exact sequential execution. Size it with
 //!   [`WorkerPool::from_available_parallelism`] unless you know better.
 //!
 //! Three steady-state backends ride the same machinery: the sheared-MPDE
@@ -42,33 +32,27 @@
 //! and single-tone periodic collocation ([`PeriodicFdSweepJob`]).
 //! Multi-parameter (amplitude × tone-spacing) grids run as one batch with
 //! one job per spacing row: each row is an amplitude chain on the
-//! `[0, t1_period) × [0, 1/fd)` grid, and all rows share cached
-//! workspaces because tone spacing changes Jacobian *values*, not
-//! structure.
+//! `[0, t1_period) × [0, 1/fd)` grid.
 //!
-//! The engine keeps no solutions between batches: repeated requests are
-//! memoised one layer up, in the `rfsim-serve` solution store.
+//! The engine keeps no solutions and no workspaces between batches:
+//! repeated requests are memoised one layer up, in the `rfsim-serve`
+//! solution store.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use rfsim_circuit::driver::{NewtonDriver, Rung, RungExec, RungKind};
 use rfsim_circuit::fault::SolveFault;
-use rfsim_circuit::newton::{LinearSolverWorkspace, WorkspaceCache, WorkspaceStats};
+use rfsim_circuit::newton::{LinearSolverWorkspace, WorkspaceStats};
 use rfsim_circuit::{Circuit, Result};
-use rfsim_hb::hb2::{hb2_jacobian_fingerprint, hb2_solve_budgeted, Hb2Options, Hb2Result};
-use rfsim_mpde::solver::{
-    mpde_jacobian_fingerprint, solve_mpde_budgeted, InitialGuess, MpdeOptions,
-};
+use rfsim_hb::hb2::{hb2_solve_budgeted, Hb2Options, Hb2Result};
+use rfsim_mpde::solver::{solve_mpde_budgeted, InitialGuess, MpdeOptions};
 use rfsim_mpde::MpdeSolution;
 use rfsim_numerics::sparse::PatternFingerprint;
 use rfsim_numerics::SolveBudget;
-use rfsim_shooting::{
-    periodic_fd_jacobian_fingerprint, periodic_fd_pss_budgeted, PeriodicFdOptions, PeriodicFdResult,
-};
+use rfsim_shooting::{periodic_fd_pss_budgeted, PeriodicFdOptions, PeriodicFdResult};
 
-use crate::key::{fnv1a_bytes, FNV_OFFSET};
 use crate::pool::WorkerPool;
 
 /// One point of an amplitude sweep.
@@ -98,25 +82,17 @@ pub struct PeriodicFdSweepPoint {
     pub solution: PeriodicFdResult,
 }
 
-/// A steady-state solver that can participate in warm-started,
-/// workspace-cached sweeps. Implementations exist for the sheared MPDE
-/// engine ([`MpdeBackend`]), two-tone HB ([`Hb2Backend`]) and periodic
-/// collocation ([`PeriodicFdBackend`]).
+/// A steady-state solver that can participate in warm-started sweeps.
+/// Implementations exist for the sheared MPDE engine ([`MpdeBackend`]),
+/// two-tone HB ([`Hb2Backend`]) and periodic collocation
+/// ([`PeriodicFdBackend`]).
 pub trait SweepBackend {
     /// Steady-state solution produced per sweep point.
     type Solution;
 
-    /// Cache key: fingerprint of the solver's Jacobian structure for
-    /// `circuit` under this backend's options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend system-construction failures (e.g. a source
-    /// without a bivariate waveform).
-    fn fingerprint(&self, circuit: &Circuit) -> Result<PatternFingerprint>;
-
     /// Flattened solution length for `circuit` — gates whether a previous
-    /// solution can seed the next solve.
+    /// solution can seed the next solve, and keys the sweep's workspaces
+    /// together with the circuit's MNA fingerprint.
     fn dim(&self, circuit: &Circuit) -> usize;
 
     /// One steady-state solve, warm-started from `guess` when given and
@@ -150,10 +126,6 @@ pub struct MpdeBackend {
 
 impl SweepBackend for MpdeBackend {
     type Solution = MpdeSolution;
-
-    fn fingerprint(&self, circuit: &Circuit) -> Result<PatternFingerprint> {
-        mpde_jacobian_fingerprint(circuit, self.t1_period, self.t2_period, &self.options)
-    }
 
     fn dim(&self, circuit: &Circuit) -> usize {
         circuit.num_unknowns() * self.options.n1 * self.options.n2
@@ -196,15 +168,6 @@ pub struct Hb2Backend {
 impl SweepBackend for Hb2Backend {
     type Solution = Hb2Result;
 
-    fn fingerprint(&self, circuit: &Circuit) -> Result<PatternFingerprint> {
-        Ok(hb2_jacobian_fingerprint(
-            circuit,
-            self.period1,
-            self.period2,
-            &self.options,
-        ))
-    }
-
     fn dim(&self, circuit: &Circuit) -> usize {
         // hb2_solve clamps both axes to at least 4 points.
         circuit.num_unknowns() * self.options.n1.max(4) * self.options.n2.max(4)
@@ -242,14 +205,6 @@ pub struct PeriodicFdBackend {
 
 impl SweepBackend for PeriodicFdBackend {
     type Solution = PeriodicFdResult;
-
-    fn fingerprint(&self, circuit: &Circuit) -> Result<PatternFingerprint> {
-        Ok(periodic_fd_jacobian_fingerprint(
-            circuit,
-            self.period,
-            &self.options,
-        ))
-    }
 
     fn dim(&self, circuit: &Circuit) -> usize {
         // periodic_fd_pss clamps the sample count to the stencil width.
@@ -420,32 +375,29 @@ impl SweepJob<PeriodicFdBackend> {
     }
 }
 
-/// Snapshot of the engine's workspace-cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Snapshot of the engine's workspace counters, summed over every sweep it
+/// has run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// Checkouts served by a workspace warmed on the right structure.
+    /// Re-keys that found a workspace the same sweep had already warmed
+    /// (a family returning to a structure it solved earlier in the sweep).
     pub hits: usize,
-    /// Checkouts that created a fresh workspace.
+    /// Workspaces built: one per sweep and distinct structure it met.
     pub misses: usize,
-    /// Workspaces currently parked in the pool.
-    pub parked: usize,
-    /// Distinct sparsity fingerprints with parked workspaces.
-    pub patterns: usize,
 }
 
-/// Batched multi-topology sweep engine: a fingerprint-keyed workspace
-/// cache, warm-start chaining per topology group, and a fixed-thread
-/// worker pool executing independent groups concurrently.
+/// Batched multi-topology sweep engine: groups jobs by circuit structure
+/// and runs the groups concurrently on a fixed-thread worker pool, every
+/// job on workspaces of its own.
 ///
-/// The engine is long-lived by design — its cache is its value. A sweep
-/// service keeps one engine and feeds it batches; every structure the
-/// engine has seen before starts with numeric-only refactorisations.
+/// The engine keeps no state between batches beyond its counters, so
+/// every job's result is bit-identical to its solo [`amplitude_sweep`].
 ///
 /// ```
 /// use rfsim_circuit::{BiWaveform, CircuitBuilder, Envelope, GROUND};
 /// use rfsim_mpde::solver::MpdeOptions;
 /// use rfsim_rf::pool::WorkerPool;
-/// use rfsim_rf::sweep::{MpdeSweepJob, SweepEngine};
+/// use rfsim_rf::sweep::{amplitude_sweep, MpdeSweepJob, SweepEngine};
 ///
 /// # fn main() -> Result<(), rfsim_circuit::CircuitError> {
 /// let (f1, fd) = (1e6, 10e3);
@@ -482,29 +434,25 @@ pub struct CacheSnapshot {
 ///     MpdeSweepJob::new("load-1k", vec![0.1, 0.2], 1.0 / f1, 1.0 / fd,
 ///                       opts.clone(), family(1e3)),
 ///     MpdeSweepJob::new("load-2k", vec![0.1, 0.2], 1.0 / f1, 1.0 / fd,
-///                       opts, family(2e3)),
+///                       opts.clone(), family(2e3)),
 /// ];
 /// let engine = SweepEngine::with_pool(WorkerPool::new(2));
-/// for result in engine.run_mpde_batch(&jobs) {
-///     assert_eq!(result.expect("sweep converges").len(), 2);
+/// let results = engine.run_mpde_batch(&jobs);
+/// // Both families share one topology, yet each job solved on its own
+/// // workspace: the second matches its solo sweep bit for bit.
+/// let solo = amplitude_sweep(&[0.1, 0.2], 1.0 / f1, 1.0 / fd, opts, family(2e3))?;
+/// let batched = results[1].as_ref().expect("sweep converges");
+/// for (b, s) in batched.iter().zip(&solo) {
+///     assert_eq!(b.solution.solution.data, s.solution.solution.data);
 /// }
-/// // Both families share one topology, so they formed one group and the
-/// // second job rode the first one's warmed workspace.
-/// assert_eq!(engine.cache_stats().patterns, 1);
+/// assert_eq!(engine.cache_stats().misses, 2);
 /// # Ok(())
 /// # }
 /// ```
 pub struct SweepEngine {
     pool: WorkerPool,
-    cache: Mutex<WorkspaceCache>,
-    /// Backend Jacobian fingerprints per
-    /// `(backend type ⊕ DC pattern, solution dim)` probe, persisted across
-    /// batches: a repeated batch pays two cheap circuit-level probes per
-    /// job instead of re-assembling the backend's grid Jacobian structure.
-    /// Fingerprints are routing keys (see `run_batch`), so a probe merge
-    /// costs a transparent workspace rebuild, never a wrong solve.
-    probe_cache: Mutex<HashMap<(u64, usize), PatternFingerprint>>,
-    chain_groups: bool,
+    /// Workspace and solver counters summed over every finished sweep.
+    totals: Mutex<(CacheSnapshot, WorkspaceStats)>,
 }
 
 impl Default for SweepEngine {
@@ -520,31 +468,12 @@ impl SweepEngine {
         Self::with_pool(WorkerPool::from_available_parallelism())
     }
 
-    /// Bound on persisted backend-fingerprint probes (distinct
-    /// `(backend, DC structure, dim)` triples the engine has seen).
-    const PROBE_CACHE_CAPACITY: usize = 1024;
-
     /// An engine running on an explicit pool.
     pub fn with_pool(pool: WorkerPool) -> Self {
         SweepEngine {
             pool,
-            cache: Mutex::new(WorkspaceCache::new()),
-            probe_cache: Mutex::new(HashMap::new()),
-            chain_groups: true,
+            totals: Mutex::new(Default::default()),
         }
-    }
-
-    /// Bounds the number of warmed workspaces the engine parks between
-    /// batches (default [`WorkspaceCache::DEFAULT_CAPACITY`]). Long-lived
-    /// services hosting many distinct topologies use this to cap factor
-    /// retention; a check-in beyond the bound drops the workspace, never a
-    /// result. A construction-time builder: it replaces the cache, so call
-    /// it before the first batch.
-    #[must_use]
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        *self.cache.lock().expect("workspace cache poisoned") =
-            WorkspaceCache::with_capacity(capacity);
-        self
     }
 
     /// Does nothing and returns the engine unchanged: the engine keeps no
@@ -556,16 +485,11 @@ impl SweepEngine {
         self
     }
 
-    /// Enables or disables all cross-job reuse inside a topology group (on
-    /// by default). When disabled, every job solves on its own private
-    /// workspace with no solution seeding — numerically independent of its
-    /// group neighbours and therefore bit-identical to running it alone
-    /// through [`amplitude_sweep`] on a cold engine. Use it to validate
-    /// the fast path, or whenever bit-reproducibility outranks throughput;
-    /// grouping and pool scheduling still apply.
+    /// Does nothing and returns the engine unchanged: every job already
+    /// solves independently of its group neighbours. Kept only because
+    /// the repository benchmark (`perfbench/`) still calls it.
     #[must_use]
-    pub fn chain_topology_groups(mut self, chain: bool) -> Self {
-        self.chain_groups = chain;
+    pub fn chain_topology_groups(self, _chain: bool) -> Self {
         self
     }
 
@@ -574,34 +498,35 @@ impl SweepEngine {
         &self.pool
     }
 
-    /// Current workspace-cache counters.
+    /// Workspace counters summed over every sweep this engine has run.
     pub fn cache_stats(&self) -> CacheSnapshot {
-        let cache = self.cache.lock().expect("workspace cache poisoned");
-        CacheSnapshot {
-            hits: cache.hits,
-            misses: cache.misses,
-            parked: cache.len(),
-            patterns: cache.num_patterns(),
-        }
+        self.totals.lock().expect("engine totals poisoned").0
     }
 
     /// Aggregated linear-solver counters across every workspace the
-    /// engine's cache has seen — refactorisations vs full factorisations,
-    /// restricted-pivoting exchanges vs full fallbacks, preconditioner
-    /// refreshes vs rebuilds. Take the snapshot between batches:
-    /// checked-out workspaces report when they park.
+    /// engine's sweeps have used — refactorisations vs full
+    /// factorisations, restricted-pivoting exchanges vs full fallbacks,
+    /// preconditioner refreshes vs rebuilds. Take the snapshot between
+    /// batches: a sweep reports when it finishes.
     pub fn solver_stats(&self) -> WorkspaceStats {
-        self.cache
-            .lock()
-            .expect("workspace cache poisoned")
-            .solver_stats()
+        self.totals.lock().expect("engine totals poisoned").1
     }
 
-    /// Runs a batch of sweep jobs over any backend: probes each job's
-    /// Jacobian fingerprint, groups jobs by structure, executes the groups
-    /// concurrently on the pool, and returns per-job results in input
-    /// order. A job that fails leaves the other jobs untouched — its slot
-    /// carries the error.
+    /// Folds a finished sweep's workspace counters into the engine totals.
+    fn absorb(&self, workspaces: &SweepWorkspaces) {
+        let mut totals = self.totals.lock().expect("engine totals poisoned");
+        totals.0.hits += workspaces.hits;
+        totals.0.misses += workspaces.entries.len();
+        for (_, _, ws) in &workspaces.entries {
+            totals.1.absorb(&ws.stats);
+        }
+    }
+
+    /// Runs a batch of sweep jobs over any backend: builds each job's
+    /// first circuit, groups jobs by circuit structure, executes the
+    /// groups concurrently on the pool, and returns per-job results in
+    /// input order. A job that fails leaves the other jobs untouched — its
+    /// slot carries the error.
     pub fn run_batch<B>(&self, jobs: &[SweepJob<B>]) -> Vec<SweepResult<B::Solution>>
     where
         B: SweepBackend + Sync,
@@ -626,115 +551,65 @@ impl SweepEngine {
         B: SweepBackend + Sync,
         B::Solution: Send,
     {
-        // Probe fingerprints in parallel: one circuit build per job, but —
-        // since same-topology batches are the engine's bread and butter —
-        // the expensive backend Jacobian-structure assembly is memoised by
-        // the cheap (backend type ⊕ DC pattern, solution dim) probe, so N
-        // same-structure jobs pay for one, and — because the probe cache
-        // persists on the engine — a *repeated* batch pays for none. The
-        // probe cache can only merge jobs whose backends differ in ways
-        // invisible to that probe (e.g. a different stencil on an
-        // identical grid); grouping is a routing choice, so the cost of
-        // such a merge is a transparent workspace rebuild, never a wrong
-        // solve.
-        let backend_tag = fnv1a_bytes(FNV_OFFSET, std::any::type_name::<B>().as_bytes());
-        let probes = self.pool.run(jobs.len(), |j| {
+        // Each job's first circuit is built once, in parallel: it keys the
+        // job's group here and is the first point's circuit in the sweep.
+        let firsts = self.pool.run(jobs.len(), |j| {
             let job = &jobs[j];
-            job.values.first().map(|&v| {
-                (job.make_circuit)(v).and_then(|circuit| {
-                    let dc = circuit.jacobian_fingerprint();
-                    let probe = (
-                        fnv1a_bytes(backend_tag, &dc.as_u64().to_le_bytes()),
-                        job.backend.dim(&circuit),
-                    );
-                    let memoised = self
-                        .probe_cache
-                        .lock()
-                        .expect("probe cache poisoned")
-                        .get(&probe)
-                        .copied();
-                    if let Some(key) = memoised {
-                        return Ok(key);
-                    }
-                    let key = job.backend.fingerprint(&circuit)?;
-                    let mut cache = self.probe_cache.lock().expect("probe cache poisoned");
-                    if cache.len() >= Self::PROBE_CACHE_CAPACITY {
-                        // Probes are one structure assembly away; overflow
-                        // handling can be blunt.
-                        cache.clear();
-                    }
-                    cache.insert(probe, key);
-                    Ok(key)
-                })
-            })
+            job.values.first().map(|&v| (job.make_circuit)(v))
         });
 
         let mut results: Vec<Option<SweepResult<B::Solution>>> =
             (0..jobs.len()).map(|_| None).collect();
         // Deterministic group order (BTreeMap) keeps scheduling stable.
-        let mut groups: BTreeMap<PatternFingerprint, Vec<usize>> = BTreeMap::new();
-        for (j, probe) in probes.into_iter().enumerate() {
-            match probe {
+        type GroupKey = (PatternFingerprint, usize);
+        let mut groups: BTreeMap<GroupKey, Vec<(usize, Circuit)>> = BTreeMap::new();
+        for (j, first) in firsts.into_iter().enumerate() {
+            match first {
                 None => results[j] = Some(Ok(Vec::new())),
                 Some(Err(e)) => results[j] = Some(Err(e)),
-                Some(Ok(fp)) => groups.entry(fp).or_default().push(j),
+                Some(Ok(circuit)) => {
+                    let key = (
+                        circuit.jacobian_fingerprint(),
+                        jobs[j].backend.dim(&circuit),
+                    );
+                    groups.entry(key).or_default().push((j, circuit));
+                }
             }
         }
-        let group_list: Vec<(PatternFingerprint, Vec<usize>)> = groups.into_iter().collect();
+        let groups: Vec<Vec<(usize, Circuit)>> = groups.into_values().collect();
 
-        let group_outs = self.pool.run(group_list.len(), |g| {
-            let (key, members) = &group_list[g];
-            let mut outs = Vec::with_capacity(members.len());
-            let mut chain_seed: Option<Vec<f64>> = None;
-            for &j in members {
-                let job = &jobs[j];
-                let mut make = |v: f64| (job.make_circuit)(v);
-                // Per-job budget: the job's own if set, else a child of
-                // the batch budget — so cancelling the batch reaches every
-                // job, and a per-job deadline never leaks to neighbours.
-                let job_budget = job.budget.clone().unwrap_or_else(|| budget.child());
-                let (result, last) = if self.chain_groups {
-                    sweep_chain(
+        // A group's jobs run back to back in one pool task. Grouping does
+        // not change any result (every job solves on its own workspaces);
+        // it bounds memory. One pool task per job measured 13% more
+        // jobs/s on serve traffic but 31% more peak RSS (13.6 → 17.9 MB),
+        // because every extra thread that allocates a grid Jacobian gets
+        // its own glibc malloc arena. `WorkerPool::run` runs a one-task
+        // batch inline on the calling thread, so a request whose rows
+        // share one structure never leaves the scheduler thread.
+        let group_outs = self.pool.run(groups.len(), |g| {
+            groups[g]
+                .iter()
+                .map(|(j, first)| {
+                    let job = &jobs[*j];
+                    // Per-job budget: the job's own if set, else a child
+                    // of the batch budget — so cancelling the batch
+                    // reaches every job, and a per-job deadline never
+                    // leaks to neighbours.
+                    let job_budget = job.budget.clone().unwrap_or_else(|| budget.child());
+                    let mut workspaces = SweepWorkspaces::default();
+                    let result = sweep_chain(
                         &job.backend,
                         &job.values,
-                        &mut make,
-                        &self.cache,
-                        Some(*key),
-                        chain_seed.take(),
-                        &job_budget,
-                        job.fault.as_ref(),
-                    )
-                } else {
-                    // Determinism mode: a private workspace cache makes
-                    // this job's numerics independent of its neighbours.
-                    // Its solver counters still roll up to the engine.
-                    let local = Mutex::new(WorkspaceCache::new());
-                    let out = sweep_chain(
-                        &job.backend,
-                        &job.values,
-                        &mut make,
-                        &local,
-                        Some(*key),
-                        None,
+                        &mut |v| (job.make_circuit)(v),
+                        Some(first),
+                        &mut workspaces,
                         &job_budget,
                         job.fault.as_ref(),
                     );
-                    let local_stats = local
-                        .lock()
-                        .expect("private workspace cache poisoned")
-                        .solver_stats();
-                    self.cache
-                        .lock()
-                        .expect("workspace cache poisoned")
-                        .absorb_stats(&local_stats);
-                    out
-                };
-                if self.chain_groups {
-                    chain_seed = last;
-                }
-                outs.push((j, result));
-            }
-            outs
+                    self.absorb(&workspaces);
+                    (*j, result)
+                })
+                .collect::<Vec<_>>()
         });
         for group in group_outs {
             for (j, result) in group {
@@ -743,7 +618,7 @@ impl SweepEngine {
         }
         results
             .into_iter()
-            .map(|r| r.expect("every job is either empty, failed its probe, or ran in a group"))
+            .map(|r| r.expect("every job is either empty, failed its build, or ran in a group"))
             .collect()
     }
 
@@ -798,102 +673,57 @@ impl SweepEngine {
     }
 }
 
-/// A checked-out workspace and the structure it is serving. `key` is
-/// `None` for a fresh workspace taken without a probe (empty cache); it is
-/// learned from the workspace itself after the first solve.
-struct CheckedOut {
-    workspace: LinearSolverWorkspace,
-    key: Option<PatternFingerprint>,
-    dc_fingerprint: PatternFingerprint,
-    dim: usize,
+/// The workspaces one sweep owns, one per `(circuit fingerprint, solution
+/// size)` it meets. The backend and its grid shape are fixed within a
+/// sweep, so the circuit's MNA fingerprint changes whenever the backend's
+/// Jacobian pattern does.
+#[derive(Default)]
+struct SweepWorkspaces {
+    entries: Vec<(PatternFingerprint, usize, LinearSolverWorkspace)>,
+    /// Re-keys that found an entry already warmed by this sweep.
+    hits: usize,
 }
 
-/// Parks a checked-out workspace back into the cache under the best known
-/// key (an unused, unkeyed workspace carries no warmed state and is simply
-/// dropped).
-fn park(cache: &Mutex<WorkspaceCache>, c: CheckedOut) {
-    let key = c.key.or_else(|| c.workspace.pattern_fingerprint());
-    if let Some(k) = key {
-        cache
-            .lock()
-            .expect("workspace cache poisoned")
-            .checkin(k, c.workspace);
+impl SweepWorkspaces {
+    /// Index of the workspace for `(fingerprint, dim)`, building an empty
+    /// one on first sight.
+    fn index(&mut self, fingerprint: PatternFingerprint, dim: usize) -> usize {
+        match self
+            .entries
+            .iter()
+            .position(|(f, d, _)| *f == fingerprint && *d == dim)
+        {
+            Some(i) => {
+                self.hits += 1;
+                i
+            }
+            None => {
+                self.entries
+                    .push((fingerprint, dim, LinearSolverWorkspace::new()));
+                self.entries.len() - 1
+            }
+        }
     }
 }
 
 /// The warm-start chain shared by every sweep flavour: builds the circuit
-/// per point, routes each point's solve to a cache workspace keyed by the
-/// Jacobian structure (re-keying transparently when `make_circuit` changes
-/// the topology mid-sweep), and seeds each solve from the previous
-/// solution. Returns the per-point results and the *first* solution's
-/// samples — the value-matched seed for cross-job chaining (the next job
-/// in a topology group starts its sweep at its own first value, which a
-/// neighbouring family's first-point solution approximates far better
-/// than its last).
-#[allow(clippy::too_many_arguments)]
+/// per point (the first point uses `first` when given), routes each
+/// point's solve to the sweep's workspace for that circuit's structure
+/// (re-keying transparently when `make_circuit` changes the topology
+/// mid-sweep), and seeds each solve from the previous solution.
 fn sweep_chain<B: SweepBackend>(
     backend: &B,
     values: &[f64],
     make_circuit: &mut dyn FnMut(f64) -> Result<Circuit>,
-    cache: &Mutex<WorkspaceCache>,
-    initial_key: Option<PatternFingerprint>,
-    seed: Option<Vec<f64>>,
+    mut first: Option<&Circuit>,
+    workspaces: &mut SweepWorkspaces,
     budget: &SolveBudget,
     fault: Option<&SolveFault>,
-) -> (SweepResult<B::Solution>, Option<Vec<f64>>) {
+) -> SweepResult<B::Solution> {
+    let started = Instant::now();
     let mut out = Vec::with_capacity(values.len());
     let mut prev: Option<Vec<f64>> = None;
-    let mut first: Option<Vec<f64>> = None;
-    let mut state: Option<CheckedOut> = None;
-    let result = sweep_chain_inner(
-        backend,
-        values,
-        make_circuit,
-        cache,
-        &mut state,
-        initial_key,
-        seed,
-        &mut prev,
-        &mut first,
-        &mut out,
-        budget,
-        fault,
-    );
-    // Interrupted or not, the workspace checks back in reusable: the chain
-    // owns it only between points, and the solvers unwind cleanly.
-    if let Some(c) = state.take() {
-        park(cache, c);
-    }
-    match result {
-        Ok(()) => (Ok(out), first),
-        Err(e) => (Err(e), None),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sweep_chain_inner<B: SweepBackend>(
-    backend: &B,
-    values: &[f64],
-    make_circuit: &mut dyn FnMut(f64) -> Result<Circuit>,
-    cache: &Mutex<WorkspaceCache>,
-    state: &mut Option<CheckedOut>,
-    mut initial_key: Option<PatternFingerprint>,
-    mut seed: Option<Vec<f64>>,
-    prev: &mut Option<Vec<f64>>,
-    first: &mut Option<Vec<f64>>,
-    out: &mut Vec<(f64, B::Solution)>,
-    budget: &SolveBudget,
-    fault: Option<&SolveFault>,
-) -> Result<()> {
-    let started = Instant::now();
-    // Topologies this chain has already keyed (DC pattern → cache key), so
-    // a sweep alternating between structures probes each one once, not at
-    // every switch.
-    let mut known: Vec<(PatternFingerprint, PatternFingerprint)> = Vec::new();
-    // Whether `prev` was produced on a different topology than the current
-    // point's: such a carry-over is a hint (retried unseeded on failure),
-    // not the trusted same-structure warm start.
-    let mut prev_is_hint = false;
+    let mut current: Option<usize> = None;
     for &value in values {
         // Fail fast between points: the solvers poll the budget inside
         // each point, so this check only closes the gap where a cancel
@@ -908,115 +738,56 @@ fn sweep_chain_inner<B: SweepBackend>(
         if let Some(f) = fault {
             f.run(budget)?;
         }
-        let circuit = make_circuit(value)?;
-        // Cheap per-point probe: the circuit-level MNA pattern. Any
-        // backend-level structure change implies a change here (the grid
-        // shape is fixed within one chain), so the expensive backend
-        // fingerprint is only recomputed on actual topology changes.
-        let dc_fingerprint = circuit.jacobian_fingerprint();
-        let same_topology = state
-            .as_ref()
-            .is_some_and(|c| c.dc_fingerprint == dc_fingerprint);
+        let built;
+        let circuit = match first.take() {
+            Some(c) => c,
+            None => {
+                built = make_circuit(value)?;
+                &built
+            }
+        };
+        let fingerprint = circuit.jacobian_fingerprint();
+        let dim = backend.dim(circuit);
+        let same_topology = current.is_some_and(|i| {
+            let (f, d, _) = &workspaces.entries[i];
+            *f == fingerprint && *d == dim
+        });
+        // A warm start carried over from a different topology is a hint
+        // (retried unseeded on failure), not the trusted same-structure
+        // warm start.
+        let rekeyed = !same_topology && current.is_some();
         if !same_topology {
-            if let Some(c) = state.take() {
-                // `make_circuit` changed the sparsity pattern mid-sweep:
-                // transparently re-key instead of thrashing one workspace
-                // (each pattern keeps its own warmed workspace in the
-                // cache, ready if the sweep returns to it).
-                park(cache, c);
-                prev_is_hint = true;
-            }
-            let mut key = initial_key.take().or_else(|| {
-                known
-                    .iter()
-                    .find(|(dc, _)| *dc == dc_fingerprint)
-                    .map(|&(_, k)| k)
-            });
-            if key.is_none() {
-                // The backend fingerprint costs one Jacobian-structure
-                // assembly: only pay it when the cache could actually hold
-                // a matching workspace.
-                let empty = cache.lock().expect("workspace cache poisoned").is_empty();
-                if !empty {
-                    key = Some(backend.fingerprint(&circuit)?);
-                }
-            }
-            let workspace = match key {
-                Some(k) => cache.lock().expect("workspace cache poisoned").checkout(k),
-                None => LinearSolverWorkspace::new(),
-            };
-            *state = Some(CheckedOut {
-                workspace,
-                key,
-                dc_fingerprint,
-                dim: backend.dim(&circuit),
-            });
+            current = Some(workspaces.index(fingerprint, dim));
         }
-        let checked = state.as_mut().expect("checked out above");
-        // Warm start: the within-sweep chain wins; the cross-job seed only
-        // applies before the first solved point. Either is dropped if the
-        // solution layout no longer matches (e.g. a re-key changed the
-        // number of unknowns).
-        let mut hinted = false;
-        let mut guess = prev.take();
-        if guess.is_some() {
-            hinted = prev_is_hint;
-        } else if let Some(s) = seed.take() {
-            if s.len() == checked.dim {
-                guess = Some(s);
-                hinted = true;
-            }
-        }
-        if guess.as_ref().is_some_and(|g| g.len() != checked.dim) {
-            guess = None;
-            hinted = false;
-        }
+        let workspace = &mut workspaces.entries[current.expect("keyed above")].2;
+        // The warm start is dropped if the solution layout no longer
+        // matches (a re-key changed the number of unknowns).
+        let guess = prev.take().filter(|g| g.len() == dim);
         // The sweep point's recovery ladder: the (possibly seeded) solve,
-        // plus — when the warm start was only a hint (a cross-job seed or
-        // cross-topology carry-over, not a contract) — a retry from the
+        // plus — when the warm start was only a hint — a retry from the
         // job's own initial guess. The driver classifies the failure:
         // interruptions and structural errors are never retried.
         let mut rungs: Vec<Rung<'_, B::Solution>> =
             vec![Rung::new(RungKind::Plain, |exec: &mut RungExec<'_>| {
                 let (ws, b) = exec.parts();
-                backend.solve(&circuit, guess.as_deref(), ws, b)
+                backend.solve(circuit, guess.as_deref(), ws, b)
             })];
-        if hinted {
+        if rekeyed && guess.is_some() {
             rungs.push(Rung::new(
                 RungKind::RetryUnseeded,
                 |exec: &mut RungExec<'_>| {
                     let (ws, b) = exec.parts();
-                    backend.solve(&circuit, None, ws, b)
+                    backend.solve(circuit, None, ws, b)
                 },
             ));
         }
         let solution = NewtonDriver::default()
-            .solve_ladder("sweep point", &mut checked.workspace, budget, rungs)?
+            .solve_ladder("sweep point", workspace, budget, rungs)?
             .value;
-        // A workspace taken without a probe reveals its key after warming;
-        // record it so later re-keys (and the final check-in) route right.
-        // A Krylov-configured workspace cannot self-report (it never builds
-        // the CSC assembly), so fall back to the backend fingerprint rather
-        // than lose the warmed workspace at park time.
-        if checked.key.is_none() {
-            checked.key = checked.workspace.pattern_fingerprint();
-            if checked.key.is_none() {
-                checked.key = backend.fingerprint(&circuit).ok();
-            }
-        }
-        if let Some(k) = checked.key {
-            if !known.iter().any(|(dc, _)| *dc == checked.dc_fingerprint) {
-                known.push((checked.dc_fingerprint, k));
-            }
-        }
-        *prev = Some(backend.samples(&solution).to_vec());
-        prev_is_hint = false;
-        if first.is_none() {
-            *first = Some(backend.samples(&solution).to_vec());
-        }
+        prev = Some(backend.samples(&solution).to_vec());
         out.push((value, solution));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Sweeps a circuit-family parameter, rebuilding the circuit per point via
@@ -1027,10 +798,10 @@ fn sweep_chain_inner<B: SweepBackend>(
 /// first a chain of numeric-only refactorisations. If `make_circuit`
 /// changes the Jacobian sparsity pattern mid-sweep (an element switched
 /// in above some drive, say), the sweep *re-keys* transparently: each
-/// pattern gets its own cached workspace, warm starts are dropped
-/// whenever the unknown layout changes, and no stale structure is ever
-/// applied to the wrong matrix. For batches of families, prefer
-/// [`SweepEngine`], which shares the workspaces across jobs and threads.
+/// pattern gets its own workspace, warm starts are dropped whenever the
+/// unknown layout changes, and no stale structure is ever applied to the
+/// wrong matrix. For batches of families, prefer [`SweepEngine`], which
+/// runs independent jobs concurrently.
 ///
 /// # Errors
 ///
@@ -1050,23 +821,19 @@ where
         t2_period,
         options: base_options,
     };
-    let cache = Mutex::new(WorkspaceCache::new());
-    let (result, _) = sweep_chain(
+    let points = sweep_chain(
         &backend,
         values,
         &mut make_circuit,
-        &cache,
         None,
-        None,
+        &mut SweepWorkspaces::default(),
         &SolveBudget::unlimited(),
         None,
-    );
-    result.map(|points| {
-        points
-            .into_iter()
-            .map(|(value, solution)| SweepPoint { value, solution })
-            .collect()
-    })
+    )?;
+    Ok(points
+        .into_iter()
+        .map(|(value, solution)| SweepPoint { value, solution })
+        .collect())
 }
 
 #[cfg(test)]
@@ -1144,7 +911,7 @@ mod tests {
         // Above 0.25 V the family switches in a feedthrough capacitor
         // (same unknowns, new coupling): the old single-workspace sweep
         // silently assumed one topology; now each pattern gets its own
-        // cached workspace and results match the per-topology runs.
+        // workspace and results match the per-topology runs.
         let (f1, fd) = (1e6, 10e3);
         let family = |a: f64| {
             let mut b = CircuitBuilder::new();
@@ -1290,9 +1057,8 @@ mod tests {
         ];
         let engine = SweepEngine::with_pool(WorkerPool::new(2));
         let batch = engine.run_mpde_batch(&jobs);
-        // Distinct topologies → two groups, each on a fresh workspace:
+        // Distinct topologies → two groups, each job on fresh workspaces:
         // identical execution to sequential amplitude_sweep calls.
-        assert_eq!(engine.cache_stats().patterns, 2);
         let seq_rc = amplitude_sweep(
             &[0.1, 0.2],
             1.0 / f1,
@@ -1310,8 +1076,12 @@ mod tests {
 
     #[test]
     fn engine_groups_same_topology_jobs() {
+        // Three families, one topology: one group, yet every job solves
+        // independently — bit-identical to its solo sweep, whatever the
+        // pool width and whichever job ran first.
         let (f1, fd) = (1e6, 10e3);
-        let jobs: Vec<MpdeSweepJob> = [1e3, 2e3, 4e3]
+        let loads = [1e3, 2e3, 4e3];
+        let jobs: Vec<MpdeSweepJob> = loads
             .iter()
             .map(|&r| {
                 MpdeSweepJob::new(
@@ -1324,22 +1094,118 @@ mod tests {
                 )
             })
             .collect();
-        let engine = SweepEngine::with_pool(WorkerPool::new(2));
-        let results = engine.run_mpde_batch(&jobs);
-        for r in &results {
-            assert_eq!(r.as_ref().expect("sweep").len(), 2);
+        for threads in [1, 2] {
+            let engine = SweepEngine::with_pool(WorkerPool::new(threads));
+            let results = engine.run_mpde_batch(&jobs);
+            for (result, &r) in results.iter().zip(&loads) {
+                let solo = amplitude_sweep(
+                    &[0.1, 0.2],
+                    1.0 / f1,
+                    1.0 / fd,
+                    small_opts(),
+                    rc_family(f1, fd, r, 160e-12),
+                )
+                .expect("solo sweep");
+                let batched = result.as_ref().expect("sweep");
+                assert_eq!(batched.len(), solo.len());
+                for (b, s) in batched.iter().zip(&solo) {
+                    assert_eq!(
+                        b.solution.solution.data, s.solution.solution.data,
+                        "r = {r}, {threads} thread(s): batched job must match its solo sweep"
+                    );
+                }
+            }
+            // One workspace per job, none shared.
+            let stats = engine.cache_stats();
+            assert_eq!((stats.hits, stats.misses), (0, 3), "{stats:?}");
         }
+    }
+
+    #[test]
+    fn engine_builds_each_point_circuit_once() {
+        // The engine keys a job's group on its first circuit and solves
+        // the first point on that same circuit: 2 jobs × 2 values build
+        // exactly 4 circuits.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let (f1, fd) = (1e6, 10e3);
+        let builds = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<MpdeSweepJob> = [1e3, 2e3]
+            .iter()
+            .map(|&r| {
+                let counter = Arc::clone(&builds);
+                let family = rc_family(f1, fd, r, 160e-12);
+                MpdeSweepJob::new(
+                    format!("r{r}"),
+                    vec![0.1, 0.2],
+                    1.0 / f1,
+                    1.0 / fd,
+                    small_opts(),
+                    move |a: f64| {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        family(a)
+                    },
+                )
+            })
+            .collect();
+        let engine = SweepEngine::with_pool(WorkerPool::new(2));
+        for result in engine.run_batch(&jobs) {
+            assert_eq!(result.expect("sweep").len(), 2);
+        }
+        assert_eq!(builds.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn engine_counts_a_return_to_a_solved_structure_as_a_hit() {
+        // 0.1 and 0.2 solve the plain RC stage, 0.3 one with a split
+        // series resistor (an extra node): the sweep builds two
+        // workspaces and re-keys back to the first one for its last point.
+        let (f1, fd) = (1e6, 10e3);
+        let base = rc_family(f1, fd, 1e3, 160e-12);
+        let family = move |a: f64| {
+            if a <= 0.25 {
+                return base(a);
+            }
+            let mut b = CircuitBuilder::new();
+            let inp = b.node("in");
+            let out = b.node("out");
+            b.vsource(
+                "VRF",
+                inp,
+                GROUND,
+                BiWaveform::ShearedCarrier {
+                    amplitude: a,
+                    k: 1,
+                    f1,
+                    fd,
+                    phase: 0.0,
+                    envelope: Envelope::Unit,
+                },
+            )?;
+            let mid = b.node("mid");
+            b.resistor("R1a", inp, mid, 0.5e3)?;
+            b.resistor("R1b", mid, out, 0.5e3)?;
+            b.capacitor("C1", out, GROUND, 160e-12)?;
+            b.build()
+        };
+        let jobs = vec![MpdeSweepJob::new(
+            "switching",
+            vec![0.1, 0.3, 0.2],
+            1.0 / f1,
+            1.0 / fd,
+            small_opts(),
+            family,
+        )];
+        let engine = SweepEngine::with_pool(WorkerPool::new(1));
+        assert_eq!(
+            engine.run_mpde_batch(&jobs)[0]
+                .as_ref()
+                .expect("sweep")
+                .len(),
+            3
+        );
         let stats = engine.cache_stats();
-        // One topology: one group, one workspace threaded through all
-        // three jobs (two cache hits), parked once at the end.
-        assert_eq!(stats.patterns, 1);
-        assert_eq!(stats.parked, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
-        // A second batch starts from the parked workspace.
-        let again = engine.run_mpde_batch(&jobs[..1]);
-        assert!(again[0].is_ok());
-        assert_eq!(engine.cache_stats().hits, 3);
+        assert_eq!((stats.hits, stats.misses), (1, 2), "{stats:?}");
     }
 
     #[test]
@@ -1425,8 +1291,6 @@ mod tests {
         assert!((peak(&points[1]) / peak(&points[0]) - 2.0).abs() < 0.05);
         let pss = engine.run_periodic_fd_batch(&fd_jobs);
         assert_eq!(pss[0].as_ref().expect("fd sweep").len(), 2);
-        // HB and collocation patterns differ: two cache entries.
-        assert_eq!(engine.cache_stats().patterns, 2);
     }
 
     #[test]

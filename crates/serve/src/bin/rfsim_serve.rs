@@ -4,7 +4,7 @@
 //! ```text
 //! rfsim-serve [--addr 127.0.0.1:4520] [--store-capacity 256]
 //!             [--queue-capacity 1024] [--shards N] [--threads N]
-//!             [--batch-max 16] [--quant-digits 12] [--non-deterministic]
+//!             [--batch-max 16] [--quant-digits 12]
 //!             [--default-deadline-ms MS] [--retry-max N]
 //!             [--retry-backoff-ms MS] [--frontend-workers N]
 //!             [--max-inflight N] [--slow-log-ms MS] [--no-telemetry]
@@ -61,7 +61,6 @@ fn parse_args() -> Args {
                 args.config.quantizer =
                     Quantizer::new(value("--quant-digits").parse().expect("digits"))
             }
-            "--non-deterministic" => args.config.deterministic = false,
             "--default-deadline-ms" => {
                 args.config.default_deadline_ms =
                     Some(value("--default-deadline-ms").parse().expect("deadline"))
@@ -88,7 +87,7 @@ fn parse_args() -> Args {
                     "rfsim-serve: memoising steady-state simulation daemon\n\
                      flags: --addr HOST:PORT --store-capacity N --queue-capacity N \
                      --shards N --threads N --batch-max N --quant-digits N \
-                     --non-deterministic --default-deadline-ms MS --retry-max N \
+                     --default-deadline-ms MS --retry-max N \
                      --retry-backoff-ms MS --frontend-workers N --max-inflight N \
                      --slow-log-ms MS --no-telemetry --trace-capacity N"
                 );
@@ -116,12 +115,11 @@ fn main() {
     println!("rfsim-serve listening on {}", server.local_addr());
     println!(
         "  families: {families}\n  store capacity: {}  queue capacity: {}  shards: {}  \
-         threads/shard: {}  deterministic: {}\n  frontend workers: {}  max inflight/conn: {}",
+         threads/shard: {}\n  frontend workers: {}  max inflight/conn: {}",
         args.config.store_capacity,
         args.config.queue_capacity,
         args.config.shards.max(1),
         args.config.threads,
-        args.config.deterministic,
         args.frontend.workers.max(1),
         args.frontend.max_inflight.max(1),
     );

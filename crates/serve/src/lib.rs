@@ -1,11 +1,10 @@
 //! `rfsim-serve` — a memoising simulation service layer over the
 //! [`SweepEngine`](rfsim_rf::sweep::SweepEngine).
 //!
-//! The sweep engine keeps warm *workspaces* across batches but re-solves
-//! every point; dashboard and regression traffic, though, asks for the
-//! same amplitude × tone-spacing grids over and over (the sweep-tuned
-//! spectrum-analyzer shape). This crate adds the missing layer between
-//! "a fast engine" and "a service":
+//! The sweep engine re-solves every point it is given; dashboard and
+//! regression traffic, though, asks for the same amplitude × tone-spacing
+//! grids over and over (the sweep-tuned spectrum-analyzer shape). This
+//! crate adds the missing layer between "a fast engine" and "a service":
 //!
 //! * [`store`] — a bounded LRU **solution store** keyed by
 //!   `(structure fingerprint, quantised job parameters)`

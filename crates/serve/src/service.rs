@@ -18,26 +18,23 @@
 //!      or rejected with [`ServeError::QueueFull`] backpressure.
 //! 2. **schedule** — a scheduler thread drains the queue in priority
 //!    order, batches consecutive same-backend jobs, and hands the batch to
-//!    the [`SweepEngine`], which groups jobs by Jacobian fingerprint and
-//!    runs the groups on its [`WorkerPool`].
+//!    the [`SweepEngine`], which groups jobs by circuit structure and runs
+//!    the groups on its [`WorkerPool`].
 //! 3. **complete** — results are stored (LRU-evicting at capacity) and
 //!    every waiter is completed; `poll`/`wait` observe the transition.
 //!
 //! # Determinism
 //!
-//! With [`ServeConfig::deterministic`] (the default) the engine runs in
-//! its bit-reproducible mode ([`SweepEngine::chain_topology_groups`]
-//! off): every job solves on a private workspace with no cross-job
-//! seeding, so an identical spec re-solved on a fresh service reproduces
-//! the stored samples bit-for-bit — the property the memo-hit acceptance
-//! test pins. Turn it off to trade replay identity for cross-job
-//! warm-start throughput; the solution store works either way.
+//! Every job solves on workspaces of its own from its own initial guess,
+//! with no cross-job seeding, so an identical spec re-solved on a fresh
+//! service reproduces the stored samples bit-for-bit — the property the
+//! memo-hit acceptance test pins.
 //!
 //! # Sharding
 //!
 //! With [`ServeConfig::shards`] > 1 the service is a pool of independent
-//! shards. Each shard owns its *own* scheduler thread, [`SweepEngine`]
-//! (workspace cache included), solution store, fingerprint cache and
+//! shards. Each shard owns its *own* scheduler thread, [`SweepEngine`],
+//! solution store, fingerprint cache and
 //! scheduler state — there is no cross-shard lock on the hot path; only
 //! the family registry and the fault table are shared (both cold).
 //! Submits route by rendezvous hashing
@@ -88,8 +85,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Worker threads of the underlying sweep engine.
     pub threads: usize,
-    /// Warmed workspaces the engine parks between batches.
-    pub workspace_capacity: usize,
     /// Jobs dispatched per scheduling round (one engine batch).
     pub batch_max: usize,
     /// Settled job records (done/failed) retained for polling. Oldest
@@ -98,8 +93,6 @@ pub struct ServeConfig {
     /// many requests it has served (results themselves are bounded
     /// separately by `store_capacity`).
     pub result_capacity: usize,
-    /// Bit-reproducible solves (see the module docs). Default on.
-    pub deterministic: bool,
     /// Parameter quantisation for store keys.
     pub quantizer: Quantizer,
     /// Start with the scheduler paused (tests and manual embedders;
@@ -146,10 +139,8 @@ impl Default for ServeConfig {
             store_capacity: 256,
             queue_capacity: 1024,
             threads: WorkerPool::from_available_parallelism().threads(),
-            workspace_capacity: 64,
             batch_max: 16,
             result_capacity: 1024,
-            deterministic: true,
             quantizer: Quantizer::default(),
             paused: false,
             default_deadline_ms: None,
@@ -713,7 +704,7 @@ pub struct ShardStats {
     pub counters: ServeCounters,
     /// Per-family fingerprint-cache counters (build-free keying).
     pub keying: KeyingStats,
-    /// The shard engine's workspace-cache counters.
+    /// The shard engine's workspace counters (see [`CacheSnapshot`]).
     pub engine_cache: CacheSnapshot,
     /// The shard engine's linear-solver counters.
     pub solver: WorkspaceStats,
@@ -765,7 +756,7 @@ pub struct ServeStats {
     pub counters: ServeCounters,
     /// Per-family fingerprint-cache counters (build-free keying).
     pub keying: KeyingStats,
-    /// Workspace-cache counters (summed across shard engines).
+    /// Engine workspace counters (summed across shard engines).
     pub engine_cache: CacheSnapshot,
     /// Aggregated linear-solver counters.
     pub solver: WorkspaceStats,
@@ -898,8 +889,6 @@ fn stats_sections(
             Json::object([
                 ("workspace_hits", Json::from(engine_cache.hits)),
                 ("workspace_misses", Json::from(engine_cache.misses)),
-                ("workspaces_parked", Json::from(engine_cache.parked)),
-                ("patterns", Json::from(engine_cache.patterns)),
                 (
                     "full_factorizations",
                     Json::from(solver.full_factorizations),
@@ -1181,9 +1170,7 @@ impl SimService {
         let mut shards = Vec::with_capacity(shard_count);
         let mut schedulers = Vec::with_capacity(shard_count);
         for index in 0..shard_count {
-            let engine = SweepEngine::with_pool(WorkerPool::new(config.threads))
-                .with_cache_capacity(config.workspace_capacity)
-                .chain_topology_groups(!config.deterministic);
+            let engine = SweepEngine::with_pool(WorkerPool::new(config.threads));
             let inner = Arc::new(Inner {
                 engine,
                 index,
@@ -1937,12 +1924,7 @@ impl SimService {
             queue_capacity: 0,
             counters: ServeCounters::default(),
             keying: KeyingStats::default(),
-            engine_cache: CacheSnapshot {
-                hits: 0,
-                misses: 0,
-                parked: 0,
-                patterns: 0,
-            },
+            engine_cache: CacheSnapshot::default(),
             solver: WorkspaceStats::default(),
             latency: LatencySnapshot::default(),
             uptime_ms: self.started.elapsed().as_millis() as u64,
@@ -1969,8 +1951,6 @@ impl SimService {
             agg.keying.len += s.keying.len;
             agg.engine_cache.hits += s.engine_cache.hits;
             agg.engine_cache.misses += s.engine_cache.misses;
-            agg.engine_cache.parked += s.engine_cache.parked;
-            agg.engine_cache.patterns += s.engine_cache.patterns;
             agg.solver.absorb(&s.solver);
             agg.latency.absorb(&s.latency);
         }

@@ -45,19 +45,9 @@ fn poll_until(client: &mut ServeClient, id: u64, want: &str) -> rfsim_serve::cli
     }
 }
 
-/// No leaked engine workspaces: everything a solve checked out — hung,
-/// cancelled, failed, or finished — made it back to the parked pool.
-fn assert_zero_leaked_workspaces(service: &SimService) {
-    let cache = service.stats().engine_cache;
-    assert_eq!(
-        cache.parked, cache.misses,
-        "every created workspace must be parked again: {cache:?}"
-    );
-}
-
 /// The acceptance scenario: a deliberately-hung (fault-injected) job is
-/// cancelled over the wire, its scheduler slot is reused by a follow-up
-/// job, and no workspace leaks.
+/// cancelled over the wire, and its scheduler slot is reused by a
+/// follow-up job.
 #[test]
 fn hung_job_cancelled_over_wire_frees_its_slot() {
     let service = SimService::start(small_config());
@@ -91,7 +81,6 @@ fn hung_job_cancelled_over_wire_frees_its_slot() {
     let q = service.stats().counters.queue(BackendKind::Mpde);
     assert_eq!(q.failed, 1);
     assert_eq!(q.completed, 1);
-    assert_zero_leaked_workspaces(&service);
     drop(client);
     server.stop();
     server.join();
@@ -139,7 +128,6 @@ fn cancel_before_dispatch_settles_every_coalesced_waiter() {
         .wait(service.submit(&spec(0.25)).expect("submit"), WAIT)
         .expect("fresh job after cancel");
     assert!(!done.points.is_empty());
-    assert_zero_leaked_workspaces(&service);
 }
 
 /// With a default deadline configured, hung jobs expire instead of
@@ -184,7 +172,6 @@ fn default_deadline_reclaims_slots_under_load() {
         .wait(service.submit(&fast).expect("submit"), WAIT)
         .expect("job after reclamation");
     assert!(!done.points.is_empty());
-    assert_zero_leaked_workspaces(&service);
 }
 
 /// A transient solver failure (diverges once, then recovers) is retried
@@ -205,7 +192,6 @@ fn transient_failure_is_retried_and_recovers() {
     assert_eq!(q.retried, 1, "exactly one re-dispatch");
     assert_eq!(q.failed, 0);
     assert_eq!(q.completed, 1);
-    assert_zero_leaked_workspaces(&service);
 }
 
 /// Retries are bounded: a fault outlasting `retry_max` fails the job
@@ -227,7 +213,6 @@ fn retries_exhaust_and_fail() {
         other => panic!("expected failure, got {other:?}"),
     }
     assert_eq!(service.stats().counters.queue(BackendKind::Mpde).retried, 2);
-    assert_zero_leaked_workspaces(&service);
 }
 
 /// A panicking solve is isolated by the scheduler and is *not* treated
@@ -323,7 +308,6 @@ fn diverge_fault_typed_outcome_reaches_wire_poll() {
         outcome.interrupt_reason.is_none(),
         "a divergence is not an interruption: {outcome:?}"
     );
-    assert_zero_leaked_workspaces(&service);
     drop(client);
     server.stop();
     server.join();
@@ -367,7 +351,6 @@ fn sharded_cancel_over_wire_matches_single_shard_semantics() {
         let (_, outcome) = client.run(&spec(amplitude), WAIT).expect("follow-up");
         assert_eq!(outcome.status, "done");
     }
-    assert_zero_leaked_workspaces(&service);
     drop(client);
     server.stop();
     server.join();
@@ -415,7 +398,6 @@ fn sharded_deadline_and_retry_are_unchanged() {
         .filter(|s| s.counters.queue(BackendKind::Mpde).retried > 0)
         .count();
     assert_eq!(retried_shards, 1, "one shard owns the retried job");
-    assert_zero_leaked_workspaces(&service);
 }
 
 /// A cancel for a job that already finished changes nothing and returns
@@ -561,7 +543,6 @@ fn deadline_timeline_settles_as_deadline_expired() {
             outcome: "deadline_expired"
         })
     ));
-    assert_zero_leaked_workspaces(&service);
 }
 
 /// Coalesced waiters share one execution's timeline; a memo hit settled

@@ -352,7 +352,9 @@ fn memo_hit_submits_are_build_free() {
         .wait(service.submit(&request).expect("submit"), WAIT)
         .expect("solve");
     let after_solve = builds.load(Ordering::SeqCst);
-    assert!(after_solve >= 1, "the fresh solve builds circuits");
+    // One keying build at submit, then one per sweep point: the engine
+    // solves the first point on the circuit it keyed the job's group by.
+    assert_eq!(after_solve, 2, "a fresh 1×1 solve builds two circuits");
     // Identical submit: fingerprint served from the per-family cache and
     // the result from the store — the builder is never invoked.
     let id = service.submit(&request).expect("memo submit");

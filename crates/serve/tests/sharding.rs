@@ -261,8 +261,6 @@ fn wire_stats_expose_every_documented_field() {
         "keying.len",
         "engine.workspace_hits",
         "engine.workspace_misses",
-        "engine.workspaces_parked",
-        "engine.patterns",
         "engine.full_factorizations",
         "engine.refactorizations",
         "engine.precond_refreshes",

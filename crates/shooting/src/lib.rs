@@ -12,8 +12,7 @@ pub mod periodic_fd;
 pub mod shooting;
 
 pub use periodic_fd::{
-    periodic_fd_jacobian_fingerprint, periodic_fd_pss, periodic_fd_pss_budgeted, PeriodicFdOptions,
-    PeriodicFdResult,
+    periodic_fd_pss, periodic_fd_pss_budgeted, PeriodicFdOptions, PeriodicFdResult,
 };
 pub use shooting::{
     difference_period_steps, shooting_pss, shooting_pss_budgeted, ShootingMethod, ShootingOptions,

@@ -152,36 +152,6 @@ impl NewtonSystem for PeriodicFdSystem<'_> {
     }
 }
 
-/// Fingerprint of the periodic-collocation Jacobian's CSC structure for
-/// `circuit` under `options` — the pattern every Newton iteration of
-/// [`periodic_fd_pss`] assembles. Depends on element connectivity, the
-/// (clamped) sample count and the stencil, not on element values or the
-/// period, so warm-started PSS sweeps route workspaces by it. Costs one
-/// Jacobian assembly at the zero state; pay it once per topology group.
-pub fn periodic_fd_jacobian_fingerprint(
-    circuit: &Circuit,
-    period: f64,
-    options: &PeriodicFdOptions,
-) -> rfsim_numerics::sparse::PatternFingerprint {
-    let n = circuit.num_unknowns();
-    let ns = options.n_samples.max(options.scheme.min_points());
-    let sys = PeriodicFdSystem {
-        circuit,
-        period,
-        n_samples: ns,
-        scheme: options.scheme,
-        // The excitation does not shape the Jacobian; zeros keep this a
-        // pure structure probe.
-        b_cache: vec![0.0; ns * n],
-    };
-    let dim = sys.dim();
-    let x0 = vec![0.0; dim];
-    let mut residual = vec![0.0; dim];
-    let mut jac = Triplets::with_capacity(dim, dim, 16 * dim);
-    sys.residual_and_jacobian(&x0, &mut residual, &mut jac);
-    jac.pattern_fingerprint()
-}
-
 /// Solves for the periodic steady state of `circuit` with period `period`.
 ///
 /// `initial_guess` (flattened `N·n`, same layout as the result) seeds the

@@ -1,8 +1,8 @@
 //! Batched multi-topology sweeps through the [`SweepEngine`]: four circuit
 //! families (two Jacobian structures) traced over amplitude in one batch,
-//! with the fingerprint-keyed workspace cache and warm-start chaining
-//! doing the heavy lifting, plus an amplitude × tone-spacing grid run as
-//! one job per spacing row.
+//! each job warm-starting point to point on workspaces of its own while
+//! the two topology groups run concurrently, plus an amplitude ×
+//! tone-spacing grid run as one job per spacing row.
 //!
 //! Run with: `cargo run --release --example batched_topology_sweep`
 //!
@@ -129,13 +129,12 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let stats = engine.cache_stats();
     println!(
-        "\nworkspace cache: {} distinct Jacobian structures, {} hits / {} misses",
-        stats.patterns, stats.hits, stats.misses
+        "\nworkspaces: {} built (one per job and structure), {} reused on a return to a structure",
+        stats.misses, stats.hits
     );
 
-    // The same engine (and cache) drives a multi-parameter grid: one
-    // amplitude-sweep job per tone spacing, rows in parallel, one structure
-    // for all rows.
+    // The same engine drives a multi-parameter grid: one amplitude-sweep
+    // job per tone spacing, one structure for all rows.
     let spacings = [5e3, 10e3, 20e3];
     let grid: Vec<MpdeSweepJob> = spacings
         .iter()

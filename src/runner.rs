@@ -312,10 +312,10 @@ fn run_steady_state(netlist: &Netlist) -> Result<RunReport, RunError> {
         }
     };
 
-    // Deterministic mode, as the service's default engine runs: no warm
-    // start chains across spacing rows, so a multi-row digest here equals
-    // the one a wire client observes.
-    let engine = SweepEngine::new().chain_topology_groups(false);
+    // The engine solves every spacing row independently, as the service
+    // does, so a multi-row digest here equals the one a wire client
+    // observes.
+    let engine = SweepEngine::new();
     let mut result = JobResult { points: Vec::new() };
     let mut newton_iterations = 0usize;
     let mut system_size = 0usize;
