@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr16.json --out BENCH_pr17.json --tolerance 0.25
+//!     --baseline BENCH_pr17.json --out BENCH_pr18.json --tolerance 0.25
 //! ```
 
 use std::io::Write;
@@ -34,8 +34,8 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        baseline: "BENCH_pr16.json".into(),
-        out: "BENCH_pr17.json".into(),
+        baseline: "BENCH_pr17.json".into(),
+        out: "BENCH_pr18.json".into(),
         // Cross-machine reproducibility of the micro ratios is ~±20%
         // (measured by re-running a pinned build against a baseline
         // recorded on a different container), so a tighter band is
@@ -123,11 +123,10 @@ fn main() -> ExitCode {
     let keyless = keyless_submit_scenario(args.reps);
     println!(
         "  keyless submit: memo submit {:.0} ns, {} builder calls during \
-         {} memo hits ({} fingerprint-cache hits) → build-free: {}",
+         {} memo hits → build-free: {}",
         keyless.memo_submit_ns,
         keyless.builder_calls_during_memo,
         keyless.memo_hits,
-        keyless.fp_cache_hits,
         keyless.build_free(),
     );
 
@@ -284,8 +283,8 @@ fn main() -> ExitCode {
         floor: 1.0,
     });
     // PR 5 acceptance criterion: memo-hit submits never invoke the
-    // family builder (their store key comes from the per-family
-    // fingerprint cache). Pass/fail, floored at 1.
+    // family builder (their store key needs no circuit). Pass/fail,
+    // floored at 1.
     checks.push(GateCheck {
         name: "keyless_submit_build_free".into(),
         measured: if keyless.build_free() { 1.0 } else { 0.0 },
@@ -468,7 +467,6 @@ fn main() -> ExitCode {
                     "keyless_builder_calls_during_memo",
                     Json::from(keyless.builder_calls_during_memo),
                 ),
-                ("keyless_fp_cache_hits", Json::from(keyless.fp_cache_hits)),
             ]),
         ),
         (

@@ -444,7 +444,7 @@ pub fn memo_roundtrip(reps: usize) -> MemoOutcome {
 pub struct NetlistSubmitOutcome {
     /// Median ns for a cold netlist submit: evicted store *and*
     /// unhosted family, so each rep pays parse + canonical hash +
-    /// register + probe + full solve.
+    /// register + full solve.
     pub fresh_ns: f64,
     /// Median ns to serve the identical netlist text from the store
     /// (parse + hash + memo hit, no solve).
@@ -495,9 +495,9 @@ pub fn netlist_submit_scenario(reps: usize) -> NetlistSubmitOutcome {
     let reference = run(&service).digest();
     let mut bit_identical = true;
     let fresh_ns = time_median_ns(reps, || {
-        // Evict wholesale: drops the stored grid, retires the family's
-        // fingerprints, and unhosts the dynamic registration — the next
-        // submit re-registers from its own text.
+        // Evict wholesale: drops the stored grid and unhosts the dynamic
+        // registration — the next submit re-registers from its own text
+        // under a fresh epoch.
         service.evict(None);
         bit_identical &= run(&service).digest() == reference;
     });
@@ -525,13 +525,12 @@ pub struct KeylessSubmitOutcome {
     pub builder_calls_during_memo: usize,
     /// Memo-hit completions observed during the memo reps.
     pub memo_hits: usize,
-    /// Fingerprint-cache hits recorded for the memo-hit submits.
-    pub fp_cache_hits: usize,
 }
 
 impl KeylessSubmitOutcome {
     /// The PR 5 acceptance criterion: memo-hit submits never invoke the
-    /// family builder (the store key comes from the fingerprint cache).
+    /// family builder (the store key is folded from the spec and the
+    /// family's registration epoch).
     pub fn build_free(&self) -> bool {
         self.builder_calls_during_memo == 0 && self.memo_hits > 0
     }
@@ -540,9 +539,8 @@ impl KeylessSubmitOutcome {
 /// The build-free submit scenario (PR 5 acceptance criterion): an
 /// `rfsim-serve` service hosting a *counting* family — every builder
 /// invocation bumps an atomic — is primed once, then asked for the same
-/// grid repeatedly. Every repeat must be a store hit whose key came from
-/// the per-family fingerprint cache: zero builder invocations, zero MNA
-/// probes (see `docs/serving.md`).
+/// grid repeatedly. Every repeat must be a store hit whose key needed no
+/// circuit: zero builder invocations (see `docs/serving.md`).
 pub fn keyless_submit_scenario(reps: usize) -> KeylessSubmitOutcome {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -573,12 +571,11 @@ pub fn keyless_submit_scenario(reps: usize) -> KeylessSubmitOutcome {
     spec.n1 = 16;
     spec.n2 = 8;
     let wait = Duration::from_secs(600);
-    // Prime: one full solve (builds the probe circuit + sweep points).
+    // Prime: one full solve (one build per sweep point).
     let id = service.submit(&spec).expect("submit");
     service.wait(id, wait).expect("prime solve");
     let builds_before = builds.load(Ordering::SeqCst);
     let hits_before = service.stats().counters.total().memo_hits;
-    let fp_hits_before = service.stats().keying.fp_cache_hits;
     let memo_submit_ns = time_median_ns(reps, || {
         let id = service.submit(&spec).expect("memo submit");
         service.wait(id, wait).expect("memo result");
@@ -588,7 +585,6 @@ pub fn keyless_submit_scenario(reps: usize) -> KeylessSubmitOutcome {
         memo_submit_ns,
         builder_calls_during_memo: builds.load(Ordering::SeqCst) - builds_before,
         memo_hits: stats.counters.total().memo_hits - hits_before,
-        fp_cache_hits: stats.keying.fp_cache_hits - fp_hits_before,
     }
 }
 
@@ -902,7 +898,7 @@ pub fn sharded_throughput_scenario(reps: usize, iters: usize) -> ShardedOutcome 
     const SHARDS: usize = 4;
     const HUNG_DEADLINE_MS: u64 = 250;
     // The healthy candidate slots: distinct (family, first-amplitude)
-    // fingerprints for the rendezvous hash to spread over the shards.
+    // routing slots for the rendezvous hash to spread over the shards.
     const AMPLITUDES: [f64; 8] = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45];
     let spec = |first: f64, second: f64| {
         let mut s = JobSpec::mpde("rc_lowpass", 1e6, vec![first, second], vec![10e3]);
@@ -1365,10 +1361,9 @@ mod tests {
     #[test]
     fn keyless_submit_never_invokes_the_builder() {
         // One cheap reprise of the PR 5 acceptance criterion: memo-hit
-        // submits compute their store key from the fingerprint cache.
+        // submits compute their store key without building a circuit.
         let outcome = keyless_submit_scenario(1);
         assert!(outcome.build_free(), "{outcome:?}");
-        assert!(outcome.fp_cache_hits >= 1, "{outcome:?}");
     }
 
     #[test]

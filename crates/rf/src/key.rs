@@ -1,23 +1,20 @@
 //! Quantised job keys for the `rfsim-serve` solution store.
 //!
 //! A sweep service that wants to serve a repeated request from a solution
-//! store needs a stable key for "the same job". Structure is already
-//! covered by [`PatternFingerprint`]; the *values* (amplitudes, tone
-//! spacings, grid dimensions) are `f64`s that may arrive from a wire
-//! protocol, a dashboard slider or a config file — textually different
-//! spellings of the same physical request. The [`Quantizer`] collapses
-//! values that agree to a configurable number of significant decimal
-//! digits onto one bucket, and the [`JobKeyBuilder`] folds the quantised
-//! parameters into a fingerprint-seeded FNV-1a hash.
+//! store needs a stable key for "the same job". The serve layer names the
+//! circuit by its hosted family and that family's registration epoch; the
+//! *values* (amplitudes, tone spacings, grid dimensions) are `f64`s that
+//! may arrive from a wire protocol, a dashboard slider or a config file —
+//! textually different spellings of the same physical request. The
+//! [`Quantizer`] collapses values that agree to a configurable number of
+//! significant decimal digits onto one bucket, and the [`JobKeyBuilder`]
+//! folds the tokens and quantised parameters into an FNV-1a hash.
 //!
-//! Quantisation is a *routing* choice, exactly like the fingerprints it
-//! composes with: two requests that land in the same bucket are served the
-//! same stored solution, so the digit count bounds how far a served answer
-//! can sit from the requested parameters (default: 12 significant digits,
-//! far below any physical tolerance in the paper's workloads, far above
-//! f64 noise from wire round-trips).
-
-use rfsim_numerics::sparse::PatternFingerprint;
+//! Quantisation is a *routing* choice: two requests that land in the same
+//! bucket are served the same stored solution, so the digit count bounds
+//! how far a served answer can sit from the requested parameters (default:
+//! 12 significant digits, far below any physical tolerance in the paper's
+//! workloads, far above f64 noise from wire round-trips).
 
 /// Buckets `f64` parameter values by significant decimal digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,11 +80,11 @@ pub fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// A stable identity for a memoised sweep job: a Jacobian-structure
-/// fingerprint folded with quantised job parameters.
+/// A stable identity for a memoised sweep job: identifying tokens folded
+/// with quantised job parameters.
 ///
-/// Like [`PatternFingerprint`], this is a routing key: a collision serves
-/// a stored solution for a different request, so consumers that cannot
+/// This is a 64-bit hash, so it is a routing key: a collision serves a
+/// stored solution for a different request, so consumers that cannot
 /// tolerate that (none of the current ones) must verify payload metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobKey(u64);
@@ -105,7 +102,7 @@ impl std::fmt::Display for JobKey {
     }
 }
 
-/// Accumulates a [`JobKey`] from a structure fingerprint and the job's
+/// Accumulates a [`JobKey`] from a job's identifying tokens and
 /// parameters. Push order matters and is part of the key's contract.
 #[derive(Debug, Clone)]
 pub struct JobKeyBuilder {
@@ -114,19 +111,8 @@ pub struct JobKeyBuilder {
 }
 
 impl JobKeyBuilder {
-    /// Starts a key from the job's Jacobian-structure fingerprint.
-    pub fn new(fingerprint: PatternFingerprint, quantizer: Quantizer) -> Self {
-        JobKeyBuilder {
-            h: fnv1a_bytes(FNV_OFFSET, &fingerprint.as_u64().to_le_bytes()),
-            quantizer,
-        }
-    }
-
-    /// Starts a key with no structure fingerprint — for identities that
-    /// *precede* a fingerprint, like the serve layer's per-family
-    /// fingerprint-cache slots (family name + quantised operating point
-    /// in, fingerprint out).
-    pub fn unseeded(quantizer: Quantizer) -> Self {
+    /// Starts an empty key whose `f64` parameters quantise by `quantizer`.
+    pub fn new(quantizer: Quantizer) -> Self {
         JobKeyBuilder {
             h: FNV_OFFSET,
             quantizer,
@@ -182,8 +168,8 @@ impl JobKeyBuilder {
 /// shards relocates only the keys whose new shard's weight beats their
 /// old maximum — an expected `1 / (n + 1)` fraction — and every relocated
 /// key moves *to* the new shard; keys between surviving shards never
-/// reshuffle. The serve tier routes on this so each shard's caches stay
-/// hot and private across deployments that resize the pool.
+/// reshuffle. The serve tier routes on this so a growing pool keeps most
+/// stored solutions on the shard that already holds them.
 ///
 /// `shards == 0` is treated as 1 (a pool always has at least one shard).
 /// Ties (vanishingly unlikely with 64-bit weights) break toward the lower
@@ -206,15 +192,6 @@ pub fn rendezvous_route(key: JobKey, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfsim_numerics::sparse::Triplets;
-
-    fn fp(n: usize) -> PatternFingerprint {
-        let mut t = Triplets::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 1.0);
-        }
-        t.pattern_fingerprint()
-    }
 
     #[test]
     fn quantizer_merges_wire_noise_and_splits_real_differences() {
@@ -248,45 +225,26 @@ mod tests {
     #[test]
     fn job_keys_depend_on_every_component() {
         let q = Quantizer::default();
-        let base = |f: PatternFingerprint| {
-            JobKeyBuilder::new(f, q)
-                .push_str("rc_lowpass")
-                .push_u64(16)
-                .push_f64s(&[0.1, 0.2])
+        let key = |family: &str, epoch: u64, n1: u64, amplitudes: &[f64]| {
+            JobKeyBuilder::new(q)
+                .push_str(family)
+                .push_u64(epoch)
+                .push_u64(n1)
+                .push_f64s(amplitudes)
                 .finish()
         };
-        assert_eq!(base(fp(3)), base(fp(3)));
-        assert_ne!(base(fp(3)), base(fp(4)));
-        let b = JobKeyBuilder::new(fp(3), q);
-        assert_ne!(
-            base(fp(3)),
-            b.clone()
-                .push_str("rc_lowpass")
-                .push_u64(32)
-                .push_f64s(&[0.1, 0.2])
-                .finish()
-        );
-        assert_ne!(
-            base(fp(3)),
-            b.clone()
-                .push_str("diode")
-                .push_u64(16)
-                .push_f64s(&[0.1, 0.2])
-                .finish()
-        );
-        assert_ne!(
-            base(fp(3)),
-            b.push_str("rc_lowpass")
-                .push_u64(16)
-                .push_f64s(&[0.1, 0.3])
-                .finish()
-        );
+        let base = key("rc_lowpass", 1, 16, &[0.1, 0.2]);
+        assert_eq!(base, key("rc_lowpass", 1, 16, &[0.1, 0.2]));
+        assert_ne!(base, key("diode", 1, 16, &[0.1, 0.2]));
+        assert_ne!(base, key("rc_lowpass", 2, 16, &[0.1, 0.2]));
+        assert_ne!(base, key("rc_lowpass", 1, 32, &[0.1, 0.2]));
+        assert_ne!(base, key("rc_lowpass", 1, 16, &[0.1, 0.3]));
     }
 
     #[test]
     fn rendezvous_routing_is_deterministic_and_covers_all_shards() {
         let q = Quantizer::default();
-        let key_of = |i: u64| JobKeyBuilder::unseeded(q).push_u64(i).finish();
+        let key_of = |i: u64| JobKeyBuilder::new(q).push_u64(i).finish();
         let shards = 4;
         let mut seen = vec![0usize; shards];
         for i in 0..4096 {
@@ -309,7 +267,7 @@ mod tests {
     fn rendezvous_resharding_moves_a_minimal_key_range() {
         let q = Quantizer::default();
         let keys: Vec<JobKey> = (0..4096u64)
-            .map(|i| JobKeyBuilder::unseeded(q).push_u64(i).finish())
+            .map(|i| JobKeyBuilder::new(q).push_u64(i).finish())
             .collect();
         for n in 1..8usize {
             let mut moved = 0usize;
@@ -336,11 +294,11 @@ mod tests {
     #[test]
     fn slice_lengths_are_part_of_the_key() {
         let q = Quantizer::default();
-        let k1 = JobKeyBuilder::new(fp(2), q)
+        let k1 = JobKeyBuilder::new(q)
             .push_f64s(&[1.0, 2.0])
             .push_f64s(&[3.0])
             .finish();
-        let k2 = JobKeyBuilder::new(fp(2), q)
+        let k2 = JobKeyBuilder::new(q)
             .push_f64s(&[1.0])
             .push_f64s(&[2.0, 3.0])
             .finish();

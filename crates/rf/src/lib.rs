@@ -11,20 +11,18 @@
 //!   jobs grouped by circuit structure, executed on a hand-rolled worker
 //!   pool.
 //! * [`key`] — quantised [`key::JobKey`]s for cross-batch solution
-//!   memoisation: the identity the `rfsim-serve` solution store keys on.
-//! * [`lru`] — the bounded, tag-evictable [`lru::TaggedLru`] that store
-//!   keeps its entries in.
+//!   memoisation: the identity the `rfsim-serve` solution store keys on,
+//!   and the rendezvous routing its shard pool uses.
 //! * [`pool`] — the fixed-thread [`pool::WorkerPool`] behind the engine.
 //!
 //! See `docs/architecture.md` for how this crate sits in the ten-crate
-//! stack and how the fingerprint → key → memo data flow composes.
+//! stack and how a served spec becomes a solution-store key.
 
 #![deny(missing_docs)]
 
 pub mod bits;
 pub mod eye;
 pub mod key;
-pub mod lru;
 pub mod measure;
 pub mod pool;
 pub mod sweep;

@@ -7,16 +7,17 @@
 //! crate adds the missing layer between "a fast engine" and "a service":
 //!
 //! * [`store`] — a bounded LRU **solution store** keyed by
-//!   `(structure fingerprint, quantised job parameters)`
-//!   ([`rfsim_rf::key`]). A hit returns the stored samples
+//!   `(family, registration epoch, quantised job parameters)`
+//!   ([`spec::JobSpec::key`]). A hit returns the stored samples
 //!   byte-for-byte: replay is bit-identical by construction.
 //! * [`queue`] + [`service`] — a **priority admission queue** with
 //!   backpressure, in-flight request deduplication (concurrent identical
 //!   submits coalesce onto one solve), and a scheduler that batches
 //!   same-backend jobs into engine runs. The service runs as a **shard
 //!   pool**: N independent engine+store+scheduler shards, jobs routed by
-//!   rendezvous hashing over the structure-fingerprint slot
-//!   ([`rfsim_rf::key::rendezvous_route`]), so shards share no hot lock.
+//!   rendezvous hashing over the `(family, quantised first point)` slot
+//!   ([`rfsim_rf::key::rendezvous_route`]); shards share only the family
+//!   registry, which each submit reads once.
 //! * [`wire`] — a dependency-free **line-delimited JSON protocol** over
 //!   `std::net` with `submit` / `poll` / `cancel` / `stats` /
 //!   `metrics` / `trace` / `evict` / `shutdown` verbs, served by a

@@ -190,28 +190,6 @@ pub fn exposition(stats: &ServeStats) -> String {
         sample(&mut out, name, &[], value as f64);
     }
 
-    // Keying (fingerprint) cache.
-    for (name, kind, value) in [
-        (
-            "rfsim_keying_hits_total",
-            "counter",
-            stats.keying.fp_cache_hits,
-        ),
-        (
-            "rfsim_keying_misses_total",
-            "counter",
-            stats.keying.fp_cache_misses,
-        ),
-        (
-            "rfsim_keying_invalidations_total",
-            "counter",
-            stats.keying.invalidations,
-        ),
-    ] {
-        type_line(&mut out, name, kind);
-        sample(&mut out, name, &[], value as f64);
-    }
-
     // Engine workspace/factorisation counters.
     for (name, value) in [
         ("rfsim_engine_workspace_hits_total", stats.engine_cache.hits),

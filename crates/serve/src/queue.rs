@@ -24,11 +24,11 @@ pub struct QueuedJob {
     /// The family builder captured at submit time (so a later
     /// re-registration cannot change what this job solves).
     pub builder: Arc<FamilyFn>,
-    /// The family's builder generation at submit time. The scheduler
-    /// stores this job's result only if the generation still matches at
-    /// completion: a job solved by a superseded builder must not
-    /// repopulate the store under a key the replacement now owns.
-    pub generation: u64,
+    /// The family's registration epoch at submit time (folded into
+    /// `key`). The scheduler stores this job's result only if the epoch
+    /// still matches at completion: a job solved by a builder that was
+    /// replaced or retired while it ran must not repopulate the store.
+    pub epoch: u64,
     /// Admission sequence number (FIFO within a priority).
     pub seq: u64,
     /// Completed dispatch attempts (0 until the first transient failure
@@ -181,12 +181,12 @@ mod tests {
         let registry = FamilyRegistry::builtin();
         let mut spec = JobSpec::mpde("rc_lowpass", 1e6, vec![0.1], vec![10e3]);
         spec.priority = priority;
-        let key = spec.key(&registry, Quantizer::default()).expect("key");
+        let epoch = registry.epoch(&spec.family).expect("epoch");
         QueuedJob {
             builder: registry.builder(&spec.family).expect("builder"),
+            key: spec.key(epoch, Quantizer::default()),
             spec,
-            key,
-            generation: 0,
+            epoch,
             seq,
             attempts: 0,
         }

@@ -3,11 +3,11 @@
 //!
 //! # Life of a request
 //!
-//! 1. **submit** — the spec is validated and canonicalised, its
-//!    [`JobKey`] computed — from the per-family fingerprint cache when
-//!    this `(family, quantised first point)` has been seen before (no
-//!    circuit build, no MNA probe), by building the probe circuit once
-//!    otherwise — and then, under one lock:
+//! 1. **submit** — the spec is validated and canonicalised, the family's
+//!    registration epoch and builder are read from the registry, and its
+//!    [`JobKey`] is folded from the family, the epoch and the quantised
+//!    parameters ([`JobSpec::key`]: no circuit is built). Then, under the
+//!    owning shard's state lock:
 //!    * a **store hit** completes the job instantly with the stored
 //!      [`Arc`]'d result (byte-for-byte what the original solve produced —
 //!      replay is bit-identical by construction);
@@ -19,7 +19,8 @@
 //! 2. **schedule** — a scheduler thread drains the queue in priority
 //!    order, batches consecutive same-backend jobs, and hands the batch to
 //!    the [`SweepEngine`], which groups jobs by circuit structure and runs
-//!    the groups on its [`WorkerPool`].
+//!    the groups on its [`WorkerPool`]. The first circuit build happens
+//!    here, so a builder error settles the job [`JobStatus::Failed`].
 //! 3. **complete** — results are stored (LRU-evicting at capacity) and
 //!    every waiter is completed; `poll`/`wait` observe the transition.
 //!
@@ -34,18 +35,15 @@
 //!
 //! With [`ServeConfig::shards`] > 1 the service is a pool of independent
 //! shards. Each shard owns its *own* scheduler thread, [`SweepEngine`],
-//! solution store, fingerprint cache and
-//! scheduler state — there is no cross-shard lock on the hot path; only
-//! the family registry and the fault table are shared (both cold).
+//! solution store and scheduler state; only the family registry and the
+//! fault table are shared. Every submit reads the registry under its
+//! mutex for one map lookup, then works on its shard's locks alone.
 //! Submits route by rendezvous hashing
-//! ([`rfsim_rf::key::rendezvous_route`]) over the *routing slot* — the
-//! `(family, quantised first point)` identity of the fingerprint-cache
-//! entry — which is computable before any lock is taken or any circuit
-//! is built. Routing on the slot rather than the full store key means
-//! every spec that shares a fingerprint-cache entry lands on the shard
-//! that owns that entry, so per-shard caches stay hot and private: the
-//! same spec always routes to the same shard, and no solution is ever
-//! stored on two shards. Job ids are allocated in strides (shard `s` of
+//! ([`rfsim_rf::key::rendezvous_route`]) over the *routing slot*
+//! ([`JobSpec::route_slot`]: the family and the quantised first point),
+//! which is computable before any lock is taken. The same spec always
+//! routes to the same shard, so no solution is ever stored on two shards.
+//! Job ids are allocated in strides (shard `s` of
 //! `n` issues `s+1`, `s+1+n`, …), so `poll`/`wait`/`cancel` decode the
 //! owning shard from the id alone. `stats` reports both the aggregate
 //! view and one [`ShardStats`] per shard.
@@ -60,11 +58,9 @@ use rfsim_hb::Hb2Options;
 use rfsim_mpde::solver::MpdeOptions;
 use rfsim_netlist::{Analysis, DrivePoint, Netlist};
 use rfsim_numerics::json::Json;
-use rfsim_numerics::sparse::PatternFingerprint;
 use rfsim_numerics::telemetry::{LatencyHistogram, Timeline, TimelineEvent, TimelineEventKind};
 use rfsim_numerics::{CancelToken, InterruptReason, SolveBudget, SolveInterrupted};
-use rfsim_rf::key::{rendezvous_route, JobKey, JobKeyBuilder, Quantizer};
-use rfsim_rf::lru::TaggedLru;
+use rfsim_rf::key::{rendezvous_route, JobKey, Quantizer};
 use rfsim_rf::pool::WorkerPool;
 use rfsim_rf::sweep::{CacheSnapshot, Hb2SweepJob, MpdeSweepJob, PeriodicFdSweepJob, SweepEngine};
 use rfsim_shooting::PeriodicFdOptions;
@@ -112,8 +108,8 @@ pub struct ServeConfig {
     /// milliseconds (exponential, first retry waits one unit).
     pub retry_backoff_ms: u64,
     /// Independent engine shards (clamped ≥ 1). Each shard owns its own
-    /// scheduler thread, engine (with `threads` workers *each*), store
-    /// and caches; submits route by rendezvous hashing over the
+    /// scheduler thread, engine (with `threads` workers *each*) and
+    /// store; submits route by rendezvous hashing over the
     /// `(family, quantised first point)` slot. See the module docs'
     /// sharding section and `docs/scaling.md` for sizing guidance.
     pub shards: usize,
@@ -683,9 +679,9 @@ impl ServeCounters {
     }
 }
 
-/// A point-in-time view of one shard: its store, queue, counters,
-/// keying cache, and engine. The same shape as the aggregate
-/// [`ServeStats`] sections, plus the shard index.
+/// A point-in-time view of one shard: its store, queue, counters and
+/// engine. The same shape as the aggregate [`ServeStats`] sections, plus
+/// the shard index.
 #[derive(Debug, Clone)]
 pub struct ShardStats {
     /// The shard's index in the pool (`0..shards`).
@@ -702,8 +698,6 @@ pub struct ShardStats {
     pub queue_capacity: usize,
     /// Per-backend queue counters.
     pub counters: ServeCounters,
-    /// Per-family fingerprint-cache counters (build-free keying).
-    pub keying: KeyingStats,
     /// The shard engine's workspace counters (see [`CacheSnapshot`]).
     pub engine_cache: CacheSnapshot,
     /// The shard engine's linear-solver counters.
@@ -729,7 +723,6 @@ impl ShardStats {
             self.queue_depth,
             self.queue_capacity,
             &self.counters,
-            &self.keying,
             &self.engine_cache,
             &self.solver,
             &self.latency,
@@ -754,7 +747,8 @@ pub struct ServeStats {
     pub queue_capacity: usize,
     /// Per-backend queue counters (summed across shards).
     pub counters: ServeCounters,
-    /// Per-family fingerprint-cache counters (build-free keying).
+    /// Compatibility counters for readers of the retired fingerprint
+    /// cache; not on the wire. See [`KeyingStats`].
     pub keying: KeyingStats,
     /// Engine workspace counters (summed across shard engines).
     pub engine_cache: CacheSnapshot,
@@ -789,7 +783,6 @@ impl ServeStats {
             self.queue_depth,
             self.queue_capacity,
             &self.counters,
-            &self.keying,
             &self.engine_cache,
             &self.solver,
             &self.latency,
@@ -828,7 +821,6 @@ fn stats_sections(
     queue_depth: usize,
     queue_capacity: usize,
     counters: &ServeCounters,
-    keying: &KeyingStats,
     engine_cache: &CacheSnapshot,
     solver: &WorkspaceStats,
     latency: &LatencySnapshot,
@@ -876,15 +868,6 @@ fn stats_sections(
             ),
         ),
         (
-            "keying".to_string(),
-            Json::object([
-                ("fp_cache_hits", Json::from(keying.fp_cache_hits)),
-                ("fp_cache_misses", Json::from(keying.fp_cache_misses)),
-                ("invalidations", Json::from(keying.invalidations)),
-                ("len", Json::from(keying.len)),
-            ]),
-        ),
-        (
             "engine".to_string(),
             Json::object([
                 ("workspace_hits", Json::from(engine_cache.hits)),
@@ -903,127 +886,18 @@ fn stats_sections(
     ]
 }
 
-/// The per-family fingerprint cache behind build-free store keys.
-///
-/// A fingerprint is a function of the circuit's *structure*, which for a
-/// registered family is a function of (builder, operating point) only —
-/// so once a `(family, quantised first point)` pair has been probed, every
-/// later submit for that pair computes its store key without building a
-/// circuit at all. Entries live in the shared [`TaggedLru`], tagged by
-/// family name; the slot identity folds the family and the quantised
-/// first point through [`JobKeyBuilder`]. The operating point is part of
-/// the identity because a family's topology may depend on it (an element
-/// switched in above a drive threshold): a fingerprint probed at one
-/// first amplitude must never be reused for a spec whose first point
-/// lands in a different quantisation bucket. Like every key in this
-/// stack the slot identity is a routing hash; a (vanishingly unlikely)
-/// collision mislabels only the fingerprint *component* of a store key,
-/// which the store key's explicit family and parameter folds keep from
-/// ever serving a wrong solution.
-///
-/// [`SimService::register_family`] drops the replaced family's entries —
-/// a new builder may produce a new topology at the same operating point —
-/// and bumps the family's *generation*, which the scheduler checks before
-/// storing results: a job solved by a superseded builder completes its
-/// waiters but must not repopulate the store under a key the new builder
-/// now owns.
-struct FingerprintCache {
-    entries: TaggedLru<PatternFingerprint>,
-    /// Builder generation per re-registered family (absent = 0).
-    generations: HashMap<String, u64>,
-    invalidations: usize,
-    /// Hits served by the registry-free submit fast path (a
-    /// [`FingerprintCache::peek`] that short-circuited on a store hit) —
-    /// counted here because the peek itself is stat-neutral.
-    fast_hits: usize,
-}
-
-impl FingerprintCache {
-    /// Default bound: generous for realistic family × operating-point
-    /// counts while capping worst-case retention.
-    const DEFAULT_CAPACITY: usize = 4096;
-
-    fn new(capacity: usize) -> Self {
-        FingerprintCache {
-            entries: TaggedLru::new(capacity.max(1)),
-            generations: HashMap::new(),
-            invalidations: 0,
-            fast_hits: 0,
-        }
-    }
-
-    /// The cache-slot identity of one `(family, first point)` pair.
-    fn slot(family: &str, point: &PointParams, quantizer: Quantizer) -> JobKey {
-        JobKeyBuilder::unseeded(quantizer)
-            .push_str(family)
-            .push_f64(point.amplitude)
-            .push_f64(point.f1)
-            .push_f64(point.spacing)
-            .push_u64(u64::from(point.two_tone))
-            .finish()
-    }
-
-    fn get(&mut self, slot: JobKey) -> Option<PatternFingerprint> {
-        self.entries.get(slot)
-    }
-
-    /// A stat-neutral, recency-neutral lookup for the registry-free
-    /// submit fast path. The caller must either settle the submit
-    /// entirely off this value (then record [`Self::note_fast_hit`]) or
-    /// fall through to a counting [`Self::get`] under the registry lock
-    /// — never both, so each submit counts exactly one keying event.
-    fn peek(&self, slot: JobKey) -> Option<PatternFingerprint> {
-        self.entries.peek(slot)
-    }
-
-    /// Counts one fast-path keying hit (see [`Self::peek`]).
-    fn note_fast_hit(&mut self) {
-        self.fast_hits += 1;
-    }
-
-    fn insert(&mut self, slot: JobKey, family: &str, fingerprint: PatternFingerprint) {
-        self.entries.insert(slot, family, fingerprint);
-    }
-
-    /// The current builder generation of `family`.
-    fn generation(&self, family: &str) -> u64 {
-        self.generations.get(family).copied().unwrap_or(0)
-    }
-
-    /// Retires `family`'s builder: drops its cached fingerprints and
-    /// bumps its generation, returning how many entries were dropped.
-    fn invalidate_family(&mut self, family: &str) -> usize {
-        *self.generations.entry(family.to_string()).or_insert(0) += 1;
-        let dropped = self.entries.evict(Some(family));
-        self.invalidations += dropped;
-        dropped
-    }
-
-    fn stats(&self) -> KeyingStats {
-        let lru = self.entries.stats();
-        KeyingStats {
-            fp_cache_hits: lru.hits + self.fast_hits,
-            fp_cache_misses: lru.misses,
-            invalidations: self.invalidations,
-            len: self.entries.len(),
-        }
-    }
-}
-
-/// Counters for the per-family fingerprint cache — how often store keys
-/// were computed without a circuit build.
+/// What the retired per-family fingerprint cache used to count, kept
+/// only because the repository benchmark (`perfbench`) still reads it.
+/// Every store key is now computed without a circuit build, so every
+/// submit counts as a hit. Not part of the `stats` wire payload. Delete
+/// it at the next change to the benchmark, once `perfbench` stops
+/// reading it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyingStats {
-    /// Submits whose store key came straight from the cache (no circuit
-    /// build, no MNA probe).
+    /// Jobs submitted (every key is build-free).
     pub fp_cache_hits: usize,
-    /// Submits that paid the probe build: the first sighting of a
-    /// `(family, first point)` pair, or the first after invalidation.
+    /// Always 0: no submit pays a probe build.
     pub fp_cache_misses: usize,
-    /// Entries dropped because their family was re-registered.
-    pub invalidations: usize,
-    /// Entries currently cached.
-    pub len: usize,
 }
 
 /// Scheduler-facing mutable state behind one mutex.
@@ -1086,10 +960,13 @@ impl SchedState {
     }
 }
 
-/// State shared by every shard: the family registry (builders) and the
-/// fault-injection table. Both are off the hot path — repeat submits
-/// resolve their keys from the per-shard fingerprint cache without
-/// touching either.
+/// State shared by every shard: the family registry (builders and
+/// epochs), the fault-injection table and the dynamic-family texts.
+/// Every submit holds the registry mutex to read the family's epoch and
+/// builder; a scheduler holds it while it stores a result, so the epoch check and the insert
+/// are atomic against [`SimService::register_family`] and
+/// [`SimService::evict`]. Lock order: a shard's `state`, then
+/// `registry`, then `dynamic`, then a shard's `store`.
 struct Shared {
     registry: Mutex<FamilyRegistry>,
     /// Injected faults by family name (tests and operational drills);
@@ -1102,8 +979,8 @@ struct Shared {
 }
 
 /// One shard: a scheduler thread's whole world. Everything here is
-/// private to the shard except `shared`; two shards never contend on a
-/// lock while serving routed traffic.
+/// private to the shard except `shared`; while serving routed traffic,
+/// two shards contend only on the registry mutex.
 struct Inner {
     config: ServeConfig,
     /// This shard's index in the pool (`0..stride`).
@@ -1114,10 +991,6 @@ struct Inner {
     shared: Arc<Shared>,
     engine: SweepEngine,
     store: Mutex<SolutionStore>,
-    /// First-point fingerprints per (family, quantised operating point) —
-    /// what makes repeat submits (memo hits above all) build-free. Locked
-    /// after `registry`, never the other way round.
-    fp_cache: Mutex<FingerprintCache>,
     state: Mutex<SchedState>,
     /// Wakes the scheduler (new work, resume, shutdown).
     work_cv: Condvar,
@@ -1177,7 +1050,6 @@ impl SimService {
                 stride: shard_count as u64,
                 shared: Arc::clone(&shared),
                 store: Mutex::new(SolutionStore::new(config.store_capacity)),
-                fp_cache: Mutex::new(FingerprintCache::new(FingerprintCache::DEFAULT_CAPACITY)),
                 state: Mutex::new(SchedState {
                     queue: JobQueue::new(config.queue_capacity),
                     jobs: HashMap::new(),
@@ -1244,8 +1116,10 @@ impl SimService {
 
     /// Registers (or replaces) a hosted circuit family. Jobs already
     /// submitted keep the builder they were keyed against; *new* submits
-    /// key against the replacement — a topology change re-keys them away
-    /// from the old entries automatically.
+    /// key against the replacement, whose fresh epoch
+    /// ([`FamilyRegistry::register`]) re-keys them away from every job
+    /// and stored result of the old builder — even when the topology is
+    /// unchanged.
     pub fn register_family(
         &self,
         name: impl Into<String>,
@@ -1257,31 +1131,11 @@ impl SimService {
         let name = name.into();
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         registry.register(name.clone(), build);
-        // The new builder may stamp a different topology at the same
-        // operating point, so its cached first-point fingerprints are
-        // stale the instant the swap happens. Invalidate under the
-        // registry lock: a concurrent submit resolves its fingerprint
-        // under that same lock, so it sees either (old builder, old
-        // cache) or (new builder, empty cache) — never a mix. Every
-        // shard is swept: a family's specs route to whichever shards
-        // their first points land on.
-        //
-        // The store key covers structure and job parameters, not element
-        // *values*: a same-topology re-registration (say, a retuned
-        // resistor) would otherwise keep serving the old builder's
-        // solutions. Replacing a family therefore always drops its
-        // stored entries — still under the registry lock, so a submit
-        // keyed against the new builder can never race ahead and be
-        // served one of the old builder's solutions before the eviction
-        // lands (the registry-free fast path only ever *reads* the
-        // store, so it observes the eviction or linearises before the
-        // replacement).
+        // The old builder's stored solutions can no longer be reached
+        // (their keys carry the old epoch); free their capacity now.
+        // Every shard is swept: a family's specs route to whichever
+        // shards their first points land on.
         for shard in &self.shards {
-            shard
-                .fp_cache
-                .lock()
-                .expect("fingerprint cache poisoned")
-                .invalidate_family(&name);
             shard
                 .store
                 .lock()
@@ -1302,7 +1156,10 @@ impl SimService {
     /// Submits a job. Returns immediately: with a fresh id whose status
     /// is already [`JobStatus::Done`] on a store hit, an id coalesced
     /// onto an identical in-flight execution, or an id waiting in the
-    /// queue.
+    /// queue. Submit builds no circuit: a family builder that fails, at
+    /// the first point as at any later one, settles the job
+    /// [`JobStatus::Failed`] at dispatch (retried like any transient
+    /// solver error, see [`ServeConfig::retry_max`]).
     ///
     /// # Errors
     ///
@@ -1313,111 +1170,20 @@ impl SimService {
         let t0 = Instant::now();
         let canonical = spec.canonicalize()?;
         let quantizer = self.config.quantizer;
-        let slot = FingerprintCache::slot(&canonical.family, &canonical.first_point(), quantizer);
-        // Routing happens on the slot, not the store key: the slot is
-        // computable with no lock and no build, and every spec sharing a
-        // fingerprint-cache entry lands on the shard owning that entry.
-        let inner = &self.shards[rendezvous_route(slot, self.shards.len())];
-        // Registry-free fast path: when the first-point fingerprint is
-        // already cached on this shard, the store key is computable
-        // without the shared registry lock — and a store hit settles the
-        // submit touching only this shard's locks. Repeat traffic (the
-        // memo-hit regime the tier is sized for) therefore never
-        // serialises across shards. The peek is stat-neutral; the hit is
-        // counted only when the fast path actually serves the submit,
-        // and a fall-through re-resolves (and counts) under the registry
-        // lock as before.
-        if let Some(fingerprint) = {
-            let fp_cache = inner.fp_cache.lock().expect("fingerprint cache poisoned");
-            fp_cache.peek(slot)
-        } {
-            let key = canonical.key_with_fingerprint(fingerprint, quantizer);
-            let kind = canonical.backend;
-            // One lock order everywhere: state before store.
-            let mut state = inner.state.lock().expect("state poisoned");
-            if state.shutdown {
-                return Err(ServeError::Shutdown);
-            }
-            // Peek first so a fall-through counts no store event; the
-            // counting `get` (which also refreshes recency) runs only
-            // when the hit is actually served.
-            let stored = {
-                let mut store = inner.store.lock().expect("store poisoned");
-                if store.peek(key).is_some() {
-                    store.get(key)
-                } else {
-                    None
-                }
-            };
-            if let Some(result) = stored {
-                let id = JobId(state.next_id);
-                state.next_id += inner.stride;
-                state.settle(
-                    id,
-                    JobStatus::Done {
-                        result,
-                        memo_hit: true,
-                    },
-                    inner.config.result_capacity,
-                );
-                let q = state.counters.queue_mut(kind);
-                q.submitted += 1;
-                q.memo_hits += 1;
-                q.completed += 1;
-                drop(state);
-                inner
-                    .fp_cache
-                    .lock()
-                    .expect("fingerprint cache poisoned")
-                    .note_fast_hit();
-                note_memo_hit(inner, id, t0);
-                inner.done_cv.notify_all();
-                return Ok(id);
-            }
-            // Not a memo hit: admission needs the builder, whose fetch
-            // must be atomic with the fingerprint/generation read (a
-            // concurrent re-registration invalidates under the registry
-            // lock). Fall through to the locked resolve.
-        }
-        // Resolve the first-point structure fingerprint: from the
-        // per-family cache when this (family, first point) has been
-        // probed before — no circuit build, no MNA probe — and by
-        // building the probe circuit exactly once otherwise. Both the
-        // resolve and the builder fetch happen under the registry lock,
-        // so a concurrent `register_family` cannot hand us a new builder
-        // with a stale cached fingerprint.
-        let (key, builder, generation) = {
+        // Route on the slot, not the store key: specs that differ only
+        // past their first point share a shard.
+        let inner =
+            &self.shards[rendezvous_route(canonical.route_slot(quantizer), self.shards.len())];
+        // Epoch and builder come from one registry read, so a concurrent
+        // `register_family` hands us either both old or both new.
+        let (epoch, builder) = {
             let registry = self.shared.registry.lock().expect("registry poisoned");
-            let builder = registry.builder(&canonical.family)?;
-            let (cached, generation) = {
-                let mut fp_cache = inner.fp_cache.lock().expect("fingerprint cache poisoned");
-                (fp_cache.get(slot), fp_cache.generation(&canonical.family))
-            };
-            let fingerprint = match cached {
-                Some(fp) => fp,
-                None => {
-                    // Probe with the fp_cache lock released: a family
-                    // builder is arbitrary user code, and `stats()` must
-                    // not stall behind it. The registry lock still
-                    // serialises against `register_family`, so the insert
-                    // below cannot cache a fingerprint the invalidation
-                    // already swept.
-                    let circuit = builder(&canonical.first_point())?;
-                    let fp = circuit.jacobian_fingerprint();
-                    inner
-                        .fp_cache
-                        .lock()
-                        .expect("fingerprint cache poisoned")
-                        .insert(slot, &canonical.family, fp);
-                    fp
-                }
-            };
             (
-                canonical.key_with_fingerprint(fingerprint, quantizer),
-                builder,
-                generation,
+                registry.epoch(&canonical.family)?,
+                registry.builder(&canonical.family)?,
             )
         };
+        let key = canonical.key(epoch, quantizer);
         let kind = canonical.backend;
         // One lock order everywhere: state before store.
         let mut state = inner.state.lock().expect("state poisoned");
@@ -1486,7 +1252,7 @@ impl SimService {
                                 spec: canonical,
                                 key,
                                 builder,
-                                generation,
+                                epoch,
                                 seq,
                                 attempts: 0,
                             },
@@ -1510,7 +1276,7 @@ impl SimService {
                 spec: canonical,
                 key,
                 builder,
-                generation,
+                epoch,
                 seq,
                 attempts: 0,
             },
@@ -1838,21 +1604,18 @@ impl SimService {
     /// Evicts stored solutions — all, or one family's, across every
     /// shard — returning how many were dropped.
     ///
-    /// Eviction mirrors [`SimService::register_family`]'s invalidation
-    /// exactly, under the registry lock: stored solutions *and* cached
-    /// first-point fingerprints are dropped, and the affected builder
-    /// generations are retired so an in-flight solve of an evicted
-    /// family cannot repopulate the store behind the operator's back.
-    /// (An earlier version evicted only the store, leaving a
-    /// netlist-registered family's fingerprints — and their build-free
-    /// fast path — alive after the operator flushed it.)
+    /// Every targeted family also leaves its current epoch behind, under
+    /// the registry lock, so an in-flight solve of an evicted family
+    /// cannot repopulate the store behind the operator's back:
     ///
-    /// Families registered dynamically from wire-submitted netlists are
-    /// additionally *unhosted*: their registration exists only because
-    /// some submit carried the text, and the next identical submit
-    /// re-registers from its own text — so evicting one frees its
-    /// [`SimService::MAX_DYNAMIC_FAMILIES`] slot. Built-in and
-    /// programmatically registered families stay registered.
+    /// * Families registered dynamically from wire-submitted netlists are
+    ///   *unhosted*: their registration exists only because some submit
+    ///   carried the text, and the next identical submit re-registers
+    ///   from its own text under a fresh epoch — so evicting one frees
+    ///   its [`SimService::MAX_DYNAMIC_FAMILIES`] slot.
+    /// * Built-in and programmatically registered families stay
+    ///   registered and are retired ([`FamilyRegistry::retire`]) to a
+    ///   fresh epoch.
     pub fn evict(&self, family: Option<&str>) -> usize {
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         let mut dynamic = self
@@ -1867,19 +1630,14 @@ impl SimService {
         for name in &targets {
             if dynamic.remove(name).is_some() {
                 registry.remove(name);
+            } else {
+                registry.retire(name);
             }
         }
-        let mut dropped = 0;
-        for shard in &self.shards {
-            {
-                let mut fp_cache = shard.fp_cache.lock().expect("fingerprint cache poisoned");
-                for name in &targets {
-                    fp_cache.invalidate_family(name);
-                }
-            }
-            dropped += shard.store.lock().expect("store poisoned").evict(family);
-        }
-        dropped
+        self.shards
+            .iter()
+            .map(|shard| shard.store.lock().expect("store poisoned").evict(family))
+            .sum()
     }
 
     /// A point-in-time stats snapshot: the aggregate view plus one
@@ -1905,11 +1663,6 @@ impl SimService {
                     queue_depth,
                     queue_capacity,
                     counters,
-                    keying: inner
-                        .fp_cache
-                        .lock()
-                        .expect("fingerprint cache poisoned")
-                        .stats(),
                     engine_cache: inner.engine.cache_stats(),
                     solver: inner.engine.solver_stats(),
                     latency: inner.telemetry.snapshot(),
@@ -1945,15 +1698,12 @@ impl SimService {
             agg.queue_depth += s.queue_depth;
             agg.queue_capacity += s.queue_capacity;
             agg.counters.absorb(&s.counters);
-            agg.keying.fp_cache_hits += s.keying.fp_cache_hits;
-            agg.keying.fp_cache_misses += s.keying.fp_cache_misses;
-            agg.keying.invalidations += s.keying.invalidations;
-            agg.keying.len += s.keying.len;
             agg.engine_cache.hits += s.engine_cache.hits;
             agg.engine_cache.misses += s.engine_cache.misses;
             agg.solver.absorb(&s.solver);
             agg.latency.absorb(&s.latency);
         }
+        agg.keying.fp_cache_hits = agg.counters.total().submitted;
         agg
     }
 
@@ -2273,19 +2023,17 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                 Ok(result) => {
                     let result = Arc::new(result);
                     // A job keyed against a builder that `register_family`
-                    // has since replaced still completes its waiters (they
-                    // asked under the old builder — that capture is the
-                    // contract), but its result must not repopulate the
-                    // store: a same-topology retune shares the old key,
-                    // and the eviction that ran at re-registration would
-                    // be silently undone.
-                    let generation_current = inner
-                        .fp_cache
-                        .lock()
-                        .expect("fingerprint cache poisoned")
-                        .generation(&job.spec.family)
-                        == job.generation;
-                    if generation_current {
+                    // or `evict` has since moved to a new epoch still
+                    // completes its waiters (they asked under the old
+                    // builder — that capture is the contract), but its
+                    // result must not repopulate the store the move just
+                    // flushed. The registry lock makes the check and the
+                    // insert atomic against that move.
+                    let registry = inner.shared.registry.lock().expect("registry poisoned");
+                    if registry
+                        .epoch(&job.spec.family)
+                        .is_ok_and(|epoch| epoch == job.epoch)
+                    {
                         inner.store.lock().expect("store poisoned").insert(
                             job.key,
                             job.spec.family.clone(),

@@ -5,8 +5,9 @@
 //! [`FamilyRegistry`] of named parametric circuit builders and a
 //! [`JobSpec`] names one of them plus the amplitude × tone-spacing grid to
 //! trace over it. Specs are *canonicalised* before keying (parameters a
-//! backend ignores are dropped), then folded into a quantised
-//! [`JobKey`] — the solution store's identity for "the same request".
+//! backend ignores are dropped), then folded with the family's
+//! registration epoch into a quantised [`JobKey`] — the solution store's
+//! identity for "the same request".
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -219,59 +220,38 @@ impl JobSpec {
         Ok(canonical)
     }
 
-    /// The first operating point of this (canonical) spec — the point
-    /// whose circuit build defines the spec's structure fingerprint, and
-    /// therefore the identity the service's per-family fingerprint cache
-    /// is keyed on.
-    pub fn first_point(&self) -> PointParams {
-        PointParams {
-            amplitude: self.amplitudes[0],
-            f1: self.f1,
-            spacing: self.spacings.first().copied().unwrap_or(0.0),
-            two_tone: self.backend != BackendKind::PeriodicFd,
-        }
-    }
-
-    /// The solution-store identity of this (canonical) spec: the
-    /// first-point circuit's MNA-structure fingerprint folded with the
-    /// quantised job parameters. Structure is probed at the *circuit*
-    /// level — any backend-level structure change implies either a DC
-    /// pattern change or a grid/backend parameter change, and the latter
-    /// are folded in explicitly (same reasoning as the sweep engine's
-    /// probe memo).
-    ///
-    /// This variant pays one circuit build to obtain the fingerprint; the
-    /// service's submit path avoids that via its per-family fingerprint
-    /// cache and [`JobSpec::key_with_fingerprint`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first-point circuit build failure.
-    pub fn key(&self, registry: &FamilyRegistry, quantizer: Quantizer) -> Result<JobKey> {
-        let circuit = registry.build(&self.family, &self.first_point())?;
-        Ok(self.key_with_fingerprint(circuit.jacobian_fingerprint(), quantizer))
-    }
-
-    /// [`JobSpec::key`] with the first-point MNA fingerprint already in
-    /// hand — no circuit build, no registry access. The fingerprint must
-    /// be the one `registry.build(family, self.first_point())` would
-    /// produce *for the currently registered builder*; the service's
-    /// fingerprint cache guarantees that by keying on
-    /// `(family, quantised first point)` and invalidating on
-    /// re-registration.
-    pub fn key_with_fingerprint(
-        &self,
-        fingerprint: rfsim_numerics::sparse::PatternFingerprint,
-        quantizer: Quantizer,
-    ) -> JobKey {
-        JobKeyBuilder::new(fingerprint, quantizer)
+    /// The solution-store identity of this (canonical) spec: the family
+    /// name and its registration `epoch` ([`FamilyRegistry::epoch`])
+    /// folded with the backend and the quantised job parameters. The
+    /// epoch stands for the builder: re-registering or retiring a family
+    /// gives it a fresh epoch, so keys minted against the old builder can
+    /// never meet a new submit. Deadlines and priority are scheduling
+    /// policy and stay out of the key.
+    pub fn key(&self, epoch: u64, quantizer: Quantizer) -> JobKey {
+        JobKeyBuilder::new(quantizer)
             .push_str(&self.family)
+            .push_u64(epoch)
             .push_str(self.backend.label())
             .push_u64(self.n1 as u64)
             .push_u64(self.n2 as u64)
             .push_f64(self.f1)
             .push_f64s(&self.amplitudes)
             .push_f64s(&self.spacings)
+            .finish()
+    }
+
+    /// The shard-routing identity of this (canonical) spec: the family
+    /// and the quantised first point (first amplitude, `f1`, first
+    /// spacing, one- or two-tone). Coarser than [`JobSpec::key`] on
+    /// purpose — specs that differ only past their first point route to
+    /// the same shard — and computable with no lock taken.
+    pub fn route_slot(&self, quantizer: Quantizer) -> JobKey {
+        JobKeyBuilder::new(quantizer)
+            .push_str(&self.family)
+            .push_f64(self.amplitudes[0])
+            .push_f64(self.f1)
+            .push_f64(self.spacings.first().copied().unwrap_or(0.0))
+            .push_u64(u64::from(self.backend != BackendKind::PeriodicFd))
             .finish()
     }
 
@@ -405,11 +385,16 @@ pub type FamilyFn = dyn Fn(&PointParams) -> rfsim_circuit::Result<Circuit> + Sen
 /// The daemon's catalogue of named circuit families.
 ///
 /// Builders are stored behind [`Arc`]s so a job captures *the builder it
-/// was keyed against* at submit time — re-registering a name afterwards
-/// (new topology, new element values) changes the fingerprint of future
-/// submissions without corrupting in-flight work.
+/// was keyed against* at submit time. Each hosted family also carries a
+/// registration *epoch* from one registry-wide counter: every
+/// [`FamilyRegistry::register`] and [`FamilyRegistry::retire`] draws a
+/// fresh one, and none is ever reused. Store keys fold the epoch
+/// ([`JobSpec::key`]), so re-registering a name (new topology, new
+/// element values) re-keys future submissions away from every result the
+/// old builder produced, without corrupting in-flight work.
 pub struct FamilyRegistry {
-    families: BTreeMap<String, Arc<FamilyFn>>,
+    families: BTreeMap<String, (u64, Arc<FamilyFn>)>,
+    next_epoch: u64,
 }
 
 impl std::fmt::Debug for FamilyRegistry {
@@ -431,6 +416,7 @@ impl FamilyRegistry {
     pub fn empty() -> Self {
         FamilyRegistry {
             families: BTreeMap::new(),
+            next_epoch: 0,
         }
     }
 
@@ -474,13 +460,41 @@ impl FamilyRegistry {
         registry
     }
 
-    /// Registers (or replaces) a family.
+    /// Registers (or replaces) a family under a fresh epoch.
     pub fn register(
         &mut self,
         name: impl Into<String>,
         build: impl Fn(&PointParams) -> rfsim_circuit::Result<Circuit> + Send + Sync + 'static,
     ) {
-        self.families.insert(name.into(), Arc::new(build));
+        self.next_epoch += 1;
+        self.families
+            .insert(name.into(), (self.next_epoch, Arc::new(build)));
+    }
+
+    /// Gives a hosted family a fresh epoch, keeping its builder: every
+    /// store key minted under the old epoch is dead from here on.
+    /// Returns whether `name` was hosted.
+    pub fn retire(&mut self, name: &str) -> bool {
+        match self.families.get_mut(name) {
+            Some((epoch, _)) => {
+                self.next_epoch += 1;
+                *epoch = self.next_epoch;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The current registration epoch of `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownFamily`].
+    pub fn epoch(&self, name: &str) -> Result<u64> {
+        self.families
+            .get(name)
+            .map(|(epoch, _)| *epoch)
+            .ok_or_else(|| ServeError::UnknownFamily(name.to_string()))
     }
 
     /// The builder for `name`, cloned out so callers can hold it without
@@ -492,7 +506,7 @@ impl FamilyRegistry {
     pub fn builder(&self, name: &str) -> Result<Arc<FamilyFn>> {
         self.families
             .get(name)
-            .cloned()
+            .map(|(_, build)| Arc::clone(build))
             .ok_or_else(|| ServeError::UnknownFamily(name.to_string()))
     }
 
@@ -506,7 +520,8 @@ impl FamilyRegistry {
     }
 
     /// Unregisters a family, returning whether it was hosted. In-flight
-    /// jobs keep the [`Arc`]'d builder they captured at submit time.
+    /// jobs keep the [`Arc`]'d builder they captured at submit time; a
+    /// later registration under the same name draws a fresh epoch.
     pub fn remove(&mut self, name: &str) -> bool {
         self.families.remove(name).is_some()
     }
@@ -625,11 +640,10 @@ mod tests {
         dl.deadline_ms = Some(1500);
         let back = JobSpec::from_json(&dl.to_json()).expect("decode");
         assert_eq!(back, dl);
-        let registry = FamilyRegistry::builtin();
         let q = Quantizer::default();
         assert_eq!(
-            dl.key(&registry, q).expect("key"),
-            spec().key(&registry, q).expect("key"),
+            dl.key(1, q),
+            spec().key(1, q),
             "deadline_ms is scheduling policy, not solution identity"
         );
         // Missing fields are named.
@@ -665,45 +679,62 @@ mod tests {
             fd2.canonicalize().expect("fd2"),
         );
         assert_eq!(c1, c2);
-        let registry = FamilyRegistry::builtin();
         let q = Quantizer::default();
-        assert_eq!(
-            c1.key(&registry, q).expect("key"),
-            c2.key(&registry, q).expect("key")
-        );
+        assert_eq!(c1.key(1, q), c2.key(1, q));
     }
 
     #[test]
     fn keys_track_family_topology_and_params() {
-        let registry = FamilyRegistry::builtin();
         let q = Quantizer::default();
         let base = spec().canonicalize().expect("canonical");
-        let k = base.key(&registry, q).expect("key");
+        let k = base.key(1, q);
         // Same spec, same key.
-        assert_eq!(k, base.key(&registry, q).expect("key"));
+        assert_eq!(k, base.key(1, q));
         // rc_lowpass and rc_stiff share a topology (same MNA pattern) but
         // the family name is part of the key.
         let mut other = base.clone();
         other.family = "rc_stiff".into();
-        assert_ne!(k, other.key(&registry, q).expect("key"));
-        // diode_clipper has a different topology on top of the name.
-        let mut diode = base.clone();
-        diode.family = "diode_clipper".into();
-        assert_ne!(k, diode.key(&registry, q).expect("key"));
+        assert_ne!(k, other.key(1, q));
+        // A new epoch (re-registered or retired builder) re-keys the same
+        // spec.
+        assert_ne!(k, base.key(2, q));
         // Grid shape and values are keyed.
         let mut n = base.clone();
         n.n1 = 32;
-        assert_ne!(k, n.key(&registry, q).expect("key"));
+        assert_ne!(k, n.key(1, q));
         let mut a = base.clone();
         a.amplitudes = vec![0.1, 0.3];
-        assert_ne!(k, a.key(&registry, q).expect("key"));
-        // Unknown family is an error, not a panic.
-        let mut missing = base;
-        missing.family = "nope".into();
+        assert_ne!(k, a.key(1, q));
+        // Routing looks at the first point only: a second amplitude moves
+        // the key but not the slot.
+        assert_eq!(base.route_slot(q), a.route_slot(q));
+        let mut first = base.clone();
+        first.amplitudes = vec![0.3, 0.2];
+        assert_ne!(base.route_slot(q), first.route_slot(q));
+    }
+
+    #[test]
+    fn registry_epochs_are_fresh_and_never_reused() {
+        let mut registry = FamilyRegistry::builtin();
+        let lowpass = registry.epoch("rc_lowpass").expect("hosted");
+        assert_ne!(lowpass, registry.epoch("rc_stiff").expect("hosted"));
         assert!(matches!(
-            missing.key(&registry, q),
+            registry.epoch("nope"),
             Err(ServeError::UnknownFamily(_))
         ));
+        // Retiring keeps the builder and draws a fresh epoch.
+        assert!(registry.retire("rc_lowpass"));
+        let retired = registry.epoch("rc_lowpass").expect("still hosted");
+        assert_ne!(retired, lowpass);
+        assert!(registry.builder("rc_lowpass").is_ok());
+        assert!(!registry.retire("nope"));
+        // Removing and re-registering never meets an old epoch.
+        assert!(registry.remove("rc_lowpass"));
+        registry.register("rc_lowpass", |_: &PointParams| {
+            CircuitBuilder::new().build()
+        });
+        let again = registry.epoch("rc_lowpass").expect("re-hosted");
+        assert!(again != lowpass && again != retired);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! The bounded, LRU solution store.
 //!
-//! Keyed by [`JobKey`] — a Jacobian-structure fingerprint folded with
-//! quantised job parameters (see [`rfsim_rf::key`]) — and holding
-//! [`Arc`]s of completed [`JobResult`]s, so a hit is one hash probe and
-//! one refcount bump: the stored samples are handed back byte-for-byte,
-//! which is what makes replay *bit-identical by construction*. This is
-//! the stack's one solution memo: the sweep engine below it keeps none.
-//! The recency and eviction rules are [`TaggedLru`]'s, with entries
-//! tagged by family name for targeted eviction.
+//! Keyed by [`JobKey`] — the family name and registration epoch folded
+//! with quantised job parameters ([`crate::spec::JobSpec::key`]) — and
+//! holding [`Arc`]s of completed [`JobResult`]s, so a hit is one hash
+//! probe and one refcount bump: the stored samples are handed back
+//! byte-for-byte, which is what makes replay *bit-identical by
+//! construction*. This is the stack's one solution memo: the sweep engine
+//! below it keeps none. A hit refreshes recency, an insert at capacity
+//! evicts the least-recently-used entry, replacing an existing key never
+//! evicts, and entries are tagged by family name for targeted eviction.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rfsim_rf::key::JobKey;
-use rfsim_rf::lru::TaggedLru;
 
 use crate::spec::JobResult;
 
@@ -31,25 +32,37 @@ pub struct StoreStats {
     pub explicit_evictions: usize,
 }
 
+/// One stored solution with its family tag and recency tick.
+#[derive(Debug)]
+struct Entry {
+    family: String,
+    result: Arc<JobResult>,
+    last_used: u64,
+}
+
 /// A bounded LRU map from job identity to completed solution.
 #[derive(Debug)]
 pub struct SolutionStore {
-    entries: TaggedLru<Arc<JobResult>>,
-    explicit_evictions: usize,
+    entries: HashMap<JobKey, Entry>,
+    capacity: usize,
+    tick: u64,
+    stats: StoreStats,
 }
 
 impl SolutionStore {
     /// A store retaining at most `capacity` solutions (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
         SolutionStore {
-            entries: TaggedLru::new(capacity.max(1)),
-            explicit_evictions: 0,
+            entries: HashMap::new(),
+            capacity: capacity.max(1),
+            tick: 0,
+            stats: StoreStats::default(),
         }
     }
 
     /// Maximum retained solutions.
     pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+        self.capacity
     }
 
     /// Currently retained solutions.
@@ -64,41 +77,63 @@ impl SolutionStore {
 
     /// Service counters so far.
     pub fn stats(&self) -> StoreStats {
-        let lru = self.entries.stats();
-        StoreStats {
-            hits: lru.hits,
-            misses: lru.misses,
-            insertions: lru.insertions,
-            evictions: lru.evictions,
-            explicit_evictions: self.explicit_evictions,
-        }
+        self.stats
     }
 
     /// Looks up `key`, bumping its recency on a hit.
     pub fn get(&mut self, key: JobKey) -> Option<Arc<JobResult>> {
-        self.entries.get(key)
-    }
-
-    /// A stat-neutral, recency-neutral lookup. The service's submit fast
-    /// path probes with this and re-issues a counting [`Self::get`] only
-    /// when it will actually serve the hit, so each submit counts exactly
-    /// one store event however many code paths inspect the store.
-    pub fn peek(&self, key: JobKey) -> Option<Arc<JobResult>> {
-        self.entries.peek(key)
+        self.tick += 1;
+        match self.entries.get_mut(&key) {
+            Some(entry) => {
+                entry.last_used = self.tick;
+                self.stats.hits += 1;
+                Some(Arc::clone(&entry.result))
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
     }
 
     /// Inserts a completed solution, evicting the least-recently-used
     /// entry if the store is at capacity (replacing an existing key never
     /// evicts). `family` tags the entry for targeted eviction.
     pub fn insert(&mut self, key: JobKey, family: impl Into<String>, result: Arc<JobResult>) {
-        self.entries.insert(key, family, result);
+        self.tick += 1;
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            if let Some(oldest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k)
+            {
+                self.entries.remove(&oldest);
+                self.stats.evictions += 1;
+            }
+        }
+        self.stats.insertions += 1;
+        self.entries.insert(
+            key,
+            Entry {
+                family: family.into(),
+                result,
+                last_used: self.tick,
+            },
+        );
     }
 
     /// Removes entries — all of them, or only one family's — returning
-    /// how many were dropped.
+    /// how many were dropped (counted in
+    /// [`StoreStats::explicit_evictions`], not `evictions`).
     pub fn evict(&mut self, family: Option<&str>) -> usize {
-        let dropped = self.entries.evict(family);
-        self.explicit_evictions += dropped;
+        let before = self.entries.len();
+        match family {
+            None => self.entries.clear(),
+            Some(f) => self.entries.retain(|_, e| e.family != f),
+        }
+        let dropped = before - self.entries.len();
+        self.stats.explicit_evictions += dropped;
         dropped
     }
 }
@@ -107,16 +142,12 @@ impl SolutionStore {
 mod tests {
     use super::*;
     use crate::spec::PointSolution;
-    use rfsim_numerics::sparse::Triplets;
     use rfsim_rf::key::{JobKeyBuilder, Quantizer};
 
     fn key(tag: f64) -> JobKey {
-        JobKeyBuilder::new(
-            Triplets::new(2, 2).pattern_fingerprint(),
-            Quantizer::default(),
-        )
-        .push_f64(tag)
-        .finish()
+        JobKeyBuilder::new(Quantizer::default())
+            .push_f64(tag)
+            .finish()
     }
 
     fn result(v: f64) -> Arc<JobResult> {
@@ -182,6 +213,8 @@ mod tests {
         assert_eq!(store.evict(None), 1);
         assert!(store.is_empty());
         assert_eq!(store.stats().explicit_evictions, 3);
+        // Targeted eviction is not an LRU capacity eviction.
+        assert_eq!(store.stats().evictions, 0);
     }
 
     #[test]

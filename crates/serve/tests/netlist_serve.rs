@@ -2,8 +2,7 @@
 //! families, memo hits across repeated submits (including alternate
 //! spellings of the same circuit), typed refusals for hostile input,
 //! the dynamic-capacity bound, and the evict regression — eviction must
-//! invalidate fingerprints and unhost the dynamic family, not just drop
-//! stored solutions.
+//! unhost the dynamic family, not just drop stored solutions.
 
 use std::time::Duration;
 
@@ -161,25 +160,17 @@ fn hostile_netlists_are_typed_refusals_and_the_service_survives() {
 }
 
 #[test]
-fn evict_unhosts_the_dynamic_family_and_invalidates_its_fingerprints() {
+fn evict_unhosts_the_dynamic_family_and_retires_its_keys() {
     let service = SimService::start(small_config());
     let first = submit(&service, LOWPASS);
     let solved = service.wait(first.job_id, WAIT).expect("solve");
     assert_eq!(service.dynamic_families().len(), 1);
-    let keyed = service.stats().keying;
-    assert_eq!(keyed.invalidations, 0);
-    assert!(keyed.len > 0, "the solve cached a fingerprint");
 
-    // Evict by name: stored solutions drop, the fingerprint generation
-    // retires, and the dynamic family is unhosted (the regression — an
-    // earlier evict left fingerprints and the registration behind).
+    // Evict by name: stored solutions drop and the dynamic family is
+    // unhosted, taking its epoch with it.
     let dropped = service.evict(Some(&first.family));
     assert!(dropped > 0, "the solved grid was stored and must drop");
     assert!(service.dynamic_families().is_empty(), "family unhosted");
-    assert!(
-        service.stats().keying.invalidations > 0,
-        "evict must retire the family's fingerprints like register_family does"
-    );
 
     // Resubmitting the same text re-registers from scratch and pays a
     // fresh solve — which reproduces the original bytes exactly.
@@ -196,7 +187,7 @@ fn evict_unhosts_the_dynamic_family_and_invalidates_its_fingerprints() {
 #[test]
 fn dynamic_capacity_is_bounded_and_evict_frees_slots() {
     // Paused scheduler: submits queue without solving, so walking the
-    // whole capacity is cheap (parse + probe only).
+    // whole capacity is cheap (parse + register only).
     let service = SimService::start(ServeConfig {
         paused: true,
         ..small_config()

@@ -1,12 +1,13 @@
 //! Service-level behaviour of the memoising layer: LRU eviction,
 //! in-flight deduplication, bit-identical memo hits, re-keying on
-//! topology change, backpressure, and the TCP wire round trip.
+//! re-registration, build-free submits, backpressure, and the TCP wire
+//! round trip.
 
 use std::time::Duration;
 
-use rfsim_circuit::{CircuitBuilder, GROUND};
+use rfsim_circuit::{Circuit, CircuitBuilder, GROUND};
 use rfsim_serve::service::{JobStatus, ServeConfig, SimService};
-use rfsim_serve::spec::{BackendKind, JobSpec};
+use rfsim_serve::spec::{BackendKind, JobSpec, PointParams};
 use rfsim_serve::wire::WireServer;
 use rfsim_serve::{ServeClient, ServeError};
 
@@ -16,6 +17,20 @@ fn small_config() -> ServeConfig {
     ServeConfig {
         threads: 1,
         ..Default::default()
+    }
+}
+
+/// An RC lowpass family with series resistance `ohms` — one topology,
+/// retunable by value.
+fn rc(ohms: f64) -> impl Fn(&PointParams) -> rfsim_circuit::Result<Circuit> + Send + Sync {
+    move |p| {
+        let mut b = CircuitBuilder::new();
+        let inp = b.node("in");
+        let out = b.node("out");
+        b.vsource("VRF", inp, GROUND, p.source())?;
+        b.resistor("R1", inp, out, ohms)?;
+        b.capacitor("C1", out, GROUND, 160e-12)?;
+        b.build()
     }
 }
 
@@ -138,9 +153,9 @@ fn topology_change_re_keys_the_family() {
     let first = service
         .wait(service.submit(&request).expect("submit"), WAIT)
         .expect("solve");
-    // Same name, new topology (an extra node splits R1): the fingerprint
-    // part of the store key changes, so the identical spec re-solves
-    // rather than serving the stale entry.
+    // Same name, new topology (an extra node splits R1): the new
+    // registration's epoch is part of the store key, so the identical
+    // spec re-solves rather than serving the stale entry.
     service.register_family("custom", |p| {
         let mut b = CircuitBuilder::new();
         let inp = b.node("in");
@@ -163,10 +178,8 @@ fn topology_change_re_keys_the_family() {
         second.points[0].samples.len(),
         "the new topology has more unknowns"
     );
-    // Re-registration also evicts the family's stored entries (the key
-    // covers structure + parameters, not element values, so a
-    // same-topology retune would otherwise serve stale solutions); only
-    // the new build's entry remains.
+    // Re-registration also evicts the family's stored entries, which the
+    // old epoch left unreachable; only the new build's entry remains.
     assert_eq!(service.stats().store_len, 1);
     // The already-returned result is untouched by the eviction.
     assert_eq!(first.num_samples(), first.points[0].samples.len());
@@ -331,20 +344,15 @@ fn memo_hit_submits_are_build_free() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    // A counting family: every *closure invocation* (probe or sweep
-    // point) bumps the counter. Memo-hit submits must not bump it at all.
+    // A counting family: every *closure invocation* bumps the counter.
+    // Memo-hit submits must not bump it at all.
     let builds = Arc::new(AtomicUsize::new(0));
     let service = SimService::start(small_config());
     let counter = Arc::clone(&builds);
+    let build = rc(1e3);
     service.register_family("counted", move |p| {
         counter.fetch_add(1, Ordering::SeqCst);
-        let mut b = CircuitBuilder::new();
-        let inp = b.node("in");
-        let out = b.node("out");
-        b.vsource("VRF", inp, GROUND, p.source())?;
-        b.resistor("R1", inp, out, 1e3)?;
-        b.capacitor("C1", out, GROUND, 160e-12)?;
-        b.build()
+        build(p)
     });
     let mut request = spec(0.1);
     request.family = "counted".into();
@@ -352,11 +360,11 @@ fn memo_hit_submits_are_build_free() {
         .wait(service.submit(&request).expect("submit"), WAIT)
         .expect("solve");
     let after_solve = builds.load(Ordering::SeqCst);
-    // One keying build at submit, then one per sweep point: the engine
+    // One build per sweep point: submit builds nothing, and the engine
     // solves the first point on the circuit it keyed the job's group by.
-    assert_eq!(after_solve, 2, "a fresh 1×1 solve builds two circuits");
-    // Identical submit: fingerprint served from the per-family cache and
-    // the result from the store — the builder is never invoked.
+    assert_eq!(after_solve, 1, "a fresh 1×1 solve builds one circuit");
+    // Identical submit: the key is folded from the spec and the family's
+    // epoch, the result comes from the store — no builder invocation.
     let id = service.submit(&request).expect("memo submit");
     assert!(matches!(
         service.poll(id).expect("poll"),
@@ -367,16 +375,78 @@ fn memo_hit_submits_are_build_free() {
         after_solve,
         "a memo-hit submit must not invoke the family builder"
     );
-    let keying = service.stats().keying;
-    assert_eq!(keying.fp_cache_hits, 1, "{keying:?}");
-    assert_eq!(keying.fp_cache_misses, 1, "{keying:?}");
 }
 
 #[test]
-fn fingerprint_cache_respects_topology_dependent_families() {
+fn fresh_submits_build_no_circuit() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    // Paused: the job is admitted but never dispatched, so any builder
+    // call could only have come from submit itself.
+    let service = SimService::start(ServeConfig {
+        paused: true,
+        ..small_config()
+    });
+    let builds = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&builds);
+    let build = rc(1e3);
+    service.register_family("counted", move |p| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        build(p)
+    });
+    let mut request = spec(0.1);
+    request.family = "counted".into();
+    let id = service.submit(&request).expect("submit");
+    assert!(matches!(service.poll(id).expect("poll"), JobStatus::Queued));
+    assert_eq!(builds.load(Ordering::SeqCst), 0, "submit builds nothing");
+}
+
+#[test]
+fn first_point_builder_errors_settle_the_job_failed() {
+    // Above 0.5 V this family asks for a negative resistance, so its
+    // builder fails at the job's very first point.
+    let service = SimService::start(small_config());
+    let build = rc(1e3);
+    service.register_family("fragile", move |p| {
+        if p.amplitude > 0.5 {
+            rc(-1.0)(p)
+        } else {
+            build(p)
+        }
+    });
+    let mut bad = spec(0.9);
+    bad.family = "fragile".into();
+    let id = service
+        .submit(&bad)
+        .expect("submit admits: no circuit is built before dispatch");
+    service.wait(id, WAIT).expect_err("the build fails the job");
+    match service.poll(id).expect("poll") {
+        JobStatus::Failed {
+            message,
+            interrupted,
+        } => {
+            assert!(message.contains("resistance must be positive"), "{message}");
+            assert!(interrupted.is_none());
+        }
+        other => panic!("expected a failed job, got {other:?}"),
+    }
+    // The scheduler survived: a good point of the same family solves.
+    let mut good = spec(0.1);
+    good.family = "fragile".into();
+    let done = service
+        .wait(service.submit(&good).expect("submit"), WAIT)
+        .expect("good job");
+    assert!(!done.points.is_empty());
+    let q = service.stats().counters.queue(BackendKind::Mpde);
+    assert_eq!((q.failed, q.completed), (1, 1));
+}
+
+#[test]
+fn topology_dependent_families_solve_each_operating_point() {
     // A family whose *topology* depends on the operating point: above
-    // 0.25 V a feedthrough capacitor switches in. First points on either
-    // side of the threshold must never share a cached fingerprint.
+    // 0.25 V the series resistor splits in two. First points on either
+    // side of the threshold must never share a stored solution.
     let service = SimService::start(small_config());
     service.register_family("switching", |p| {
         let mut b = CircuitBuilder::new();
@@ -400,8 +470,6 @@ fn fingerprint_cache_respects_topology_dependent_families() {
     let below = service
         .wait(service.submit(&low).expect("submit low"), WAIT)
         .expect("solve low");
-    // Different first amplitude → different cache slot → fresh probe:
-    // the 0.1 V fingerprint is not reused for the 0.3 V topology.
     let above = service
         .wait(service.submit(&high).expect("submit high"), WAIT)
         .expect("solve high");
@@ -413,102 +481,104 @@ fn fingerprint_cache_respects_topology_dependent_families() {
     let q = service.stats().counters.queue(BackendKind::Mpde);
     assert_eq!(q.solves, 2, "distinct operating points must both solve");
     assert_eq!(q.memo_hits, 0);
-    // Each operating point now memo-hits its own entry, build-free.
-    let keying_before = service.stats().keying;
-    service
+    // Each operating point now memo-hits its own entry.
+    let low_again = service
         .wait(service.submit(&low).expect("resubmit"), WAIT)
         .expect("memo low");
-    service
+    let high_again = service
         .wait(service.submit(&high).expect("resubmit"), WAIT)
         .expect("memo high");
-    let stats = service.stats();
-    assert_eq!(stats.counters.queue(BackendKind::Mpde).memo_hits, 2);
-    assert_eq!(
-        stats.keying.fp_cache_hits,
-        keying_before.fp_cache_hits + 2,
-        "repeat submits key build-free"
-    );
+    assert_eq!(low_again.digest(), below.digest());
+    assert_eq!(high_again.digest(), above.digest());
+    let q = service.stats().counters.queue(BackendKind::Mpde);
+    assert_eq!((q.solves, q.memo_hits), (2, 2));
 }
 
 #[test]
-fn register_family_invalidates_cached_fingerprints() {
+fn register_family_switches_new_submits_to_the_replacement_builder() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     let service = SimService::start(small_config());
-    let v2_builds = Arc::new(AtomicUsize::new(0));
-    service.register_family("swapped", |p| {
-        let mut b = CircuitBuilder::new();
-        let inp = b.node("in");
-        let out = b.node("out");
-        b.vsource("VRF", inp, GROUND, p.source())?;
-        b.resistor("R1", inp, out, 1e3)?;
-        b.capacitor("C1", out, GROUND, 160e-12)?;
-        b.build()
-    });
+    service.register_family("swapped", rc(1e3));
     let mut request = spec(0.1);
     request.family = "swapped".into();
     service
         .wait(service.submit(&request).expect("submit"), WAIT)
         .expect("solve v1");
     // Replace the builder (same name, same topology, retuned values):
-    // the cached v1 fingerprint must be dropped, so the next submit
-    // re-probes through the *new* builder instead of keying blind.
+    // the next submit must solve through the *new* builder.
+    let v2_builds = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&v2_builds);
+    let build = rc(2e3);
     service.register_family("swapped", move |p| {
         counter.fetch_add(1, Ordering::SeqCst);
-        let mut b = CircuitBuilder::new();
-        let inp = b.node("in");
-        let out = b.node("out");
-        b.vsource("VRF", inp, GROUND, p.source())?;
-        b.resistor("R1", inp, out, 2e3)?;
-        b.capacitor("C1", out, GROUND, 160e-12)?;
-        b.build()
+        build(p)
     });
-    assert!(service.stats().keying.invalidations >= 1);
     service
         .wait(service.submit(&request).expect("submit"), WAIT)
         .expect("solve v2");
     assert!(
         v2_builds.load(Ordering::SeqCst) >= 1,
-        "the replacement builder must be probed, not the stale cache"
+        "the replacement builder must solve the new submit"
     );
     let q = service.stats().counters.queue(BackendKind::Mpde);
     assert_eq!(q.solves, 2, "the retune re-solves (store was evicted)");
 }
 
 #[test]
-fn stale_builder_results_do_not_repopulate_the_store() {
-    // A job solved by a superseded builder completes its waiters but must
-    // not be stored: a same-topology retune shares the old store key, so
-    // storing it would silently undo register_family's eviction.
+fn reregistered_family_never_coalesces_onto_the_old_builder() {
     let service = SimService::start(ServeConfig {
         paused: true,
         ..small_config()
     });
-    service.register_family("retuned", |p| {
-        let mut b = CircuitBuilder::new();
-        let inp = b.node("in");
-        let out = b.node("out");
-        b.vsource("VRF", inp, GROUND, p.source())?;
-        b.resistor("R1", inp, out, 1e3)?;
-        b.capacitor("C1", out, GROUND, 160e-12)?;
-        b.build()
+    service.register_family("retuned", rc(1e3));
+    let mut request = spec(0.1);
+    request.family = "retuned".into();
+    // v1's job is queued (scheduler paused) when the family is retuned
+    // to the same topology with a new resistance…
+    let old = service.submit(&request).expect("submit v1");
+    service.register_family("retuned", rc(2e3));
+    // …so the identical spec submitted now asks for v2's answer and must
+    // not ride on v1's queued execution.
+    let new = service.submit(&request).expect("submit v2");
+    service.resume();
+    let v1 = service.wait(old, WAIT).expect("v1 result");
+    let v2 = service.wait(new, WAIT).expect("v2 result");
+    let q = service.stats().counters.queue(BackendKind::Mpde);
+    assert_eq!(q.coalesced, 0, "a new epoch is a new key");
+    assert_eq!(q.solves, 2);
+    // The second answer is exactly what a service that only ever hosted
+    // v2 returns.
+    let reference = SimService::start(small_config());
+    reference.register_family("retuned", rc(2e3));
+    let expected = reference
+        .wait(reference.submit(&request).expect("submit"), WAIT)
+        .expect("v2 reference");
+    assert_eq!(v2.digest(), expected.digest());
+    assert_ne!(
+        v1.digest(),
+        expected.digest(),
+        "retune must change the solution"
+    );
+}
+
+#[test]
+fn stale_builder_results_do_not_repopulate_the_store() {
+    // A job solved by a superseded builder completes its waiters but must
+    // not be stored: register_family just flushed the family, and the
+    // dead-epoch entry would only take up capacity.
+    let service = SimService::start(ServeConfig {
+        paused: true,
+        ..small_config()
     });
+    service.register_family("retuned", rc(1e3));
     let mut request = spec(0.1);
     request.family = "retuned".into();
     // Queued but not yet solving (scheduler paused)…
     let id = service.submit(&request).expect("submit v1");
     // …when the family is retuned (same topology, new resistance).
-    service.register_family("retuned", |p| {
-        let mut b = CircuitBuilder::new();
-        let inp = b.node("in");
-        let out = b.node("out");
-        b.vsource("VRF", inp, GROUND, p.source())?;
-        b.resistor("R1", inp, out, 2e3)?;
-        b.capacitor("C1", out, GROUND, 160e-12)?;
-        b.build()
-    });
+    service.register_family("retuned", rc(2e3));
     service.resume();
     // The in-flight job still delivers the v1 result it was asked for…
     let v1 = service.wait(id, WAIT).expect("v1 result");
@@ -518,9 +588,11 @@ fn stale_builder_results_do_not_repopulate_the_store() {
         .wait(service.submit(&request).expect("resubmit"), WAIT)
         .expect("v2 result");
     assert_ne!(v1.digest(), v2.digest(), "retune must change the solution");
-    let q = service.stats().counters.queue(BackendKind::Mpde);
+    let stats = service.stats();
+    let q = stats.counters.queue(BackendKind::Mpde);
     assert_eq!(q.solves, 2, "the stale result must not serve as a memo");
     assert_eq!(q.memo_hits, 0);
+    assert_eq!(stats.store_len, 1, "only v2's result is stored");
 }
 
 #[test]

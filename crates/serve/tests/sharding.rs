@@ -31,7 +31,7 @@ fn spec(amplitude: f64) -> JobSpec {
 }
 
 fn key_from(raw: u64) -> rfsim_rf::key::JobKey {
-    JobKeyBuilder::unseeded(Quantizer::default())
+    JobKeyBuilder::new(Quantizer::default())
         .push_u64(raw)
         .finish()
 }
@@ -255,10 +255,6 @@ fn wire_stats_expose_every_documented_field() {
         "queues.mpde.failed",
         "queues.mpde.cancelled",
         "queues.mpde.rejected",
-        "keying.fp_cache_hits",
-        "keying.fp_cache_misses",
-        "keying.invalidations",
-        "keying.len",
         "engine.workspace_hits",
         "engine.workspace_misses",
         "engine.full_factorizations",
