@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr17.json --out BENCH_pr18.json --tolerance 0.25
+//!     --baseline BENCH_pr18.json --out BENCH_pr19.json --tolerance 0.25
 //! ```
 
 use std::io::Write;
@@ -34,8 +34,8 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        baseline: "BENCH_pr17.json".into(),
-        out: "BENCH_pr18.json".into(),
+        baseline: "BENCH_pr18.json".into(),
+        out: "BENCH_pr19.json".into(),
         // Cross-machine reproducibility of the micro ratios is ~±20%
         // (measured by re-running a pinned build against a baseline
         // recorded on a different container), so a tighter band is
@@ -143,13 +143,12 @@ fn main() -> ExitCode {
 
     let ladder = recovery_ladder_scenario(args.reps);
     println!(
-        "  ladder: {}/{} diverge faults settled typed in <= {} of {} iterations \
-         (headroom {:.1}x), {} NaN iterates committed, {}/{} rung rescues",
+        "  ladder: {}/{} diverge faults settled typed in <= {} of {} iterations, \
+         {} NaN iterates committed, {}/{} rung rescues",
         ladder.diverged_typed,
         args.reps,
         ladder.iterations_to_diverge,
         ladder.max_iters,
-        ladder.fast_fail_headroom(),
         ladder.nan_iterates_committed,
         ladder.ladder_rescues,
         ladder.ladder_runs,
@@ -344,15 +343,6 @@ fn main() -> ExitCode {
         measured: ladder.ladder_rescues as f64 / ladder.ladder_runs.max(1) as f64,
         baseline: None,
         floor: 1.0,
-    });
-    // The typed divergence must arrive well before the iteration
-    // ceiling the pre-fix loop burned (observed 8x: the first step's
-    // damping trials detect the non-finite iterates on the spot).
-    checks.push(GateCheck {
-        name: "diverge_fast_fail_headroom".into(),
-        measured: ladder.fast_fail_headroom(),
-        baseline: baseline.number_at("ratios.diverge_fast_fail_headroom"),
-        floor: 2.0,
     });
     // PR 8 acceptance criteria. With one family hung, the shard pool
     // must serve the healthy clients at least as fast as the single

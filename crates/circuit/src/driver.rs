@@ -527,8 +527,7 @@ mod tests {
         // which rung is reporting without extra plumbing.
         let stages = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&stages);
-        let budget =
-            SolveBudget::unlimited().with_progress(move |p| sink.lock().unwrap().push(p.stage));
+        let budget = SolveBudget::unlimited().observed(move |p| sink.lock().unwrap().push(p.stage));
         let driver = NewtonDriver::default();
         let mut ws = LinearSolverWorkspace::new();
         driver

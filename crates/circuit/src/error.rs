@@ -6,11 +6,10 @@ use rfsim_numerics::SolveInterrupted;
 #[derive(Debug, Clone)]
 pub enum CircuitError {
     /// The solve was interrupted by its
-    /// [`SolveBudget`](rfsim_numerics::SolveBudget) — cancellation,
-    /// deadline, or stagnation guard. A control-plane outcome, not a
-    /// solver failure: callers with fallback ladders (gmin stepping,
-    /// continuation, step halving) must propagate it instead of
-    /// retrying.
+    /// [`SolveBudget`](rfsim_numerics::SolveBudget) — cancellation or
+    /// deadline. A control-plane outcome, not a solver failure: callers
+    /// with fallback ladders (gmin stepping, continuation, step halving)
+    /// must propagate it instead of retrying.
     Interrupted(SolveInterrupted),
     /// A device parameter was outside its valid range.
     InvalidParameter {

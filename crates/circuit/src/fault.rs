@@ -4,8 +4,8 @@
 //! indefinitely, diverge, or panic — so the layers above (sweep engine,
 //! serve scheduler) can prove their control plane works: cooperative
 //! cancellation interrupts a hung solve, deadlines reclaim scheduler
-//! slots, retry ladders absorb transient failures, and a panicking
-//! solve fails one batch instead of a whole service.
+//! slots, a diverging solve settles with its typed failure, and a
+//! panicking solve fails one batch instead of a whole service.
 //!
 //! The faults are not mocks: [`SolveFault::run`] executes a genuine
 //! budgeted Newton solve (through the [`NewtonDriver`]) over a tiny
@@ -17,8 +17,6 @@
 //! paths never construct faults; wiring one into a real workload only
 //! makes that workload fail, never corrupts a result.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use rfsim_numerics::sparse::Triplets;
@@ -42,9 +40,10 @@ pub enum FaultMode {
         /// Hard wall-clock bound on the stall (milliseconds).
         max_ms: u64,
     },
-    /// The residual has no root (`x² + 1`): Newton burns a small
-    /// iteration budget and fails with a convergence error — the
-    /// transient-failure shape retry ladders are tested against.
+    /// The residual is finite only at the seed point: Newton's first
+    /// step finds no finite damping trial and fails at once with the
+    /// typed [`crate::CircuitError::Diverged`], the recovery ladder's
+    /// rung signal.
     Diverge,
     /// Panics on the first residual evaluation — exercises the
     /// scheduler's `catch_unwind` isolation.
@@ -52,13 +51,10 @@ pub enum FaultMode {
 }
 
 /// A deterministic injected fault; see the module docs. Cheap to clone
-/// and attach per job — clones share the [`SolveFault::times`] firing
-/// counter, so a bounded fault fires its quota once across all holders.
+/// and attach per job; it fires on every run.
 #[derive(Debug, Clone)]
 pub struct SolveFault {
     mode: FaultMode,
-    /// Firings left; `None` fires on every run. Shared across clones.
-    remaining: Option<Arc<AtomicUsize>>,
 }
 
 impl SolveFault {
@@ -67,7 +63,6 @@ impl SolveFault {
     pub fn stall(poll_ms: u64, max_ms: u64) -> Self {
         SolveFault {
             mode: FaultMode::Stall { poll_ms, max_ms },
-            remaining: None,
         }
     }
 
@@ -75,7 +70,6 @@ impl SolveFault {
     pub fn diverge() -> Self {
         SolveFault {
             mode: FaultMode::Diverge,
-            remaining: None,
         }
     }
 
@@ -83,18 +77,7 @@ impl SolveFault {
     pub fn panicking() -> Self {
         SolveFault {
             mode: FaultMode::Panic,
-            remaining: None,
         }
-    }
-
-    /// Bounds the fault to its first `n` runs; afterwards
-    /// [`SolveFault::run`] is a no-op success. This is the *transient*
-    /// failure shape retry ladders are tested against: fail `n` times,
-    /// then recover. The counter is shared across clones.
-    #[must_use]
-    pub fn times(mut self, n: usize) -> Self {
-        self.remaining = Some(Arc::new(AtomicUsize::new(n)));
-        self
     }
 
     /// The configured mode.
@@ -115,14 +98,6 @@ impl SolveFault {
     ///
     /// By design, for [`FaultMode::Panic`].
     pub fn run(&self, budget: &SolveBudget) -> Result<()> {
-        if let Some(remaining) = &self.remaining {
-            let fired = remaining
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-                .is_ok();
-            if !fired {
-                return Ok(());
-            }
-        }
         match self.mode {
             FaultMode::Stall { poll_ms, max_ms } => {
                 let system = StallSystem { poll_ms };
@@ -273,16 +248,5 @@ mod tests {
     #[should_panic(expected = "injected fault")]
     fn panic_fault_panics() {
         let _ = SolveFault::panicking().run(&SolveBudget::unlimited());
-    }
-
-    #[test]
-    fn bounded_fault_recovers_after_quota() {
-        let fault = SolveFault::diverge().times(2);
-        let twin = fault.clone();
-        assert!(fault.run(&SolveBudget::unlimited()).is_err());
-        // Clones share the counter: the twin consumes the second firing.
-        assert!(twin.run(&SolveBudget::unlimited()).is_err());
-        assert!(fault.run(&SolveBudget::unlimited()).is_ok(), "quota spent");
-        assert!(twin.run(&SolveBudget::unlimited()).is_ok());
     }
 }

@@ -476,11 +476,6 @@ pub struct NewtonStats {
 /// [`rfsim_numerics::krylov::gmres_budgeted`] — inside the Krylov inner
 /// loops of the iterative linear solvers, so cancellation latency is
 /// bounded by one residual evaluation or one matvec, not one full solve.
-/// The budget's stagnation guard watches the *accepted* residual per
-/// iteration (best-residual plateau), catching both flat plateaus and
-/// oscillating iterates long before `max_iters` burns down; it never
-/// fires once the residual is below `options.residual_tol`, where the
-/// built-in stagnation-acceptance rule takes over.
 ///
 /// Interruption is a clean exit: the workspace keeps its cached
 /// structure and factors, fully reusable by the next solve.
@@ -685,16 +680,7 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
             // A chord step looks converged: confirm with a fresh Jacobian.
             chord_left = 0;
         }
-        if let Err(i) = meter.note_iteration(res_norm) {
-            // At the noise floor the built-in stagnation-acceptance rule
-            // above owns the plateau; the guard only kills solves that
-            // plateau *above* tolerance.
-            if i.reason != rfsim_numerics::InterruptReason::Stagnated
-                || res_norm > options.residual_tol
-            {
-                return Err(i.into());
-            }
-        }
+        meter.note_iteration(res_norm)?;
     }
     Err(CircuitError::ConvergenceFailure {
         analysis: "newton".into(),
@@ -1262,113 +1248,5 @@ mod tests {
         assert!(ratio_i > 1.0);
         let ratio_v = weighted_update_ratio(&[1e-6], &[0.0], &[UnknownKind::NodeVoltage], &opts);
         assert!(ratio_v <= 1.0);
-    }
-
-    /// `F(x) = 1` with a unit Jacobian: a perfectly flat residual
-    /// plateau far above tolerance. No step helps, no damping trial
-    /// helps — only the stagnation guard can end it early.
-    struct Plateau;
-
-    impl NewtonSystem for Plateau {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn residual(&self, _x: &[f64], out: &mut [f64]) {
-            out[0] = 1.0;
-        }
-        fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets) {
-            self.residual(x, out);
-            jac.push(0, 0, 1.0);
-        }
-    }
-
-    /// A residual that *oscillates* with the iterate instead of sitting
-    /// flat: the reported Jacobian flips sign across x = 0.5, so Newton
-    /// bounces between the two lobes, the per-iteration residual wobbles
-    /// between ~1.0 and ~1.1, and the *best* residual never improves —
-    /// the failure shape the guard's best-residual window exists for.
-    struct Oscillator;
-
-    impl NewtonSystem for Oscillator {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn residual(&self, x: &[f64], out: &mut [f64]) {
-            out[0] = 1.0 + 0.1 * x[0] * x[0];
-        }
-        fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets) {
-            self.residual(x, out);
-            jac.push(0, 0, if x[0] < 0.5 { -1.0 } else { 1.1 });
-        }
-    }
-
-    #[test]
-    fn stagnation_guard_ends_residual_plateau_early() {
-        let options = NewtonOptions {
-            max_iters: 500,
-            ..Default::default()
-        };
-        let budget = rfsim_numerics::SolveBudget::unlimited().with_stagnation_guard(4, 1e-2);
-        let err = newton_solve_budgeted(
-            &Plateau,
-            &[0.0],
-            &[],
-            options,
-            &mut LinearSolverWorkspace::new(),
-            &budget,
-        )
-        .expect_err("a flat plateau above tolerance must be interrupted");
-        let i = err.interrupted().expect("typed interruption");
-        assert_eq!(i.reason, rfsim_numerics::InterruptReason::Stagnated);
-        assert!(
-            i.iterations < 50,
-            "guard must fire long before max_iters: {} iterations",
-            i.iterations
-        );
-        assert!((i.best_residual - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stagnation_guard_ends_oscillating_iterates_early() {
-        let options = NewtonOptions {
-            max_iters: 500,
-            ..Default::default()
-        };
-        let budget = rfsim_numerics::SolveBudget::unlimited().with_stagnation_guard(4, 1e-2);
-        let err = newton_solve_budgeted(
-            &Oscillator,
-            &[0.0],
-            &[],
-            options,
-            &mut LinearSolverWorkspace::new(),
-            &budget,
-        )
-        .expect_err("an oscillating iterate must be interrupted");
-        let i = err.interrupted().expect("typed interruption");
-        assert_eq!(i.reason, rfsim_numerics::InterruptReason::Stagnated);
-        assert!(
-            i.iterations < 50,
-            "guard must fire long before max_iters: {} iterations",
-            i.iterations
-        );
-        assert!(i.best_residual >= 1.0, "the residual never improved");
-    }
-
-    #[test]
-    fn stagnation_guard_never_kills_a_converging_solve() {
-        // The same tight guard on a healthy quadratic: convergence wins,
-        // and the sub-tolerance plateau exemption keeps the guard quiet
-        // at the noise floor.
-        let budget = rfsim_numerics::SolveBudget::unlimited().with_stagnation_guard(4, 1e-2);
-        let (x, _) = newton_solve_budgeted(
-            &Quadratic,
-            &[3.0],
-            &[],
-            NewtonOptions::default(),
-            &mut LinearSolverWorkspace::new(),
-            &budget,
-        )
-        .expect("healthy solves pass through the guard");
-        assert!((x[0] - 2.0).abs() < 1e-9);
     }
 }

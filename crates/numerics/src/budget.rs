@@ -1,16 +1,14 @@
-//! The solve control plane: cooperative cancellation, wall-clock
-//! deadlines and stagnation guards shared by every iterative solver in
-//! the workspace.
+//! The solve control plane: cooperative cancellation and wall-clock
+//! deadlines shared by every iterative solver in the workspace.
 //!
 //! A [`SolveBudget`] is an immutable bundle of limits a caller attaches
 //! to a solve: an optional [`CancelToken`] (flip it from any thread and
 //! every solver sharing it stops at its next check point), an optional
-//! deadline, an optional stagnation guard (give up early when the best
-//! residual stops improving), and an optional progress callback. The
-//! solvers — Newton's iteration and damping loops, the GMRES inner
-//! loops, and everything stacked on them — poll the budget at
-//! loop boundaries, so interruption is *cooperative*: a solve is never
-//! torn down mid-factorisation, its workspace is never poisoned, and an
+//! deadline, and an optional progress callback. The solvers — Newton's
+//! iteration and damping loops, the GMRES inner loops, and everything
+//! stacked on them — poll the budget at loop boundaries, so
+//! interruption is *cooperative*: a solve is never torn down
+//! mid-factorisation, its workspace is never poisoned, and an
 //! interrupted call returns a typed [`SolveInterrupted`] describing how
 //! far it got, never a panic.
 //!
@@ -55,9 +53,6 @@ pub enum InterruptReason {
     Cancelled,
     /// The budget's wall-clock deadline passed.
     DeadlineExpired,
-    /// The stagnation guard fired: the best residual stopped improving
-    /// for a full window of iterations.
-    Stagnated,
 }
 
 impl InterruptReason {
@@ -66,7 +61,6 @@ impl InterruptReason {
         match self {
             InterruptReason::Cancelled => "cancelled",
             InterruptReason::DeadlineExpired => "deadline_expired",
-            InterruptReason::Stagnated => "stagnated",
         }
     }
 }
@@ -107,8 +101,8 @@ impl fmt::Display for SolveInterrupted {
     }
 }
 
-/// A progress snapshot handed to [`SolveBudget::with_progress`]
-/// callbacks once per outer (Newton) iteration.
+/// A progress snapshot handed to [`SolveBudget::observed`] callbacks
+/// once per outer (Newton) iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct SolveProgress {
     /// Outer iterations completed so far.
@@ -127,15 +121,12 @@ pub struct SolveProgress {
 type ProgressFn = dyn Fn(&SolveProgress) + Send + Sync;
 
 /// Limits on one solve (or one fanned-out batch of solves): cancel
-/// token, deadline, stagnation guard, progress callback — all optional,
-/// all off in [`SolveBudget::unlimited`]. See the module docs.
+/// token, deadline, progress callback — all optional, all off in
+/// [`SolveBudget::unlimited`]. See the module docs.
 #[derive(Clone, Default)]
 pub struct SolveBudget {
     cancel: Option<CancelToken>,
     deadline: Option<Instant>,
-    /// 0 disables the guard.
-    stagnation_window: usize,
-    stagnation_rel_improvement: f64,
     progress: Option<Arc<ProgressFn>>,
     stage: Option<&'static str>,
 }
@@ -145,7 +136,6 @@ impl fmt::Debug for SolveBudget {
         f.debug_struct("SolveBudget")
             .field("cancel", &self.cancel.is_some())
             .field("deadline", &self.deadline)
-            .field("stagnation_window", &self.stagnation_window)
             .field("progress", &self.progress.is_some())
             .finish()
     }
@@ -165,18 +155,6 @@ impl SolveBudget {
         self
     }
 
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Sets an absolute wall-clock deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets a deadline `timeout` from now.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
@@ -184,38 +162,11 @@ impl SolveBudget {
         self
     }
 
-    /// The deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Arms the stagnation guard: interrupt with
-    /// [`InterruptReason::Stagnated`] when `window` consecutive outer
-    /// iterations fail to improve the best residual by at least the
-    /// relative factor `min_rel_improvement` (e.g. `1e-2` = 1% better).
-    /// Catches both flat plateaus and oscillating iterates, whose best
-    /// residual plateaus even as the current residual bounces.
-    #[must_use]
-    pub fn with_stagnation_guard(mut self, window: usize, min_rel_improvement: f64) -> Self {
-        self.stagnation_window = window;
-        self.stagnation_rel_improvement = min_rel_improvement.max(0.0);
-        self
-    }
-
     /// Registers a progress callback, invoked once per outer iteration
     /// of a budgeted Newton solve. Keep it cheap: it runs on the solver
-    /// thread. Replaces any callback already installed; to *add* an
-    /// observer without dropping the existing one, use
-    /// [`SolveBudget::observed`].
-    #[must_use]
-    pub fn with_progress(mut self, f: impl Fn(&SolveProgress) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Arc::new(f));
-        self
-    }
-
-    /// Adds a progress observer *in addition to* any callback already
-    /// installed (both run, existing first). Lets a service layer watch
-    /// a solve without severing a caller's own progress plumbing.
+    /// thread. It runs *in addition to* any callback already installed
+    /// (both run, existing first), so a service layer can watch a solve
+    /// without severing a caller's own progress plumbing.
     #[must_use]
     pub fn observed(mut self, f: impl Fn(&SolveProgress) + Send + Sync + 'static) -> Self {
         self.progress = Some(match self.progress.take() {
@@ -262,8 +213,8 @@ impl SolveBudget {
     }
 
     /// A child budget for one sub-solve of a fanned-out batch: shares
-    /// the parent's cancel flag, deadline and guard configuration, so
-    /// cancelling the parent stops every child promptly.
+    /// the parent's cancel flag, deadline, progress callback and stage,
+    /// so cancelling the parent stops every child promptly.
     #[must_use]
     pub fn child(&self) -> Self {
         self.clone()
@@ -271,17 +222,12 @@ impl SolveBudget {
 
     /// Whether every limit is off (checks are then skipped wholesale).
     pub fn is_unlimited(&self) -> bool {
-        self.cancel.is_none()
-            && self.deadline.is_none()
-            && self.stagnation_window == 0
-            && self.progress.is_none()
+        self.cancel.is_none() && self.deadline.is_none() && self.progress.is_none()
     }
 
     /// The stateless cancel/deadline check used by inner (Krylov) loops,
     /// which track their own iteration counts: `Some` describes the
-    /// interruption, `None` means keep going. Stagnation is *not*
-    /// checked here — that is outer-iteration state owned by a
-    /// [`BudgetMeter`].
+    /// interruption, `None` means keep going.
     pub fn interruption(
         &self,
         start: Instant,
@@ -310,13 +256,12 @@ impl SolveBudget {
             start: Instant::now(),
             iterations: 0,
             best_residual: f64::INFINITY,
-            since_improvement: 0,
         }
     }
 }
 
 /// Per-solve mutable state over a [`SolveBudget`]: the wall clock, the
-/// outer-iteration count, the best residual, and the stagnation window.
+/// outer-iteration count and the best residual.
 /// One meter per outer (Newton) solve; inner loops use the stateless
 /// [`SolveBudget::interruption`] instead.
 #[derive(Debug, Clone)]
@@ -325,7 +270,6 @@ pub struct BudgetMeter {
     start: Instant,
     iterations: usize,
     best_residual: f64,
-    since_improvement: usize,
 }
 
 impl BudgetMeter {
@@ -350,20 +294,14 @@ impl BudgetMeter {
     }
 
     /// Records one completed outer iteration ending at `residual`:
-    /// updates the best residual and stagnation window, emits progress,
-    /// then checks every limit.
+    /// updates the best residual, emits progress, then checks every
+    /// limit.
     ///
     /// # Errors
     ///
-    /// The interruption, if cancelled, past deadline, or stagnated.
+    /// The interruption, if cancelled or past deadline.
     pub fn note_iteration(&mut self, residual: f64) -> Result<(), SolveInterrupted> {
         self.iterations += 1;
-        let required = self.best_residual * (1.0 - self.budget.stagnation_rel_improvement);
-        if residual < required || !self.best_residual.is_finite() {
-            self.since_improvement = 0;
-        } else {
-            self.since_improvement += 1;
-        }
         if residual < self.best_residual {
             self.best_residual = residual;
         }
@@ -378,11 +316,6 @@ impl BudgetMeter {
                 elapsed: self.start.elapsed(),
                 stage: self.budget.stage,
             });
-        }
-        if self.budget.stagnation_window > 0
-            && self.since_improvement >= self.budget.stagnation_window
-        {
-            return Err(self.interrupt(InterruptReason::Stagnated));
         }
         self.check()
     }
@@ -443,7 +376,8 @@ mod tests {
         token.cancel();
         let err = meter.check().expect_err("cancelled");
         assert_eq!(err.reason, InterruptReason::Cancelled);
-        assert!(budget.cancel_token().expect("token kept").is_cancelled());
+        let err = budget.meter().check().expect_err("parent cancelled too");
+        assert_eq!(err.reason, InterruptReason::Cancelled);
     }
 
     #[test]
@@ -457,38 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn stagnation_guard_fires_on_plateau() {
-        let budget = SolveBudget::unlimited().with_stagnation_guard(3, 1e-2);
-        let mut meter = budget.meter();
-        // First sighting establishes the best residual.
-        meter.note_iteration(1.0).expect("fresh");
-        meter.note_iteration(0.999).expect("1 flat");
-        meter.note_iteration(1.001).expect("2 flat");
-        let err = meter.note_iteration(0.9999).expect_err("3 flat");
-        assert_eq!(err.reason, InterruptReason::Stagnated);
-        assert_eq!(err.iterations, 4);
-        assert!((err.best_residual - 0.999).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stagnation_window_resets_on_improvement() {
-        let budget = SolveBudget::unlimited().with_stagnation_guard(3, 1e-2);
-        let mut meter = budget.meter();
-        let mut r = 1.0;
-        for _ in 0..20 {
-            // Steady 5% improvement per iteration never stagnates.
-            meter.note_iteration(r).expect("improving");
-            r *= 0.95;
-        }
-        assert_eq!(meter.iterations(), 20);
-    }
-
-    #[test]
     fn progress_callback_sees_every_iteration() {
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let budget = SolveBudget::unlimited()
-            .with_progress(move |p| sink.lock().unwrap().push((p.iteration, p.residual)));
+            .observed(move |p| sink.lock().unwrap().push((p.iteration, p.residual)));
         let mut meter = budget.meter();
         meter.note_iteration(2.0).unwrap();
         meter.note_iteration(1.0).unwrap();
@@ -500,7 +407,7 @@ mod tests {
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let (first, second) = (Arc::clone(&seen), Arc::clone(&seen));
         let budget = SolveBudget::unlimited()
-            .with_progress(move |p| first.lock().unwrap().push(("a", p.iteration)))
+            .observed(move |p| first.lock().unwrap().push(("a", p.iteration)))
             .observed(move |p| second.lock().unwrap().push(("b", p.iteration)));
         let mut meter = budget.meter();
         meter.note_iteration(1.0).unwrap();
@@ -512,7 +419,7 @@ mod tests {
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let budget = SolveBudget::unlimited()
-            .with_progress(move |p| sink.lock().unwrap().push(p.stage))
+            .observed(move |p| sink.lock().unwrap().push(p.stage))
             .with_stage("gmin_stepping");
         assert_eq!(budget.stage(), Some("gmin_stepping"));
         let child = budget.child();
@@ -534,7 +441,7 @@ mod tests {
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let budget = SolveBudget::unlimited()
-            .with_progress(move |p| sink.lock().unwrap().push((p.iteration, p.stage)))
+            .observed(move |p| sink.lock().unwrap().push((p.iteration, p.stage)))
             .with_stage("gmin_stepping");
         budget.announce_stage();
         // Without a callback it is a no-op, not a panic.

@@ -6,8 +6,8 @@ use crate::budget::SolveInterrupted;
 #[derive(Debug, Clone, PartialEq)]
 pub enum NumericsError {
     /// The solve was interrupted by its [`crate::budget::SolveBudget`]
-    /// (cancellation, deadline, or stagnation guard) — a control-plane
-    /// outcome, not a numerical failure.
+    /// (cancellation or deadline) — a control-plane outcome, not a
+    /// numerical failure.
     Interrupted(SolveInterrupted),
     /// A (near-)zero pivot was encountered during factorisation.
     SingularMatrix {

@@ -63,8 +63,7 @@ pub fn gmres<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
 /// [`gmres`] under a [`SolveBudget`]: the cancel token and deadline are
 /// polled at every restart boundary and inside the Arnoldi inner loop
 /// (once per matvec), so a batch cancel stops a long Krylov solve
-/// promptly. Stagnation guards are an outer-(Newton-)loop concern and
-/// are not applied here.
+/// promptly.
 ///
 /// # Errors
 ///

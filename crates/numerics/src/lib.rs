@@ -5,8 +5,8 @@
 //!
 //! * [`budget`] — the solve control plane: [`budget::SolveBudget`]
 //!   bundles a cooperative [`budget::CancelToken`], a wall-clock
-//!   deadline, a stagnation guard and a progress callback, polled by
-//!   every iterative solver below.
+//!   deadline and a progress callback, polled by every iterative solver
+//!   below.
 //! * [`dense`] — dense matrices with LU (partial pivoting) solves.
 //! * [`sparse`] — triplet/CSR/CSC sparse matrices, plus the
 //!   [`sparse::CscAssembly`]/[`sparse::CsrAssembly`] pattern caches that

@@ -254,19 +254,11 @@ pub enum TimelineEventKind {
         /// Residual norm at the milestone.
         residual: f64,
     },
-    /// The execution was parked for a retry backoff after a transient
-    /// failure.
-    Retry {
-        /// Re-dispatch attempts so far (1 = first retry).
-        attempt: usize,
-        /// The backoff the execution waits before re-admission.
-        backoff_ms: u64,
-    },
     /// The job settled. Always the final event; the timeline reserves
     /// its last slot for it.
     Settled {
-        /// How it ended: `hit`, `solved`, `failed`, `cancelled`,
-        /// `deadline_expired` or `stagnated`.
+        /// How it ended: `hit`, `solved`, `failed`, `cancelled` or
+        /// `deadline_expired`.
         outcome: &'static str,
     },
 }
@@ -280,7 +272,6 @@ impl TimelineEventKind {
             TimelineEventKind::Dispatched => "dispatched",
             TimelineEventKind::Rung { .. } => "rung",
             TimelineEventKind::Iteration { .. } => "iteration",
-            TimelineEventKind::Retry { .. } => "retry",
             TimelineEventKind::Settled { .. } => "settled",
         }
     }

@@ -305,7 +305,7 @@ fn main() -> ExitCode {
                 println!("shard_count={}", shards.len());
                 for shard in shards {
                     let n = |path: &str| shard.number_at(path).unwrap_or(0.0);
-                    let mut totals = [0.0f64; 5]; // submitted, memo_hits, retried, cancelled, completed
+                    let mut totals = [0.0f64; 4]; // submitted, memo_hits, completed, cancelled
                     if let Some(queues) = shard.path("queues") {
                         for backend in ["mpde", "hb2", "periodic_fd"] {
                             totals[0] += queues
@@ -315,19 +315,16 @@ fn main() -> ExitCode {
                                 .number_at(&format!("{backend}.memo_hits"))
                                 .unwrap_or(0.0);
                             totals[2] += queues
-                                .number_at(&format!("{backend}.retried"))
+                                .number_at(&format!("{backend}.completed"))
                                 .unwrap_or(0.0);
                             totals[3] += queues
                                 .number_at(&format!("{backend}.cancelled"))
-                                .unwrap_or(0.0);
-                            totals[4] += queues
-                                .number_at(&format!("{backend}.completed"))
                                 .unwrap_or(0.0);
                         }
                     }
                     println!(
                         "shard={} store_len={} store_hit_rate={:.3} queue_depth={} \
-                         submitted={} memo_hits={} completed={} retried={} cancelled={} \
+                         submitted={} memo_hits={} completed={} cancelled={} \
                          rungs={}/{}",
                         n("shard"),
                         n("store.len"),
@@ -335,7 +332,6 @@ fn main() -> ExitCode {
                         n("queue.depth"),
                         totals[0],
                         totals[1],
-                        totals[4],
                         totals[2],
                         totals[3],
                         n("engine.rung_successes"),

@@ -5,8 +5,7 @@
 //! rfsim-serve [--addr 127.0.0.1:4520] [--store-capacity 256]
 //!             [--queue-capacity 1024] [--shards N] [--threads N]
 //!             [--batch-max 16] [--quant-digits 12]
-//!             [--default-deadline-ms MS] [--retry-max N]
-//!             [--retry-backoff-ms MS] [--frontend-workers N]
+//!             [--default-deadline-ms MS] [--frontend-workers N]
 //!             [--max-inflight N] [--slow-log-ms MS] [--no-telemetry]
 //!             [--trace-capacity N]
 //! ```
@@ -65,10 +64,6 @@ fn parse_args() -> Args {
                 args.config.default_deadline_ms =
                     Some(value("--default-deadline-ms").parse().expect("deadline"))
             }
-            "--retry-max" => args.config.retry_max = value("--retry-max").parse().expect("retries"),
-            "--retry-backoff-ms" => {
-                args.config.retry_backoff_ms = value("--retry-backoff-ms").parse().expect("backoff")
-            }
             "--frontend-workers" => {
                 args.frontend.workers = value("--frontend-workers").parse().expect("workers")
             }
@@ -87,8 +82,7 @@ fn parse_args() -> Args {
                     "rfsim-serve: memoising steady-state simulation daemon\n\
                      flags: --addr HOST:PORT --store-capacity N --queue-capacity N \
                      --shards N --threads N --batch-max N --quant-digits N \
-                     --default-deadline-ms MS --retry-max N \
-                     --retry-backoff-ms MS --frontend-workers N --max-inflight N \
+                     --default-deadline-ms MS --frontend-workers N --max-inflight N \
                      --slow-log-ms MS --no-telemetry --trace-capacity N"
                 );
                 std::process::exit(0);

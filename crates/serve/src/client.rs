@@ -24,9 +24,9 @@ pub struct PollOutcome {
     pub digest: Option<String>,
     /// The failure message when `failed`.
     pub error: Option<String>,
-    /// The typed interruption reason (`cancelled` / `deadline_expired` /
-    /// `stagnated`) when a `failed` job was stopped by its budget rather
-    /// than by a solver error.
+    /// The typed interruption reason (`cancelled` / `deadline_expired`)
+    /// when a `failed` job was stopped by its budget rather than by a
+    /// solver error.
     pub interrupt_reason: Option<String>,
     /// Mid-solve progress of a `running` job (absent until the first
     /// Newton iteration reports, and once the job settles).

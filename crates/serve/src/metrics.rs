@@ -145,12 +145,11 @@ pub fn exposition(stats: &ServeStats) -> String {
 
     // Per-backend job counters, aggregated across shards.
     type CounterPick = fn(&QueueCounters) -> usize;
-    let jobs: [(&str, CounterPick); 9] = [
+    let jobs: [(&str, CounterPick); 8] = [
         ("rfsim_jobs_submitted_total", |q| q.submitted),
         ("rfsim_jobs_memo_hits_total", |q| q.memo_hits),
         ("rfsim_jobs_coalesced_total", |q| q.coalesced),
         ("rfsim_solves_total", |q| q.solves),
-        ("rfsim_jobs_retried_total", |q| q.retried),
         ("rfsim_jobs_completed_total", |q| q.completed),
         ("rfsim_jobs_failed_total", |q| q.failed),
         ("rfsim_jobs_cancelled_total", |q| q.cancelled),

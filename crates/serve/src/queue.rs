@@ -31,9 +31,6 @@ pub struct QueuedJob {
     pub epoch: u64,
     /// Admission sequence number (FIFO within a priority).
     pub seq: u64,
-    /// Completed dispatch attempts (0 until the first transient failure
-    /// sends the job back for retry).
-    pub attempts: usize,
 }
 
 impl std::fmt::Debug for QueuedJob {
@@ -157,14 +154,6 @@ impl JobQueue {
         self.stale += 1;
     }
 
-    /// Re-admits a job the scheduler already owns (a retry after a
-    /// transient failure): bypasses the capacity bound — the job's
-    /// waiters were admitted under it and never released their claim —
-    /// without the stale-entry accounting of a superseding push.
-    pub fn requeue(&mut self, job: QueuedJob) {
-        self.heap.push(job);
-    }
-
     /// A look at what [`JobQueue::pop`] would return.
     pub fn peek(&self) -> Option<&QueuedJob> {
         self.heap.peek()
@@ -188,7 +177,6 @@ mod tests {
             spec,
             epoch,
             seq,
-            attempts: 0,
         }
     }
 

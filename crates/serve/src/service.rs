@@ -100,13 +100,6 @@ pub struct ServeConfig {
     /// when it expires instead of pinning an engine worker forever.
     /// `None` (the default) leaves such jobs unbounded.
     pub default_deadline_ms: Option<u64>,
-    /// Automatic re-dispatches after a *transient* solve failure (a
-    /// solver error that is neither a budget interruption nor a panic).
-    /// `0` (the default) fails the job on its first error.
-    pub retry_max: usize,
-    /// Backoff before retry attempt `k`: `retry_backoff_ms << (k-1)`
-    /// milliseconds (exponential, first retry waits one unit).
-    pub retry_backoff_ms: u64,
     /// Independent engine shards (clamped ≥ 1). Each shard owns its own
     /// scheduler thread, engine (with `threads` workers *each*) and
     /// store; submits route by rendezvous hashing over the
@@ -140,8 +133,6 @@ impl Default for ServeConfig {
             quantizer: Quantizer::default(),
             paused: false,
             default_deadline_ms: None,
-            retry_max: 0,
-            retry_backoff_ms: 50,
             shards: 1,
             telemetry: true,
             slow_log_ms: None,
@@ -194,8 +185,8 @@ pub enum JobStatus {
         /// Human-readable failure description.
         message: String,
         /// Present when the failure was a typed budget interruption
-        /// (cancel, deadline, stagnation) rather than a numerical or
-        /// structural error.
+        /// (cancel or deadline) rather than a numerical or structural
+        /// error.
         interrupted: Option<InterruptSummary>,
     },
 }
@@ -253,7 +244,7 @@ struct JobControl {
     progress: ProgressSlot,
     /// When the execution was admitted (timeline origin).
     admitted_at: Instant,
-    /// When the scheduler first handed the execution to the engine
+    /// When the scheduler handed the execution to the engine
     /// (`None` until dispatch; queue wait = `dispatched_at -
     /// admitted_at`, solve time = settle − `dispatched_at`).
     dispatched_at: Option<Instant>,
@@ -286,8 +277,7 @@ impl JobControl {
 }
 
 /// The settle-outcome label of a [`JobStatus`] for timeline events:
-/// `hit`, `solved`, `failed`, `cancelled`, `deadline_expired` or
-/// `stagnated`.
+/// `hit`, `solved`, `failed`, `cancelled` or `deadline_expired`.
 fn settle_outcome(status: &JobStatus) -> &'static str {
     match status {
         JobStatus::Done { memo_hit: true, .. } => "hit",
@@ -435,10 +425,10 @@ impl ShardTelemetry {
 /// exposition can emit counts and sums losslessly.
 #[derive(Debug, Clone)]
 pub struct LatencySnapshot {
-    /// Admission → first dispatch.
+    /// Admission → dispatch.
     pub queue_wait: LatencyHistogram,
-    /// First dispatch → settle (per execution, coalesced waiters
-    /// counted once).
+    /// Dispatch → settle (per execution, coalesced waiters counted
+    /// once).
     pub solve: LatencyHistogram,
     /// Admission → settle, per job id (memo hits included).
     pub e2e: LatencyHistogram,
@@ -520,13 +510,6 @@ impl TraceView {
                         members.push(("residual", Json::number(residual)));
                     }
                 }
-                TimelineEventKind::Retry {
-                    attempt,
-                    backoff_ms,
-                } => {
-                    members.push(("attempt", Json::from(attempt)));
-                    members.push(("backoff_ms", Json::from(backoff_ms as usize)));
-                }
                 TimelineEventKind::Settled { outcome } => {
                     members.push(("outcome", Json::string(outcome)));
                 }
@@ -556,7 +539,6 @@ fn format_timeline(timeline: &Timeline) -> String {
                 TimelineEventKind::Iteration {
                     iteration, rung, ..
                 } => format!("iter({rung}:{iteration})+{t_ms:.1}ms"),
-                TimelineEventKind::Retry { attempt, .. } => format!("retry({attempt})+{t_ms:.1}ms"),
                 TimelineEventKind::Settled { outcome } => {
                     format!("settled({outcome})+{t_ms:.1}ms")
                 }
@@ -586,8 +568,7 @@ pub struct InterruptSummary {
 }
 
 impl InterruptSummary {
-    /// Wire label of the reason (`cancelled` / `deadline_expired` /
-    /// `stagnated`).
+    /// Wire label of the reason (`cancelled` / `deadline_expired`).
     pub fn label(&self) -> &'static str {
         self.reason.label()
     }
@@ -615,9 +596,6 @@ pub struct QueueCounters {
     pub coalesced: usize,
     /// Unique executions dispatched to the engine.
     pub solves: usize,
-    /// Re-dispatches after a transient solve failure (each retry of each
-    /// execution counts once).
-    pub retried: usize,
     /// Jobs completed successfully (memo hits included).
     pub completed: usize,
     /// Jobs failed.
@@ -637,7 +615,6 @@ impl QueueCounters {
         self.memo_hits += other.memo_hits;
         self.coalesced += other.coalesced;
         self.solves += other.solves;
-        self.retried += other.retried;
         self.completed += other.completed;
         self.failed += other.failed;
         self.cancelled += other.cancelled;
@@ -831,7 +808,6 @@ fn stats_sections(
             ("memo_hits", Json::from(q.memo_hits)),
             ("coalesced", Json::from(q.coalesced)),
             ("solves", Json::from(q.solves)),
-            ("retried", Json::from(q.retried)),
             ("completed", Json::from(q.completed)),
             ("failed", Json::from(q.failed)),
             ("cancelled", Json::from(q.cancelled)),
@@ -927,9 +903,6 @@ struct SchedState {
     /// execution a coalesced id rides on. Entries drop when the id
     /// settles.
     job_keys: HashMap<JobId, JobKey>,
-    /// Executions parked for a retry backoff: `(due, job)`. Not in the
-    /// heap — the scheduler promotes due entries back into the queue.
-    deferred: Vec<(Instant, QueuedJob)>,
     /// Each live job id's admission instant (telemetry only; empty with
     /// telemetry off). Entries drop when the id settles — the e2e
     /// histogram is recorded from the removed instant, so coalesced
@@ -1059,7 +1032,6 @@ impl SimService {
                     queued_priority: HashMap::new(),
                     cancels: HashMap::new(),
                     job_keys: HashMap::new(),
-                    deferred: Vec::new(),
                     admitted: HashMap::new(),
                     counters: ServeCounters::default(),
                     // Stride allocation: shard `s` issues ids s+1,
@@ -1158,8 +1130,7 @@ impl SimService {
     /// onto an identical in-flight execution, or an id waiting in the
     /// queue. Submit builds no circuit: a family builder that fails, at
     /// the first point as at any later one, settles the job
-    /// [`JobStatus::Failed`] at dispatch (retried like any transient
-    /// solver error, see [`ServeConfig::retry_max`]).
+    /// [`JobStatus::Failed`] at dispatch, like any solver error.
     ///
     /// # Errors
     ///
@@ -1254,7 +1225,6 @@ impl SimService {
                                 builder,
                                 epoch,
                                 seq,
-                                attempts: 0,
                             },
                             true,
                         )
@@ -1278,7 +1248,6 @@ impl SimService {
                 builder,
                 epoch,
                 seq,
-                attempts: 0,
             },
             false,
         );
@@ -1516,9 +1485,9 @@ impl SimService {
     /// same execution — they share one solve). Idempotent: a settled job
     /// just returns its settled status.
     ///
-    /// * **Queued** (or parked for a retry backoff): every waiter
-    ///   completes immediately with a `cancelled` failure; the heap
-    ///   entry is dropped as stale when the scheduler reaches it.
+    /// * **Queued**: every waiter completes immediately with a
+    ///   `cancelled` failure; the heap entry is dropped as stale when the
+    ///   scheduler reaches it.
     /// * **Running**: the execution's [`CancelToken`] is fired; the
     ///   solve observes it at its next budget check and the scheduler
     ///   settles every waiter with the typed interruption. The returned
@@ -1555,14 +1524,10 @@ impl SimService {
             Some(control) => control.kind,
             None => return Ok(status),
         };
-        let was_deferred = state.deferred.iter().any(|(_, job)| job.key == key);
-        state.deferred.retain(|(_, job)| job.key != key);
-        if !was_deferred {
-            // The key's live heap entry is now stale; account for it so
-            // the backpressure bound frees the slot immediately instead
-            // of when the scheduler happens to pop it.
-            state.queue.note_stale_enqueued();
-        }
+        // The key's live heap entry is now stale; account for it so the
+        // backpressure bound frees the slot immediately instead of when
+        // the scheduler happens to pop it.
+        state.queue.note_stale_enqueued();
         state.queued_priority.remove(&key);
         let cancelled = JobStatus::Failed {
             message: "cancelled before dispatch".into(),
@@ -1785,16 +1750,6 @@ impl SimService {
                     }
                 }
             }
-            // Retry-parked executions are waiting jobs too.
-            let deferred = std::mem::take(&mut state.deferred);
-            for (_, job) in deferred {
-                state.cancels.remove(&job.key);
-                if let Some(ids) = state.waiters.remove(&job.key) {
-                    for id in ids {
-                        state.settle(id, JobStatus::failed("service shut down"), result_capacity);
-                    }
-                }
-            }
             state.queued_priority.clear();
             drop(state);
             inner.work_cv.notify_all();
@@ -1897,37 +1852,10 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                 if state.shutdown {
                     return;
                 }
-                // Promote retry-parked executions whose backoff elapsed.
-                let now = Instant::now();
-                let mut i = 0;
-                while i < state.deferred.len() {
-                    if state.deferred[i].0 <= now {
-                        let (_, job) = state.deferred.swap_remove(i);
-                        state.queued_priority.insert(job.key, job.spec.priority);
-                        state.queue.requeue(job);
-                    } else {
-                        i += 1;
-                    }
-                }
                 if !state.paused && !state.queue.is_empty() {
                     break;
                 }
-                // With retries parked, sleep only until the earliest one
-                // is due; otherwise wait for a submit/resume/shutdown.
-                let next_due = state.deferred.iter().map(|(due, _)| *due).min();
-                state = match next_due {
-                    Some(due) => {
-                        let wait = due
-                            .saturating_duration_since(Instant::now())
-                            .max(Duration::from_millis(1));
-                        inner
-                            .work_cv
-                            .wait_timeout(state, wait)
-                            .expect("state poisoned")
-                            .0
-                    }
-                    None => inner.work_cv.wait(state).expect("state poisoned"),
-                };
+                state = inner.work_cv.wait(state).expect("state poisoned");
             }
             let mut batch: Vec<QueuedJob> = Vec::new();
             let mut tokens: Vec<DispatchHandles> = Vec::new();
@@ -1964,14 +1892,10 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                 let now = Instant::now();
                 let handles = match state.cancels.get_mut(&job.key) {
                     Some(control) => {
-                        // Queue wait is admission → *first* dispatch; a
-                        // retry re-dispatch shows up as solve time.
-                        if control.dispatched_at.is_none() {
-                            inner
-                                .telemetry
-                                .record_queue_wait(now.duration_since(control.admitted_at));
-                            control.dispatched_at = Some(now);
-                        }
+                        inner
+                            .telemetry
+                            .record_queue_wait(now.duration_since(control.admitted_at));
+                        control.dispatched_at = Some(now);
                         if let Some(trace) = &control.trace {
                             trace
                                 .lock()
@@ -2050,47 +1974,6 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                         ServeError::Circuit(ce) => ce.interrupted().map(InterruptSummary::from),
                         _ => None,
                     };
-                    // A *transient* failure — a solver error that is
-                    // neither a budget interruption (the control plane
-                    // asked for the stop) nor a panic (ServeError::
-                    // Protocol; a bug, not weather) — may earn a retry.
-                    let transient = interrupted.is_none() && matches!(e, ServeError::Circuit(_));
-                    if transient
-                        && job.attempts < inner.config.retry_max
-                        && state.waiters.contains_key(&job.key)
-                    {
-                        // Hand the execution back: waiters revert to
-                        // Queued, the job parks for an exponential
-                        // backoff, and the deferred-promotion pass
-                        // re-admits it when due.
-                        state.dispatched.remove(&job.key);
-                        if let Some(ids) = state.waiters.get(&job.key) {
-                            for id in ids.clone() {
-                                state.jobs.insert(id, JobStatus::Queued);
-                            }
-                        }
-                        state.counters.queue_mut(kind).retried += 1;
-                        let mut job = job;
-                        job.attempts += 1;
-                        let backoff = inner
-                            .config
-                            .retry_backoff_ms
-                            .saturating_mul(1u64 << (job.attempts - 1).min(16));
-                        if let Some(trace) =
-                            state.cancels.get(&job.key).and_then(|c| c.trace.as_ref())
-                        {
-                            let mut timeline = trace.lock().expect("timeline poisoned");
-                            timeline.record(TimelineEventKind::Retry {
-                                attempt: job.attempts,
-                                backoff_ms: backoff,
-                            });
-                            timeline.record(TimelineEventKind::Queued);
-                        }
-                        state
-                            .deferred
-                            .push((Instant::now() + Duration::from_millis(backoff), job));
-                        continue;
-                    }
                     JobStatus::Failed {
                         message: e.to_string(),
                         interrupted,

@@ -1,8 +1,8 @@
 //! Control-plane robustness: cancellation over the wire, deadline-based
-//! scheduler-slot reclamation, retry-with-backoff for transient solve
-//! failures, and panic isolation — all driven by deterministic injected
-//! faults ([`rfsim_circuit::fault`]), so every scenario is a real hung /
-//! failing solve going through the production dispatch path, not a mock.
+//! scheduler-slot reclamation, typed failures and panic isolation — all
+//! driven by deterministic injected faults ([`rfsim_circuit::fault`]), so
+//! every scenario is a real hung / failing solve going through the
+//! production dispatch path, not a mock.
 
 use std::time::{Duration, Instant};
 
@@ -174,61 +174,16 @@ fn default_deadline_reclaims_slots_under_load() {
     assert!(!done.points.is_empty());
 }
 
-/// A transient solver failure (diverges once, then recovers) is retried
-/// with backoff and ultimately succeeds; the retry is counted.
+/// A panicking solve is isolated by the scheduler: one dispatch,
+/// immediate failure, and the scheduler stays alive.
 #[test]
-fn transient_failure_is_retried_and_recovers() {
-    let service = SimService::start(ServeConfig {
-        retry_max: 2,
-        retry_backoff_ms: 10,
-        ..small_config()
-    });
-    service.inject_fault("rc_lowpass", SolveFault::diverge().times(1));
-    let done = service
-        .wait(service.submit(&spec(0.1)).expect("submit"), WAIT)
-        .expect("retry must recover the job");
-    assert!(!done.points.is_empty());
-    let q = service.stats().counters.queue(BackendKind::Mpde);
-    assert_eq!(q.retried, 1, "exactly one re-dispatch");
-    assert_eq!(q.failed, 0);
-    assert_eq!(q.completed, 1);
-}
-
-/// Retries are bounded: a fault outlasting `retry_max` fails the job
-/// with the final error, after exactly `retry_max` re-dispatches.
-#[test]
-fn retries_exhaust_and_fail() {
-    let service = SimService::start(ServeConfig {
-        retry_max: 2,
-        retry_backoff_ms: 5,
-        ..small_config()
-    });
-    service.inject_fault("rc_lowpass", SolveFault::diverge());
-    let id = service.submit(&spec(0.1)).expect("submit");
-    service.wait(id, WAIT).expect_err("must fail");
-    match service.poll(id).expect("poll") {
-        JobStatus::Failed { interrupted, .. } => {
-            assert!(interrupted.is_none(), "a divergence is not an interruption");
-        }
-        other => panic!("expected failure, got {other:?}"),
-    }
-    assert_eq!(service.stats().counters.queue(BackendKind::Mpde).retried, 2);
-}
-
-/// A panicking solve is isolated by the scheduler and is *not* treated
-/// as transient: no retries, immediate failure, scheduler stays alive.
-#[test]
-fn panics_fail_immediately_without_retry() {
-    let service = SimService::start(ServeConfig {
-        retry_max: 3,
-        retry_backoff_ms: 5,
-        ..small_config()
-    });
+fn panics_fail_immediately() {
+    let service = SimService::start(small_config());
     service.inject_fault("rc_lowpass", SolveFault::panicking());
     let id = service.submit(&spec(0.1)).expect("submit");
     let err = service.wait(id, WAIT).expect_err("panic fails the job");
     assert!(err.to_string().contains("panicked"), "{err}");
-    assert_eq!(service.stats().counters.queue(BackendKind::Mpde).retried, 0);
+    assert_eq!(service.stats().counters.queue(BackendKind::Mpde).solves, 1);
 
     // The scheduler survived: clear the fault and solve for real.
     service.clear_fault("rc_lowpass");
@@ -356,16 +311,13 @@ fn sharded_cancel_over_wire_matches_single_shard_semantics() {
     server.join();
 }
 
-/// Deadlines and retries behave identically per shard: hung jobs expire
-/// on whichever shard owns them, and a transient failure retries and
-/// recovers without crossing shards.
+/// Deadlines behave identically per shard: hung jobs expire on
+/// whichever shard owns them.
 #[test]
-fn sharded_deadline_and_retry_are_unchanged() {
+fn sharded_deadlines_are_unchanged() {
     let service = SimService::start(ServeConfig {
         shards: 4,
         default_deadline_ms: Some(300),
-        retry_max: 2,
-        retry_backoff_ms: 10,
         ..small_config()
     });
     // Hung jobs on several shards: all must expire independently.
@@ -379,25 +331,6 @@ fn sharded_deadline_and_retry_are_unchanged() {
         let err = service.wait(id, WAIT).expect_err("deadline must fire");
         assert!(err.to_string().contains("deadline_expired"), "{err}");
     }
-    service.clear_fault("rc_lowpass");
-
-    // A transient diverge-once fault is retried and recovers, exactly as
-    // on one shard; the retry is counted on the owning shard only.
-    service.inject_fault("rc_lowpass", SolveFault::diverge().times(1));
-    let mut patient = spec(0.4);
-    patient.deadline_ms = Some(60_000);
-    let done = service
-        .wait(service.submit(&patient).expect("submit"), WAIT)
-        .expect("retry must recover");
-    assert!(!done.points.is_empty());
-    let stats = service.stats();
-    assert_eq!(stats.counters.queue(BackendKind::Mpde).retried, 1);
-    let retried_shards = stats
-        .shards
-        .iter()
-        .filter(|s| s.counters.queue(BackendKind::Mpde).retried > 0)
-        .count();
-    assert_eq!(retried_shards, 1, "one shard owns the retried job");
 }
 
 /// A cancel for a job that already finished changes nothing and returns
@@ -471,54 +404,6 @@ fn cancel_before_dispatch_timeline_has_no_dispatch_event() {
         })
     ));
     service.resume();
-}
-
-/// A transiently-failing job's timeline records the retry hand-back —
-/// dispatched, retry(attempt=1), re-queued, re-dispatched — and still
-/// settles solved.
-#[test]
-fn retry_timeline_records_the_backoff_loop() {
-    use rfsim_numerics::telemetry::TimelineEventKind;
-    let service = SimService::start(ServeConfig {
-        retry_max: 2,
-        retry_backoff_ms: 5,
-        ..small_config()
-    });
-    service.inject_fault("rc_lowpass", SolveFault::diverge().times(1));
-    let id = service.submit(&spec(0.1)).expect("submit");
-    service.wait(id, WAIT).expect("retry must recover");
-    let labels = trace_labels(&service, id);
-    let position = |want: &str| {
-        labels
-            .iter()
-            .position(|l| *l == want)
-            .unwrap_or_else(|| panic!("no '{want}' event in {labels:?}"))
-    };
-    let retry = position("retry");
-    assert!(position("dispatched") < retry, "{labels:?}");
-    // The hand-back re-queues and re-dispatches after the retry mark.
-    assert!(
-        labels.iter().skip(retry).any(|l| *l == "dispatched"),
-        "{labels:?}"
-    );
-    assert_eq!(labels.last(), Some(&"settled"));
-    let view = service.trace(id).expect("trace");
-    let retry_event = view
-        .events
-        .iter()
-        .find_map(|e| match e.kind {
-            TimelineEventKind::Retry {
-                attempt,
-                backoff_ms,
-            } => Some((attempt, backoff_ms)),
-            _ => None,
-        })
-        .expect("typed retry event");
-    assert_eq!(retry_event, (1, 5));
-    assert!(matches!(
-        view.events.last().map(|e| e.kind),
-        Some(TimelineEventKind::Settled { outcome: "solved" })
-    ));
 }
 
 /// A hung job stopped by its deadline settles a timeline that reached

@@ -443,6 +443,47 @@ fn first_point_builder_errors_settle_the_job_failed() {
 }
 
 #[test]
+fn failed_solves_repeat_their_error_and_are_not_stored() {
+    // Two voltage sources in parallel: the MNA system is singular, so
+    // the solve fails in the solver itself, not in the builder. A job
+    // solves from its own initial guess on workspaces of its own, so a
+    // re-run fails the same way, and a failure never reaches the store.
+    let service = SimService::start(small_config());
+    service.register_family("shorted", |p: &PointParams| {
+        let mut b = CircuitBuilder::new();
+        let inp = b.node("in");
+        let out = b.node("out");
+        b.vsource("V1", inp, GROUND, p.source())?;
+        b.vsource("V2", inp, GROUND, p.source())?;
+        b.resistor("R1", inp, out, 1e3)?;
+        b.capacitor("C1", out, GROUND, 160e-12)?;
+        b.build()
+    });
+    let mut request = spec(0.1);
+    request.family = "shorted".into();
+    let mut messages = Vec::new();
+    for _ in 0..2 {
+        let id = service.submit(&request).expect("submit");
+        service
+            .wait(id, WAIT)
+            .expect_err("a singular circuit fails");
+        match service.poll(id).expect("poll") {
+            JobStatus::Failed {
+                message,
+                interrupted,
+            } => {
+                assert!(interrupted.is_none(), "a solver failure: {message}");
+                messages.push(message);
+            }
+            other => panic!("expected a failed job, got {other:?}"),
+        }
+    }
+    assert_eq!(messages[0], messages[1], "a re-solve fails the same way");
+    let q = service.stats().counters.queue(BackendKind::Mpde);
+    assert_eq!((q.solves, q.failed, q.memo_hits), (2, 2, 0));
+}
+
+#[test]
 fn topology_dependent_families_solve_each_operating_point() {
     // A family whose *topology* depends on the operating point: above
     // 0.25 V the series resistor splits in two. First points on either

@@ -250,7 +250,6 @@ fn wire_stats_expose_every_documented_field() {
         "queues.mpde.memo_hits",
         "queues.mpde.coalesced",
         "queues.mpde.solves",
-        "queues.mpde.retried",
         "queues.mpde.completed",
         "queues.mpde.failed",
         "queues.mpde.cancelled",
