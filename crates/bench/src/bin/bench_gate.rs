@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr18.json --out BENCH_pr19.json --tolerance 0.25
+//!     --baseline BENCH_pr19.json --out BENCH_pr22.json --tolerance 0.25
 //! ```
 
 use std::io::Write;
@@ -34,8 +34,8 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        baseline: "BENCH_pr18.json".into(),
-        out: "BENCH_pr19.json".into(),
+        baseline: "BENCH_pr19.json".into(),
+        out: "BENCH_pr22.json".into(),
         // Cross-machine reproducibility of the micro ratios is ~±20%
         // (measured by re-running a pinned build against a baseline
         // recorded on a different container), so a tighter band is

@@ -1150,8 +1150,7 @@ pub struct GateCheck {
     pub name: String,
     /// The freshly measured ratio.
     pub measured: f64,
-    /// The committed baseline ratio (`None` = new metric, floor-gated
-    /// only).
+    /// The committed baseline ratio (`None`: gated by the floor only).
     pub baseline: Option<f64>,
     /// Hard floor the measured value must clear regardless of baseline.
     pub floor: f64,
@@ -1179,7 +1178,7 @@ pub fn evaluate(checks: &[GateCheck], tolerance: f64) -> bool {
         ok &= pass;
         let baseline = check
             .baseline
-            .map_or("none (new metric)".to_string(), |b| format!("{b:.3}"));
+            .map_or("floor only".to_string(), |b| format!("{b:.3}"));
         println!(
             "[{}] {}: measured {:.3}, baseline {}, floor {:.3}",
             if pass { "PASS" } else { "FAIL" },

@@ -80,11 +80,6 @@ impl SolveFault {
         }
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> FaultMode {
-        self.mode
-    }
-
     /// Runs the injected solve under `budget`.
     ///
     /// # Errors

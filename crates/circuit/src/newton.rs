@@ -67,12 +67,16 @@ pub enum LinearSolver {
 /// Unknowns from which [`LinearSolver::Auto`] runs GMRES + block-Jacobi.
 /// Set from the warm-workspace crossover, where direct LU skips its full
 /// factor (the sweep engine's and serve's case). Krylov speedup over
-/// direct on the fig4 mixer (pattern 1011, best of 5–7 solves each, two
-/// runs on 2 vCPUs): 0.69× at 1 920 unknowns, 0.83× at 4 320, 1.02–1.04×
-/// at 5 760, 1.06× at 6 720, 0.96–0.97× at 7 680, 1.09–1.11× at 8 100,
-/// 1.27× at 8 400, 1.17× at 9 600, 1.40× at 11 520, 1.79× at 18 000.
-/// Cold workspaces favour Krylov from 4 320 up (1.22×). Every serve grid
-/// and corpus netlist sits far below the threshold.
+/// direct with the shared-symbolic block-Jacobi factor, on the fig4 mixer
+/// (pattern 1011, best of 6 solves on one workspace, two runs on 2 vCPUs,
+/// grid n1×n2): 0.89× at 1 920 unknowns (16×8), 1.09× at 4 320 (24×12),
+/// 1.34–1.37× at 5 760 (24×16), 1.39–1.40× at 6 720 (28×16), 1.29–1.30×
+/// at 7 680 (32×16), 1.17–1.19× at 8 100 (36×15), 1.26–1.31× at 8 400
+/// (35×16), 1.20–1.22× at 9 600 (40×16), 1.11–1.14× at 11 520 (48×16)
+/// and 2.27–2.31× at 18 000 (40×30). The crossover now sits near 4 000
+/// unknowns; the threshold stays at 8 000 until a change that moves it
+/// re-checks the grids it would move. Every serve grid and corpus netlist
+/// sits far below either value.
 const KRYLOV_MIN_DIM: usize = 8_000;
 
 /// Inner relative tolerance of the [`LinearSolver::Auto`] Krylov solve.

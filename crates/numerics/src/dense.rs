@@ -111,22 +111,6 @@ impl DenseMatrix {
         out
     }
 
-    /// Transposed copy.
-    pub fn transposed(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        crate::vector::norm2(&self.data)
-    }
-
     /// In-place LU factorisation with partial pivoting.
     ///
     /// # Errors
@@ -153,31 +137,6 @@ impl DenseMatrix {
     /// Propagates factorisation errors; see [`DenseMatrix::lu`].
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         Ok(self.lu()?.solve(b))
-    }
-
-    /// Estimates the 1-norm condition number via explicit inverse columns
-    /// (intended for small matrices in tests and diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorisation errors.
-    pub fn cond1_estimate(&self) -> Result<f64> {
-        let n = self.rows;
-        let lu = self.lu()?;
-        let mut inv_norm1: f64 = 0.0;
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = lu.solve(&e);
-            e[j] = 0.0;
-            inv_norm1 = inv_norm1.max(col.iter().map(|v| v.abs()).sum());
-        }
-        let mut a_norm1: f64 = 0.0;
-        for j in 0..self.cols {
-            let s = (0..self.rows).map(|i| self[(i, j)].abs()).sum();
-            a_norm1 = a_norm1.max(s);
-        }
-        Ok(a_norm1 * inv_norm1)
     }
 }
 
@@ -251,6 +210,12 @@ impl DenseLu {
         self.n
     }
 
+    /// The row order: row `k` of `L·U` is row `perm()[k]` of the
+    /// factored matrix.
+    pub(crate) fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
     /// Refactors in place from a same-dimension matrix, reusing this
     /// factor's storage: no allocation, fresh partial pivoting. The value
     /// refresh behind the block-Jacobi preconditioner's in-place numeric
@@ -319,41 +284,6 @@ impl DenseLu {
             x[i] = s / self.lu[i * n + i];
         }
     }
-
-    /// Solves for several right-hand sides given as matrix columns.
-    pub fn solve_matrix(&self, b: &DenseMatrix) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.n, b.cols());
-        let mut col = vec![0.0; self.n];
-        for j in 0..b.cols() {
-            for i in 0..self.n {
-                col[i] = b[(i, j)];
-            }
-            let x = self.solve(&col);
-            for i in 0..self.n {
-                out[(i, j)] = x[i];
-            }
-        }
-        out
-    }
-
-    /// Determinant of the original matrix (product of pivots with sign).
-    pub fn determinant(&self) -> f64 {
-        let mut det = 1.0;
-        for i in 0..self.n {
-            det *= self.lu[i * self.n + i];
-        }
-        // Permutation parity.
-        let mut perm = self.perm.clone();
-        let mut sign = 1.0;
-        for i in 0..perm.len() {
-            while perm[i] != i {
-                let j = perm[i];
-                perm.swap(i, j);
-                sign = -sign;
-            }
-        }
-        det * sign
-    }
 }
 
 #[cfg(test)]
@@ -407,38 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_permutation() {
-        let a = mat(2, 2, &[0.0, 1.0, 1.0, 0.0]);
-        let det = a.lu().expect("lu").determinant();
-        assert!((det + 1.0).abs() < 1e-14);
-    }
-
-    #[test]
     fn matmul_identity() {
         let a = mat(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let i = DenseMatrix::identity(2);
         assert_eq!(a.matmul(&i), a);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = mat(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transposed().transposed(), a);
-    }
-
-    #[test]
-    fn solve_matrix_columns() {
-        let a = mat(2, 2, &[2.0, 0.0, 0.0, 4.0]);
-        let b = mat(2, 2, &[2.0, 4.0, 4.0, 8.0]);
-        let x = a.lu().expect("lu").solve_matrix(&b);
-        assert!((x[(0, 0)] - 1.0).abs() < 1e-14);
-        assert!((x[(1, 1)] - 2.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn cond_of_identity_is_one() {
-        let c = DenseMatrix::identity(5).cond1_estimate().expect("cond");
-        assert!((c - 1.0).abs() < 1e-12);
     }
 
     proptest! {

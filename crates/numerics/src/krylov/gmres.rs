@@ -1,4 +1,7 @@
 //! Restarted GMRES with right preconditioning.
+//!
+//! One call allocates its Arnoldi basis on demand and reuses it across
+//! restarts, so an Arnoldi step allocates nothing.
 
 use std::time::Instant;
 
@@ -103,6 +106,17 @@ pub fn gmres_budgeted<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
     }
     residual_norm = norm2(&r);
 
+    // Arnoldi basis, grown on demand and reused across restarts: step `j`
+    // writes A·M⁻¹·v_j straight into slot `j + 1` and normalises it there.
+    let mut basis: Vec<Vec<f64>> = Vec::new();
+    // Hessenberg stored column-wise: h[j] has j+2 entries, also grown on
+    // demand and reused across restarts.
+    let mut h: Vec<Vec<f64>> = Vec::new();
+    let mut cs = vec![0.0; restart];
+    let mut sn = vec![0.0; restart];
+    let mut g = vec![0.0; restart + 1];
+    let mut y = vec![0.0; restart];
+
     while residual_norm > target {
         if limited {
             if let Some(i) = budget.interruption(start, total_matvecs, residual_norm) {
@@ -118,13 +132,13 @@ pub fn gmres_budgeted<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
         }
         // Arnoldi with modified Gram-Schmidt.
         let beta = residual_norm;
-        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(restart + 1);
-        basis.push(r.iter().map(|v| v / beta).collect());
-        // Hessenberg stored column-wise: h[j] has j+2 entries.
-        let mut h: Vec<Vec<f64>> = Vec::with_capacity(restart);
-        let mut cs: Vec<f64> = Vec::with_capacity(restart);
-        let mut sn: Vec<f64> = Vec::with_capacity(restart);
-        let mut g = vec![0.0; restart + 1];
+        if basis.is_empty() {
+            basis.push(vec![0.0; n]);
+        }
+        for (v, ri) in basis[0].iter_mut().zip(&r) {
+            *v = ri / beta;
+        }
+        g.fill(0.0);
         g[0] = beta;
         let mut k_used = 0;
 
@@ -137,18 +151,25 @@ pub fn gmres_budgeted<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
                     return Err(NumericsError::Interrupted(i));
                 }
             }
-            // w = A·M⁻¹·v_j
-            m.apply(&basis[j], &mut scratch);
-            let mut w = vec![0.0; n];
-            a.apply(&scratch, &mut w);
-            total_matvecs += 1;
-            let mut hj = vec![0.0; j + 2];
-            for (i, vi) in basis.iter().enumerate().take(j + 1) {
-                let hij = crate::vector::dot(&w, vi);
-                hj[i] = hij;
-                axpy(-hij, vi, &mut w);
+            if basis.len() == j + 1 {
+                basis.push(vec![0.0; n]);
             }
-            let wnorm = norm2(&w);
+            let (done, next) = basis.split_at_mut(j + 1);
+            let w = &mut next[0];
+            // w = A·M⁻¹·v_j
+            m.apply(&done[j], &mut scratch);
+            a.apply(&scratch, w);
+            total_matvecs += 1;
+            if h.len() == j {
+                h.push(vec![0.0; j + 2]);
+            }
+            let hj = &mut h[j];
+            for (i, vi) in done.iter().enumerate() {
+                let hij = crate::vector::dot(w, vi);
+                hj[i] = hij;
+                axpy(-hij, vi, w);
+            }
+            let wnorm = norm2(w);
             hj[j + 1] = wnorm;
             // Apply previous Givens rotations to the new column.
             for i in 0..j {
@@ -163,23 +184,23 @@ pub fn gmres_budgeted<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
             } else {
                 (hj[j] / denom, hj[j + 1] / denom)
             };
-            cs.push(c);
-            sn.push(s);
+            cs[j] = c;
+            sn[j] = s;
             hj[j] = c * hj[j] + s * hj[j + 1];
             hj[j + 1] = 0.0;
             g[j + 1] = -s * g[j];
             g[j] *= c;
-            h.push(hj);
             k_used = j + 1;
             residual_norm = g[j + 1].abs();
             if residual_norm <= target || wnorm == 0.0 {
                 break;
             }
-            basis.push(w.iter().map(|v| v / wnorm).collect());
+            for v in w.iter_mut() {
+                *v /= wnorm;
+            }
         }
 
         // Back-substitute y from the triangularised Hessenberg system.
-        let mut y = vec![0.0; k_used];
         for i in (0..k_used).rev() {
             let mut s = g[i];
             for j in (i + 1)..k_used {
@@ -187,12 +208,13 @@ pub fn gmres_budgeted<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
             }
             y[i] = s / h[i][i];
         }
-        // x += M⁻¹·(V·y)
-        let mut vy = vec![0.0; n];
-        for (j, yj) in y.iter().enumerate() {
-            axpy(*yj, &basis[j], &mut vy);
+        // x += M⁻¹·(V·y), with V·y in r's storage (r is recomputed below).
+        let vy = &mut r;
+        vy.fill(0.0);
+        for (j, yj) in y[..k_used].iter().enumerate() {
+            axpy(*yj, &basis[j], vy);
         }
-        m.apply(&vy, &mut scratch);
+        m.apply(vy, &mut scratch);
         for i in 0..n {
             x[i] += scratch[i];
         }
@@ -212,6 +234,228 @@ pub fn gmres_budgeted<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
             residual: residual_norm,
         },
     ))
+}
+
+/// Bit-identity oracle for the Arnoldi loop: a restarted GMRES that
+/// allocates a fresh vector for every Arnoldi step, basis vector and
+/// `V·y`, in the same floating-point order. [`gmres`] must reproduce it
+/// bit for bit.
+#[cfg(test)]
+mod arnoldi_oracle {
+    use super::*;
+    use crate::krylov::{BlockJacobiPrecond, FnOperator, IdentityPrecond};
+    use crate::sparse::{CsrMatrix, Triplets};
+    use proptest::prelude::*;
+
+    /// The reference loop (same contract as [`gmres`]).
+    fn reference_gmres<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
+        a: &A,
+        m: &M,
+        b: &[f64],
+        x0: &[f64],
+        options: GmresOptions,
+    ) -> Result<(Vec<f64>, GmresStats)> {
+        let n = a.dim();
+        let restart = options.restart.max(1).min(n.max(1));
+        let bnorm = norm2(b);
+        let target = options.rtol * bnorm + options.atol;
+
+        let mut x = x0.to_vec();
+        let mut total_matvecs = 0usize;
+        let mut scratch = vec![0.0; n];
+        let mut residual_norm;
+
+        // Initial residual r = b − A·x.
+        let mut r = vec![0.0; n];
+        a.apply(&x, &mut r);
+        total_matvecs += 1;
+        for i in 0..n {
+            r[i] = b[i] - r[i];
+        }
+        residual_norm = norm2(&r);
+
+        while residual_norm > target {
+            if total_matvecs >= options.max_iters {
+                return Err(NumericsError::NotConverged {
+                    iterations: total_matvecs,
+                    residual: residual_norm,
+                    tolerance: target,
+                });
+            }
+            // Arnoldi with modified Gram-Schmidt.
+            let beta = residual_norm;
+            let mut basis: Vec<Vec<f64>> = Vec::with_capacity(restart + 1);
+            basis.push(r.iter().map(|v| v / beta).collect());
+            // Hessenberg stored column-wise: h[j] has j+2 entries.
+            let mut h: Vec<Vec<f64>> = Vec::with_capacity(restart);
+            let mut cs: Vec<f64> = Vec::with_capacity(restart);
+            let mut sn: Vec<f64> = Vec::with_capacity(restart);
+            let mut g = vec![0.0; restart + 1];
+            g[0] = beta;
+            let mut k_used = 0;
+
+            for j in 0..restart {
+                if total_matvecs >= options.max_iters {
+                    break;
+                }
+                // w = A·M⁻¹·v_j
+                m.apply(&basis[j], &mut scratch);
+                let mut w = vec![0.0; n];
+                a.apply(&scratch, &mut w);
+                total_matvecs += 1;
+                let mut hj = vec![0.0; j + 2];
+                for (i, vi) in basis.iter().enumerate().take(j + 1) {
+                    let hij = crate::vector::dot(&w, vi);
+                    hj[i] = hij;
+                    axpy(-hij, vi, &mut w);
+                }
+                let wnorm = norm2(&w);
+                hj[j + 1] = wnorm;
+                // Apply previous Givens rotations to the new column.
+                for i in 0..j {
+                    let t = cs[i] * hj[i] + sn[i] * hj[i + 1];
+                    hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
+                    hj[i] = t;
+                }
+                // New rotation to annihilate hj[j+1].
+                let denom = (hj[j] * hj[j] + hj[j + 1] * hj[j + 1]).sqrt();
+                let (c, s) = if denom == 0.0 {
+                    (1.0, 0.0)
+                } else {
+                    (hj[j] / denom, hj[j + 1] / denom)
+                };
+                cs.push(c);
+                sn.push(s);
+                hj[j] = c * hj[j] + s * hj[j + 1];
+                hj[j + 1] = 0.0;
+                g[j + 1] = -s * g[j];
+                g[j] *= c;
+                h.push(hj);
+                k_used = j + 1;
+                residual_norm = g[j + 1].abs();
+                if residual_norm <= target || wnorm == 0.0 {
+                    break;
+                }
+                basis.push(w.iter().map(|v| v / wnorm).collect());
+            }
+
+            // Back-substitute y from the triangularised Hessenberg system.
+            let mut y = vec![0.0; k_used];
+            for i in (0..k_used).rev() {
+                let mut s = g[i];
+                for j in (i + 1)..k_used {
+                    s -= h[j][i] * y[j];
+                }
+                y[i] = s / h[i][i];
+            }
+            // x += M⁻¹·(V·y)
+            let mut vy = vec![0.0; n];
+            for (j, yj) in y.iter().enumerate() {
+                axpy(*yj, &basis[j], &mut vy);
+            }
+            m.apply(&vy, &mut scratch);
+            for i in 0..n {
+                x[i] += scratch[i];
+            }
+            // True residual for the restart decision.
+            a.apply(&x, &mut r);
+            total_matvecs += 1;
+            for i in 0..n {
+                r[i] = b[i] - r[i];
+            }
+            residual_norm = norm2(&r);
+        }
+
+        Ok((
+            x,
+            GmresStats {
+                iterations: total_matvecs,
+                residual: residual_norm,
+            },
+        ))
+    }
+
+    /// A nonsymmetric block-structured matrix: `nb` dense-ish blocks of
+    /// size `bs` with random inter-block coupling.
+    fn random_block_matrix(seed: u64, bs: usize, nb: usize) -> CsrMatrix {
+        let mut rng = proptest::TestRng::new(seed);
+        let n = bs * nb;
+        let mut t = Triplets::new(n, n);
+        for i in 0..n {
+            let base = i / bs * bs;
+            t.push(i, i, 2.0 + rng.next_f64());
+            for _ in 0..3 {
+                let j = if rng.next_f64() < 0.5 {
+                    base + rng.next_u64() as usize % bs
+                } else {
+                    rng.next_u64() as usize % n
+                };
+                t.push(i, j, rng.next_f64() - 0.5);
+            }
+        }
+        t.to_csr()
+    }
+
+    /// `x` bits and `GmresStats`, or the error's rendering.
+    fn bits(
+        out: Result<(Vec<f64>, GmresStats)>,
+    ) -> std::result::Result<(Vec<u64>, GmresStats), String> {
+        out.map(|(x, stats)| (x.iter().map(|v| v.to_bits()).collect(), stats))
+            .map_err(|e| format!("{e:?}"))
+    }
+
+    proptest! {
+        #[test]
+        fn prop_arnoldi_loop_is_bit_identical_to_reference(
+            seed in 0u64..1_000_000,
+            bs in 1usize..6,
+            nb in 2usize..12,
+            restart in 1usize..6,
+            max_iters in 3usize..80,
+            block_jacobi in 0u64..2,
+            matrix_free in 0u64..2,
+        ) {
+            let a = random_block_matrix(seed, bs, nb);
+            let n = a.rows();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 5 + 1) % 7) as f64 - 3.0).collect();
+            let x0 = vec![0.0; n];
+            let options = GmresOptions { rtol: 1e-12, restart, max_iters, ..Default::default() };
+            let op = FnOperator::new(n, |x: &[f64], y: &mut [f64]| a.matvec_into(x, y));
+            let identity = IdentityPrecond;
+            let bj;
+            let pre: &dyn Preconditioner = if block_jacobi == 1 {
+                bj = BlockJacobiPrecond::new(&a, bs).expect("block jacobi");
+                &bj
+            } else {
+                &identity
+            };
+            let (got, want) = if matrix_free == 1 {
+                (gmres(&op, pre, &b, &x0, options), reference_gmres(&op, pre, &b, &x0, options))
+            } else {
+                (gmres(&a, pre, &b, &x0, options), reference_gmres(&a, pre, &b, &x0, options))
+            };
+            prop_assert_eq!(bits(got), bits(want));
+        }
+    }
+
+    #[test]
+    fn restarts_are_exercised() {
+        // A restart shorter than the solve's matvec count runs several
+        // Arnoldi cycles over the reused basis.
+        let a = random_block_matrix(7, 3, 10);
+        let b = vec![1.0; a.rows()];
+        let options = GmresOptions {
+            rtol: 1e-12,
+            restart: 3,
+            ..Default::default()
+        };
+        let (x, stats) =
+            gmres(&a, &IdentityPrecond, &b, &vec![0.0; a.rows()], options).expect("gmres");
+        assert!(stats.iterations > 2 * (options.restart + 1), "{stats:?}");
+        let want = reference_gmres(&a, &IdentityPrecond, &b, &vec![0.0; a.rows()], options)
+            .expect("reference");
+        assert_eq!(bits(Ok((x, stats))), bits(Ok(want)));
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,12 @@
 //! The paper notes that the MPDE systems are solved "using iterative linear
 //! solution methods"; this module provides restarted [`gmres`] over a
 //! matrix-free [`LinearOperator`] abstraction, with identity and
-//! block-Jacobi preconditioning.
+//! block-Jacobi preconditioning. The GMRES Arnoldi step allocates
+//! nothing: each step writes into a basis slot that is reused across
+//! restarts. [`BlockJacobiPrecond`] factors every diagonal block through
+//! one shared symbolic analysis (one static row order and its fill), with
+//! a dense partial-pivoting fallback for any block whose static pivot
+//! fails a relative threshold.
 
 mod gmres;
 mod precond;
@@ -20,7 +25,8 @@ pub trait LinearOperator {
     /// Problem dimension (`A` is `dim × dim`).
     fn dim(&self) -> usize;
 
-    /// Computes `y = A·x`.
+    /// Computes `y = A·x`, overwriting every entry of `y` (callers may
+    /// pass a buffer holding stale values).
     ///
     /// # Panics
     ///

@@ -20,8 +20,9 @@
 //!   ([`sparse_lu::SparseLu::refactor_in_place`]) for the
 //!   pattern-invariant matrices of Newton hot paths.
 //! * [`krylov`] — restarted GMRES with pluggable preconditioners
-//!   (identity, block-Jacobi); block-Jacobi refreshes its factors in
-//!   place.
+//!   (identity, block-Jacobi). Block-Jacobi factors every diagonal block
+//!   through one shared symbolic analysis, with a dense partial-pivoting
+//!   fallback per block, and refreshes its factors in place.
 //! * [`telemetry`] — fixed-allocation observability primitives: the
 //!   log-bucketed [`telemetry::LatencyHistogram`] and the bounded
 //!   per-job lifecycle [`telemetry::Timeline`], fed by the budget's

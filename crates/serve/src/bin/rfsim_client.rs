@@ -20,18 +20,83 @@
 //! `run` submits, waits, and prints one summary line ending in
 //! `digest=<hex> memo_hit=<bool>` — the smoke scripts compare digests
 //! across runs to assert bit-identical replay.
+//!
+//! Bad input (an unknown command or flag, a missing or unparsable value,
+//! an unknown backend or priority) prints one line on stderr and exits
+//! with code 2 before connecting. A refused connection, a failed request
+//! or a failed `--expect-*`/`--assert-*` check exits with code 1.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use rfsim_serve::client::ServeClient;
 use rfsim_serve::spec::{BackendKind, JobSpec, Priority};
 
-fn parse_list(text: &str) -> Vec<f64> {
-    text.split(',')
+/// Why the client stops before its command completes.
+enum Stop {
+    /// Bad input: exit code 2.
+    Usage(String),
+    /// A refused connection or a failed request: exit code 1.
+    Failed(String),
+}
+
+type Cli<T> = Result<T, Stop>;
+
+/// The value after `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Cli<String> {
+    it.next()
+        .ok_or_else(|| Stop::Usage(format!("{flag} needs a value")))
+}
+
+/// The value after `flag`, parsed.
+fn parsed<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Cli<T> {
+    let text = value(it, flag)?;
+    text.parse()
+        .map_err(|_| Stop::Usage(format!("{flag}: cannot parse '{text}'")))
+}
+
+/// Turns a request's error into a [`Stop::Failed`] naming the request.
+fn failed<E: Display>(request: &str) -> impl FnOnce(E) -> Stop + '_ {
+    move |e| Stop::Failed(format!("{request}: {e}"))
+}
+
+/// The comma-separated numbers after `flag`.
+fn parsed_list(it: &mut impl Iterator<Item = String>, flag: &str) -> Cli<Vec<f64>> {
+    value(it, flag)?
+        .split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| s.parse().unwrap_or_else(|_| panic!("bad number '{s}'")))
+        .map(|s| {
+            s.parse()
+                .map_err(|_| Stop::Usage(format!("{flag}: bad number '{s}'")))
+        })
         .collect()
+}
+
+/// The priority after `--priority`.
+fn parsed_priority(it: &mut impl Iterator<Item = String>) -> Cli<Priority> {
+    let label = value(it, "--priority")?;
+    Priority::parse(&label).ok_or_else(|| Stop::Usage(format!("unknown priority '{label}'")))
+}
+
+fn connect(addr: &str) -> Cli<ServeClient> {
+    ServeClient::connect(addr).map_err(|e| Stop::Failed(format!("connecting to {addr}: {e}")))
+}
+
+/// The job id of `cancel` and `trace`: `--job ID` or a bare positional
+/// id (`cancel 7`).
+fn parse_job(it: &mut impl Iterator<Item = String>, command: &str) -> Cli<u64> {
+    let mut job = None;
+    while let Some(flag) = it.next() {
+        job = Some(match flag.as_str() {
+            "--job" => parsed(it, "--job")?,
+            other => other
+                .parse()
+                .map_err(|_| Stop::Usage(format!("unknown {command} flag {other}")))?,
+        });
+    }
+    job.ok_or_else(|| Stop::Usage(format!("{command} needs a job id")))
 }
 
 struct JobFlags {
@@ -41,7 +106,7 @@ struct JobFlags {
     timeout: Duration,
 }
 
-fn parse_job_flags(it: &mut impl Iterator<Item = String>) -> JobFlags {
+fn parse_job_flags(it: &mut impl Iterator<Item = String>) -> Cli<JobFlags> {
     let mut flags = JobFlags {
         spec: JobSpec::mpde("rc_lowpass", 1e6, vec![0.1], vec![10e3]),
         expect_memo: false,
@@ -49,63 +114,67 @@ fn parse_job_flags(it: &mut impl Iterator<Item = String>) -> JobFlags {
         timeout: Duration::from_secs(300),
     };
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match flag.as_str() {
-            "--family" => flags.spec.family = value("--family"),
+            "--family" => flags.spec.family = value(it, "--family")?,
             "--backend" => {
-                let label = value("--backend");
+                let label = value(it, "--backend")?;
                 flags.spec.backend = BackendKind::parse(&label)
-                    .unwrap_or_else(|| panic!("unknown backend '{label}'"));
+                    .ok_or_else(|| Stop::Usage(format!("unknown backend '{label}'")))?;
             }
-            "--f1" => flags.spec.f1 = value("--f1").parse().expect("f1"),
-            "--amplitudes" => flags.spec.amplitudes = parse_list(&value("--amplitudes")),
-            "--spacings" => flags.spec.spacings = parse_list(&value("--spacings")),
-            "--n1" => flags.spec.n1 = value("--n1").parse().expect("n1"),
-            "--n2" => flags.spec.n2 = value("--n2").parse().expect("n2"),
-            "--priority" => {
-                let label = value("--priority");
-                flags.spec.priority =
-                    Priority::parse(&label).unwrap_or_else(|| panic!("unknown priority '{label}'"));
-            }
-            "--timeout-s" => {
-                flags.timeout = Duration::from_secs(value("--timeout-s").parse().expect("timeout"))
-            }
-            "--deadline-ms" => {
-                flags.spec.deadline_ms = Some(value("--deadline-ms").parse().expect("deadline"))
-            }
+            "--f1" => flags.spec.f1 = parsed(it, "--f1")?,
+            "--amplitudes" => flags.spec.amplitudes = parsed_list(it, "--amplitudes")?,
+            "--spacings" => flags.spec.spacings = parsed_list(it, "--spacings")?,
+            "--n1" => flags.spec.n1 = parsed(it, "--n1")?,
+            "--n2" => flags.spec.n2 = parsed(it, "--n2")?,
+            "--priority" => flags.spec.priority = parsed_priority(it)?,
+            "--timeout-s" => flags.timeout = Duration::from_secs(parsed(it, "--timeout-s")?),
+            "--deadline-ms" => flags.spec.deadline_ms = Some(parsed(it, "--deadline-ms")?),
             "--expect-memo" => flags.expect_memo = true,
             "--expect-solve" => flags.expect_solve = true,
-            other => panic!("unknown job flag {other}"),
+            other => return Err(Stop::Usage(format!("unknown job flag {other}"))),
         }
     }
-    flags
+    Ok(flags)
 }
 
 fn main() -> ExitCode {
+    match run() {
+        Ok(code) => code,
+        Err(Stop::Usage(msg)) => {
+            eprintln!("rfsim-client: {msg}");
+            ExitCode::from(2)
+        }
+        Err(Stop::Failed(msg)) => {
+            eprintln!("rfsim-client: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parses the command and its flags, then connects and runs it.
+fn run() -> Cli<ExitCode> {
     let mut it = std::env::args().skip(1).peekable();
     let mut addr = "127.0.0.1:4520".to_string();
     if it.peek().map(String::as_str) == Some("--addr") {
         it.next();
-        addr = it.next().expect("--addr needs a value");
+        addr = value(&mut it, "--addr")?;
     }
-    let command = it.next().unwrap_or_else(|| {
-        eprintln!(
+    let Some(command) = it.next() else {
+        return Err(Stop::Usage(
             "usage: rfsim-client [--addr HOST:PORT] \
              <run|submit|submit-netlist|poll|cancel|stats|metrics|trace|evict|shutdown> …"
-        );
-        std::process::exit(2);
-    });
-    let mut client =
-        ServeClient::connect(&*addr).unwrap_or_else(|e| panic!("connecting to {addr}: {e}"));
+                .into(),
+        ));
+    };
 
     match command.as_str() {
         "submit" => {
-            let flags = parse_job_flags(&mut it);
-            let id = client
+            let flags = parse_job_flags(&mut it)?;
+            let id = connect(&addr)?
                 .submit(&flags.spec)
-                .unwrap_or_else(|e| panic!("submit: {e}"));
+                .map_err(failed("submit"))?;
             println!("job_id={id}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "submit-netlist" => {
             let mut file = None;
@@ -116,46 +185,34 @@ fn main() -> ExitCode {
             let mut expect_memo = false;
             let mut expect_solve = false;
             while let Some(flag) = it.next() {
-                let mut value =
-                    |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
                 match flag.as_str() {
-                    "--file" => file = Some(value("--file")),
-                    "--priority" => {
-                        let label = value("--priority");
-                        priority = Priority::parse(&label)
-                            .unwrap_or_else(|| panic!("unknown priority '{label}'"));
-                    }
-                    "--deadline-ms" => {
-                        deadline_ms = Some(value("--deadline-ms").parse().expect("deadline"))
-                    }
-                    "--timeout-s" => {
-                        timeout =
-                            Duration::from_secs(value("--timeout-s").parse().expect("timeout"))
-                    }
+                    "--file" => file = Some(value(&mut it, "--file")?),
+                    "--priority" => priority = parsed_priority(&mut it)?,
+                    "--deadline-ms" => deadline_ms = Some(parsed(&mut it, "--deadline-ms")?),
+                    "--timeout-s" => timeout = Duration::from_secs(parsed(&mut it, "--timeout-s")?),
                     "--no-wait" => wait = false,
                     "--expect-memo" => expect_memo = true,
                     "--expect-solve" => expect_solve = true,
-                    other => panic!("unknown submit-netlist flag {other}"),
+                    other => return Err(Stop::Usage(format!("unknown submit-netlist flag {other}"))),
                 }
             }
-            let file = file.unwrap_or_else(|| panic!("submit-netlist needs --file"));
-            let text =
-                std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("reading {file}: {e}"));
+            let file = file.ok_or_else(|| Stop::Usage("submit-netlist needs --file".into()))?;
+            let text = std::fs::read_to_string(&file)
+                .map_err(|e| Stop::Failed(format!("reading {file}: {e}")))?;
+            let mut client = connect(&addr)?;
             let t0 = Instant::now();
             let (id, family) = match client.submit_netlist(&text, priority, deadline_ms) {
                 Ok(ok) => ok,
                 Err(e) => {
                     eprintln!("refused: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             if !wait {
                 println!("job_id={id} family={family}");
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            let outcome = client
-                .wait(id, timeout)
-                .unwrap_or_else(|e| panic!("wait: {e}"));
+            let outcome = client.wait(id, timeout).map_err(failed("wait"))?;
             let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
             if outcome.status != "done" {
                 eprintln!(
@@ -163,9 +220,12 @@ fn main() -> ExitCode {
                     outcome.status,
                     outcome.error.as_deref().unwrap_or("no error reported")
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
-            let result = outcome.result.as_ref().expect("done outcome has a result");
+            let result = outcome
+                .result
+                .as_ref()
+                .ok_or_else(|| Stop::Failed(format!("job {id} is done but has no result")))?;
             let digest = outcome
                 .digest
                 .clone()
@@ -177,24 +237,20 @@ fn main() -> ExitCode {
                 result.num_samples(),
                 outcome.memo_hit,
             );
-            if expect_memo && !outcome.memo_hit {
-                eprintln!("FAIL: expected a memo hit, got a fresh solve");
-                return ExitCode::FAILURE;
-            }
-            if expect_solve && outcome.memo_hit {
-                eprintln!("FAIL: expected a fresh solve, got a memo hit");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
+            Ok(expectations(expect_memo, expect_solve, outcome.memo_hit))
         }
         "run" => {
-            let flags = parse_job_flags(&mut it);
+            let flags = parse_job_flags(&mut it)?;
+            let mut client = connect(&addr)?;
             let t0 = Instant::now();
             let (id, outcome) = client
                 .run(&flags.spec, flags.timeout)
-                .unwrap_or_else(|e| panic!("run: {e}"));
+                .map_err(failed("run"))?;
             let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let result = outcome.result.as_ref().expect("done outcome has a result");
+            let result = outcome
+                .result
+                .as_ref()
+                .ok_or_else(|| Stop::Failed(format!("job {id} is done but has no result")))?;
             let digest = outcome
                 .digest
                 .clone()
@@ -206,15 +262,11 @@ fn main() -> ExitCode {
                 result.num_samples(),
                 outcome.memo_hit,
             );
-            if flags.expect_memo && !outcome.memo_hit {
-                eprintln!("FAIL: expected a memo hit, got a fresh solve");
-                return ExitCode::FAILURE;
-            }
-            if flags.expect_solve && outcome.memo_hit {
-                eprintln!("FAIL: expected a fresh solve, got a memo hit");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
+            Ok(expectations(
+                flags.expect_memo,
+                flags.expect_solve,
+                outcome.memo_hit,
+            ))
         }
         "poll" => {
             let mut job = None;
@@ -222,17 +274,16 @@ fn main() -> ExitCode {
             let mut show_progress = false;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--job" => job = Some(it.next().expect("--job id").parse().expect("job id")),
-                    "--wait-ms" => {
-                        wait_ms = it.next().expect("--wait-ms value").parse().expect("wait")
-                    }
+                    "--job" => job = Some(parsed(&mut it, "--job")?),
+                    "--wait-ms" => wait_ms = parsed(&mut it, "--wait-ms")?,
                     "--progress" => show_progress = true,
-                    other => panic!("unknown poll flag {other}"),
+                    other => return Err(Stop::Usage(format!("unknown poll flag {other}"))),
                 }
             }
-            let outcome = client
-                .poll(job.expect("poll needs --job"), wait_ms)
-                .unwrap_or_else(|e| panic!("poll: {e}"));
+            let job = job.ok_or_else(|| Stop::Usage("poll needs --job".into()))?;
+            let outcome = connect(&addr)?
+                .poll(job, wait_ms)
+                .map_err(failed("poll"))?;
             match (&outcome.status[..], &outcome.digest) {
                 ("done", Some(digest)) => {
                     println!("status=done memo_hit={} digest={digest}", outcome.memo_hit)
@@ -262,28 +313,13 @@ fn main() -> ExitCode {
                         .unwrap_or_default()
                 ),
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "cancel" => {
-            let mut job = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--job" => job = Some(it.next().expect("--job id").parse().expect("job id")),
-                    // A bare positional id works too: `cancel 7`.
-                    other => {
-                        job = Some(
-                            other
-                                .parse()
-                                .unwrap_or_else(|_| panic!("unknown cancel flag {other}")),
-                        )
-                    }
-                }
-            }
-            let status = client
-                .cancel(job.expect("cancel needs a job id"))
-                .unwrap_or_else(|e| panic!("cancel: {e}"));
+            let job = parse_job(&mut it, "cancel")?;
+            let status = connect(&addr)?.cancel(job).map_err(failed("cancel"))?;
             println!("status={status}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "stats" => {
             let mut assert_min_hits = None;
@@ -291,14 +327,13 @@ fn main() -> ExitCode {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--assert-min-hits" => {
-                        assert_min_hits =
-                            Some(it.next().expect("value").parse::<f64>().expect("count"))
+                        assert_min_hits = Some(parsed::<f64>(&mut it, "--assert-min-hits")?)
                     }
                     "--per-shard" => per_shard = true,
-                    other => panic!("unknown stats flag {other}"),
+                    other => return Err(Stop::Usage(format!("unknown stats flag {other}"))),
                 }
             }
-            let stats = client.stats().unwrap_or_else(|e| panic!("stats: {e}"));
+            let stats = connect(&addr)?.stats().map_err(failed("stats"))?;
             println!("{}", stats.dump());
             if per_shard {
                 let shards = stats.array_at("shards").unwrap_or_default();
@@ -343,11 +378,11 @@ fn main() -> ExitCode {
                 let hits = stats.number_at("store.hits").unwrap_or(0.0);
                 if hits < min {
                     eprintln!("FAIL: store hits {hits} below required minimum {min}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 println!("OK: store hits {hits} >= {min}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "metrics" => {
             let mut json = false;
@@ -356,23 +391,21 @@ fn main() -> ExitCode {
                 match flag.as_str() {
                     "--json" => json = true,
                     "--require" => require.extend(
-                        it.next()
-                            .expect("--require names")
+                        value(&mut it, "--require")?
                             .split(',')
                             .filter(|s| !s.is_empty())
                             .map(str::to_string),
                     ),
-                    other => panic!("unknown metrics flag {other}"),
+                    other => return Err(Stop::Usage(format!("unknown metrics flag {other}"))),
                 }
             }
+            let mut client = connect(&addr)?;
             if json {
-                let stats = client
-                    .metrics_json()
-                    .unwrap_or_else(|e| panic!("metrics: {e}"));
+                let stats = client.metrics_json().map_err(failed("metrics"))?;
                 println!("{}", stats.dump());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            let text = client.metrics().unwrap_or_else(|e| panic!("metrics: {e}"));
+            let text = client.metrics().map_err(failed("metrics"))?;
             // Validate the exposition shape before printing: every
             // non-comment line is `name{labels} value`.
             for line in text.lines() {
@@ -381,11 +414,11 @@ fn main() -> ExitCode {
                 }
                 let Some((series, value)) = line.rsplit_once(' ') else {
                     eprintln!("FAIL: malformed sample line: {line}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 if value.parse::<f64>().is_err() || series.is_empty() {
                     eprintln!("FAIL: malformed sample line: {line}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
             print!("{text}");
@@ -395,32 +428,17 @@ fn main() -> ExitCode {
                 });
                 if !found {
                     eprintln!("FAIL: required series '{name}' missing from exposition");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
             if !require.is_empty() {
                 println!("OK: all {} required series present", require.len());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "trace" => {
-            let mut job = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--job" => job = Some(it.next().expect("--job id").parse().expect("job id")),
-                    // A bare positional id works too: `trace 7`.
-                    other => {
-                        job = Some(
-                            other
-                                .parse()
-                                .unwrap_or_else(|_| panic!("unknown trace flag {other}")),
-                        )
-                    }
-                }
-            }
-            let trace = client
-                .trace(job.expect("trace needs a job id"))
-                .unwrap_or_else(|e| panic!("trace: {e}"));
+            let job = parse_job(&mut it, "trace")?;
+            let trace = connect(&addr)?.trace(job).map_err(failed("trace"))?;
             println!(
                 "job={} settled={} events={} dropped={}",
                 trace.number_at("job_id").unwrap_or(0.0),
@@ -442,34 +460,42 @@ fn main() -> ExitCode {
                 }
                 println!("  +{t_ms:.3}ms {label}{extras}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "evict" => {
             let mut family = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--family" => family = Some(it.next().expect("--family name")),
-                    other => panic!("unknown evict flag {other}"),
+                    "--family" => family = Some(value(&mut it, "--family")?),
+                    other => return Err(Stop::Usage(format!("unknown evict flag {other}"))),
                 }
             }
-            let evicted = client
+            let evicted = connect(&addr)?
                 .evict(family.as_deref())
-                .unwrap_or_else(|e| panic!("evict: {e}"));
+                .map_err(failed("evict"))?;
             println!("evicted={evicted}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "shutdown" => {
-            client
-                .shutdown()
-                .unwrap_or_else(|e| panic!("shutdown: {e}"));
+            connect(&addr)?.shutdown().map_err(failed("shutdown"))?;
             println!("shutdown acknowledged");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        other => {
-            eprintln!(
-                "unknown command '{other}' (run|submit|submit-netlist|poll|cancel|stats|metrics|trace|evict|shutdown)"
-            );
-            ExitCode::FAILURE
-        }
+        other => Err(Stop::Usage(format!(
+            "unknown command '{other}' (run|submit|submit-netlist|poll|cancel|stats|metrics|trace|evict|shutdown)"
+        ))),
     }
+}
+
+/// The exit code of a settled job against `--expect-memo`/`--expect-solve`.
+fn expectations(expect_memo: bool, expect_solve: bool, memo_hit: bool) -> ExitCode {
+    if expect_memo && !memo_hit {
+        eprintln!("FAIL: expected a memo hit, got a fresh solve");
+        return ExitCode::FAILURE;
+    }
+    if expect_solve && memo_hit {
+        eprintln!("FAIL: expected a fresh solve, got a memo hit");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -16,6 +16,13 @@
 //! runs N independent engine shards (see `docs/scaling.md` for sizing);
 //! when `--threads` is not given, the default worker count is divided
 //! across the shards so the total stays at the machine's parallelism.
+//!
+//! An unknown flag or a missing or unparsable value prints one line on
+//! stderr and exits with code 2; an address that cannot be bound exits
+//! with code 1.
+
+use std::process::ExitCode;
+use std::str::FromStr;
 
 use rfsim_rf::key::Quantizer;
 use rfsim_rf::pool::WorkerPool;
@@ -29,7 +36,15 @@ struct Args {
     explicit_threads: bool,
 }
 
-fn parse_args() -> Args {
+/// The value after `flag`, parsed.
+fn parsed<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{text}'"))
+}
+
+/// Parses the command line; the error is a one-line usage message.
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:4520".into(),
         config: ServeConfig {
@@ -41,42 +56,28 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let it = &mut it;
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr"),
-            "--store-capacity" => {
-                args.config.store_capacity = value("--store-capacity").parse().expect("capacity")
-            }
-            "--queue-capacity" => {
-                args.config.queue_capacity = value("--queue-capacity").parse().expect("capacity")
-            }
-            "--shards" => args.config.shards = value("--shards").parse().expect("shards"),
+            "--addr" => args.addr = parsed(it, "--addr")?,
+            "--store-capacity" => args.config.store_capacity = parsed(it, "--store-capacity")?,
+            "--queue-capacity" => args.config.queue_capacity = parsed(it, "--queue-capacity")?,
+            "--shards" => args.config.shards = parsed(it, "--shards")?,
             "--threads" => {
-                args.config.threads = value("--threads").parse().expect("threads");
+                args.config.threads = parsed(it, "--threads")?;
                 args.explicit_threads = true;
             }
-            "--batch-max" => args.config.batch_max = value("--batch-max").parse().expect("batch"),
+            "--batch-max" => args.config.batch_max = parsed(it, "--batch-max")?,
             "--quant-digits" => {
-                args.config.quantizer =
-                    Quantizer::new(value("--quant-digits").parse().expect("digits"))
+                args.config.quantizer = Quantizer::new(parsed(it, "--quant-digits")?)
             }
             "--default-deadline-ms" => {
-                args.config.default_deadline_ms =
-                    Some(value("--default-deadline-ms").parse().expect("deadline"))
+                args.config.default_deadline_ms = Some(parsed(it, "--default-deadline-ms")?)
             }
-            "--frontend-workers" => {
-                args.frontend.workers = value("--frontend-workers").parse().expect("workers")
-            }
-            "--max-inflight" => {
-                args.frontend.max_inflight = value("--max-inflight").parse().expect("cap")
-            }
-            "--slow-log-ms" => {
-                args.config.slow_log_ms = Some(value("--slow-log-ms").parse().expect("threshold"))
-            }
+            "--frontend-workers" => args.frontend.workers = parsed(it, "--frontend-workers")?,
+            "--max-inflight" => args.frontend.max_inflight = parsed(it, "--max-inflight")?,
+            "--slow-log-ms" => args.config.slow_log_ms = Some(parsed(it, "--slow-log-ms")?),
             "--no-telemetry" => args.config.telemetry = false,
-            "--trace-capacity" => {
-                args.config.trace_capacity = value("--trace-capacity").parse().expect("capacity")
-            }
+            "--trace-capacity" => args.config.trace_capacity = parsed(it, "--trace-capacity")?,
             "--help" | "-h" => {
                 println!(
                     "rfsim-serve: memoising steady-state simulation daemon\n\
@@ -87,7 +88,7 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other} (try --help)"),
+            other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
     // `threads` is per-shard. Without an explicit override, divide the
@@ -96,15 +97,26 @@ fn parse_args() -> Args {
     if !args.explicit_threads && args.config.shards > 1 {
         args.config.threads = (args.config.threads / args.config.shards.max(1)).max(1);
     }
-    args
+    Ok(args)
 }
 
-fn main() {
-    let args = parse_args();
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("rfsim-serve: {msg}");
+            return ExitCode::from(2);
+        }
+    };
     let service = SimService::start(args.config.clone());
     let families = service.family_names().join(", ");
-    let server = WireServer::start_with(service, &*args.addr, args.frontend)
-        .unwrap_or_else(|e| panic!("binding {}: {e}", args.addr));
+    let server = match WireServer::start_with(service, &*args.addr, args.frontend) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("rfsim-serve: binding {}: {e}", args.addr);
+            return ExitCode::FAILURE;
+        }
+    };
     // The smoke scripts wait for this exact line before connecting.
     println!("rfsim-serve listening on {}", server.local_addr());
     println!(
@@ -121,4 +133,5 @@ fn main() {
     let _ = std::io::stdout().flush();
     server.join();
     println!("rfsim-serve: shutdown complete");
+    ExitCode::SUCCESS
 }
