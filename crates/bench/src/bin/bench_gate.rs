@@ -8,7 +8,8 @@
 //! relative tolerance and against their hard floors, and writes every
 //! measured check to the `--out` JSON (see `docs/benching.md` for the
 //! schema and the rationale). Exit code 0 = every check passes; 1 =
-//! regression.
+//! regression; 2 = an unknown flag or a missing or unparsable value,
+//! reported in one stderr line before anything is measured.
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
@@ -17,6 +18,7 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use rfsim_bench::gate::{
     bench_json, cancel_latency_scenario, drift_scenario, evaluate, keyless_submit_scenario,
@@ -32,7 +34,15 @@ struct Args {
     reps: usize,
 }
 
-fn parse_args() -> Args {
+/// The value after `flag`, parsed.
+fn parsed<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{text}'"))
+}
+
+/// Parses the command line; the error is a one-line usage message.
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         baseline: "BENCH_pr19.json".into(),
         out: "BENCH_pr22.json".into(),
@@ -46,20 +56,21 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match flag.as_str() {
-            "--baseline" => args.baseline = value("--baseline"),
-            "--out" => args.out = value("--out"),
-            "--tolerance" => args.tolerance = value("--tolerance").parse().expect("tolerance"),
-            "--reps" => args.reps = value("--reps").parse().expect("reps"),
-            other => panic!("unknown flag {other}"),
+            "--baseline" => args.baseline = parsed(&mut it, "--baseline")?,
+            "--out" => args.out = parsed(&mut it, "--out")?,
+            "--tolerance" => args.tolerance = parsed(&mut it, "--tolerance")?,
+            "--reps" => args.reps = parsed(&mut it, "--reps")?,
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let Ok(args) = parse_args().map_err(|msg| eprintln!("bench_gate: {msg}")) else {
+        return ExitCode::from(2);
+    };
 
     println!("bench_gate: measuring ({} reps per scenario)…", args.reps);
     let (refactor_ns, full_factor_ns) = refactor_vs_full(args.reps);

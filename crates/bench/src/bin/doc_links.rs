@@ -1,7 +1,8 @@
 //! CLI wrapper for the docs link checker (the CI `docs` job's second
 //! pass): checks `README.md` and `docs/*.md` under `--root` (default the
 //! current directory) and fails with a listing of every broken relative
-//! link or unresolvable anchor.
+//! link or unresolvable anchor. An unknown flag or a missing `--root`
+//! value prints one stderr line and exits with code 2.
 //!
 //! ```text
 //! cargo run -p rfsim-bench --bin doc_links [-- --root /path/to/repo]
@@ -16,10 +17,14 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--root" => root = PathBuf::from(it.next().expect("--root needs a value")),
-            other => panic!("unknown flag {other}"),
-        }
+        let path = match flag.as_str() {
+            "--root" => it.next().ok_or_else(|| "--root needs a value".to_string()),
+            other => Err(format!("unknown flag {other}")),
+        };
+        let Ok(path) = path.map_err(|msg| eprintln!("doc_links: {msg}")) else {
+            return ExitCode::from(2);
+        };
+        root = PathBuf::from(path);
     }
     match check_repo_docs(&root) {
         Err(why) => {

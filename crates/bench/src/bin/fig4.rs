@@ -1,12 +1,15 @@
 //! Figure 4: the baseband differential output — the envelope along the
 //! difference-frequency time scale, i.e. the actual down-converted
-//! bit stream of the balanced mixer.
+//! bit stream of the balanced mixer. Exits with a failure code when the
+//! decoded bits do not match the sent pattern (up to BPSK polarity).
+
+use std::process::ExitCode;
 
 use rfsim_bench::output::write_csv;
 use rfsim_bench::paper::solve_paper_mixer;
 use rfsim_rf::bits::decode_bpsk_envelope;
 
-fn main() {
+fn main() -> ExitCode {
     let sent = vec![true, false, true, true];
     let (mixer, sol, _) = solve_paper_mixer(sent.clone());
     let env: Vec<f64> = sol
@@ -37,15 +40,14 @@ fn main() {
     }
     let decoded = decode_bpsk_envelope(&env, sent.len());
     let inverted: Vec<bool> = decoded.iter().map(|b| !b).collect();
+    let (verdict, code) = if decoded == sent || inverted == sent {
+        ("yes (up to BPSK polarity)", ExitCode::SUCCESS)
+    } else {
+        ("NO", ExitCode::FAILURE)
+    };
     println!("\nsent    : {sent:?}");
     println!("decoded : {decoded:?}");
-    println!(
-        "recovered: {}",
-        if decoded == sent || inverted == sent {
-            "yes (up to BPSK polarity)"
-        } else {
-            "NO"
-        }
-    );
+    println!("recovered: {verdict}");
     println!("CSV: {}", path.display());
+    code
 }

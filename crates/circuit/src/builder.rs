@@ -51,11 +51,6 @@ impl CircuitBuilder {
         id
     }
 
-    /// Number of non-ground nodes registered so far.
-    pub fn num_nodes(&self) -> usize {
-        self.node_names.len() - 1
-    }
-
     fn register_name(&mut self, name: &str) -> Result<()> {
         if self.device_names.contains_key(name) {
             return Err(CircuitError::BadName {
@@ -434,7 +429,6 @@ mod tests {
         assert_eq!(a1, a2);
         assert_eq!(b.node("gnd"), GROUND);
         assert_eq!(b.node("0"), GROUND);
-        assert_eq!(b.num_nodes(), 1);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl Circuit {
         self.unknown_names.len()
     }
 
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Human-readable unknown names (node names, then `i(<device>)`).
     pub fn unknown_names(&self) -> &[String] {
         &self.unknown_names
@@ -158,17 +153,6 @@ impl Circuit {
         self.eval_b_bi(0.0, 0.0, &mut b).is_ok()
     }
 
-    /// Full DAE residual for time-independent analysis:
-    /// `F(x) = f(x) + b(t)` (no charge term).
-    pub fn eval_static_residual(&self, x: &[f64], t: f64, out: &mut [f64]) {
-        self.eval_f(x, out, None);
-        let mut b = vec![0.0; out.len()];
-        self.eval_b(t, &mut b);
-        for (o, bv) in out.iter_mut().zip(&b) {
-            *o += bv;
-        }
-    }
-
     /// Convenience accessor: sparse `G` and `C` patterns at a given point.
     pub fn jacobians_at(&self, x: &[f64]) -> (Triplets, Triplets) {
         let n = self.num_unknowns();
@@ -240,9 +224,11 @@ mod tests {
         // At solution: v(in)=10, v(mid)=5, branch current = −(10−5)/1k = −5 mA
         // (current through source flows from ground into 'in').
         let x = vec![10.0, 5.0, -5e-3];
-        let mut r = vec![0.0; 3];
-        ckt.eval_static_residual(&x, 0.0, &mut r);
-        for (i, v) in r.iter().enumerate() {
+        // The static DAE residual F(x) = f(x) + b(0) (no charge term).
+        let (mut f, mut b) = (vec![0.0; 3], vec![0.0; 3]);
+        ckt.eval_f(&x, &mut f, None);
+        ckt.eval_b(0.0, &mut b);
+        for (i, v) in f.iter().zip(&b).map(|(f, b)| f + b).enumerate() {
             assert!(v.abs() < 1e-12, "residual[{i}] = {v}");
         }
     }
@@ -304,7 +290,6 @@ mod tests {
     fn unknown_bookkeeping() {
         let ckt = divider();
         assert_eq!(ckt.num_unknowns(), 3);
-        assert_eq!(ckt.num_devices(), 3);
         let node = ckt.node_by_name("mid").expect("mid exists");
         assert_eq!(ckt.unknown_index_of_node(node), Some(1));
         assert_eq!(ckt.unknown_index_of_node(GROUND), None);

@@ -32,11 +32,6 @@ impl Inductor {
     pub fn inductance(&self) -> f64 {
         self.inductance
     }
-
-    /// Index of the branch-current unknown (after building).
-    pub fn branch_index(&self) -> Option<usize> {
-        self.branch.index()
-    }
 }
 
 impl Device for Inductor {

@@ -33,7 +33,7 @@ pub use multiplier::Multiplier;
 pub use resistor::Resistor;
 pub use sources::{Isource, Vsource};
 
-use crate::stamp::{StampContext, Unknown};
+use crate::stamp::StampContext;
 use crate::Result;
 
 /// A circuit element that stamps into the MNA system.
@@ -80,15 +80,6 @@ pub trait Device: Send + Sync + std::fmt::Debug {
     fn is_source(&self) -> bool {
         false
     }
-}
-
-/// Terminal pair resolved to unknown indices (or ground).
-#[derive(Debug, Clone, Copy)]
-pub struct Terminals2 {
-    /// First (positive) terminal.
-    pub a: Unknown,
-    /// Second (negative) terminal.
-    pub b: Unknown,
 }
 
 /// Soft exponential: `exp(u)` for `u ≤ cap`, linear continuation above.

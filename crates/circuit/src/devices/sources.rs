@@ -41,11 +41,6 @@ impl Vsource {
         }
     }
 
-    /// Index of the branch-current unknown (after building).
-    pub fn branch_index(&self) -> Option<usize> {
-        self.branch.index()
-    }
-
     /// The source's time specification.
     pub fn spec(&self) -> &SourceSpec {
         &self.spec

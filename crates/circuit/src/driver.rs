@@ -106,7 +106,7 @@ pub enum NewtonProfile {
     /// solution, so a short budget fails fast and lets the step-halving
     /// logic react.
     ContinuationStep,
-    /// Everything else (transient timesteps, shooting, HB1): the
+    /// Everything else (transient timesteps, shooting): the
     /// [`NewtonOptions`] defaults.
     Standard,
 }

@@ -155,11 +155,6 @@ impl Waveform {
             Waveform::Custom(f) => f(t),
         }
     }
-
-    /// Whether the waveform is constant in time.
-    pub fn is_dc(&self) -> bool {
-        matches!(self, Waveform::Dc(_))
-    }
 }
 
 /// A 1-periodic modulation envelope `m(u)`, used to modulate the sheared
@@ -299,15 +294,6 @@ impl BiWaveform {
         let me = self.clone();
         Waveform::Custom(Arc::new(move |t| me.eval(t, t)))
     }
-
-    /// The RF carrier frequency `f2 = k·f1 − fd` of a sheared carrier, or
-    /// `None` for other variants.
-    pub fn carrier_freq(&self) -> Option<f64> {
-        match self {
-            BiWaveform::ShearedCarrier { k, f1, fd, .. } => Some(*k as f64 * f1 - fd),
-            _ => None,
-        }
-    }
 }
 
 /// Complete description of an independent source's time behaviour.
@@ -357,11 +343,6 @@ impl SourceSpec {
     pub fn waveform(&self) -> &Waveform {
         &self.wave
     }
-
-    /// The bivariate form, if one was attached.
-    pub fn bi_waveform(&self) -> Option<&BiWaveform> {
-        self.bi.as_ref()
-    }
 }
 
 impl From<Waveform> for SourceSpec {
@@ -386,7 +367,6 @@ mod tests {
         let w = Waveform::Dc(2.5);
         assert_eq!(w.eval(0.0), 2.5);
         assert_eq!(w.eval(1e9), 2.5);
-        assert!(w.is_dc());
     }
 
     #[test]
@@ -460,8 +440,7 @@ mod tests {
             phase: 0.0,
             envelope: Envelope::Unit,
         };
-        let f2 = bi.carrier_freq().expect("carrier");
-        assert!((f2 - (900e6 - 15e3)).abs() < 1.0);
+        let f2 = 900e6 - 15e3;
         for &t in &[0.0, 1.3e-9, 7.7e-8, 2.5e-5] {
             let expect = (2.0 * PI * f2 * t).cos();
             let got = bi.eval(t, t);

@@ -237,11 +237,6 @@ impl BalancedMixer {
             params,
         })
     }
-
-    /// Differential output `v(out_p) − v(out_n)` from a state vector.
-    pub fn differential_output(&self, state: &[f64]) -> f64 {
-        state[self.out_p] - state[self.out_n]
-    }
 }
 
 #[cfg(test)]

@@ -7,14 +7,13 @@
 //! replicated DC operating point) to the full bivariate excitation
 //! (`λ = 1`), with adaptive step control and warm-started Newton solves.
 
-use rfsim_circuit::driver::{NewtonDriver, NewtonProfile, Rung, RungExec, RungKind};
-use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions};
+use rfsim_circuit::driver::{NewtonProfile, RungExec};
+use rfsim_circuit::newton::NewtonOptions;
 use rfsim_circuit::{CircuitError, Result};
-use rfsim_numerics::SolveBudget;
 
 use crate::fdtd::MpdeSystem;
 
-/// Options for [`continuation_solve`].
+/// Options for [`continuation_solve_rung`].
 #[derive(Debug, Clone, Copy)]
 pub struct ContinuationOptions {
     /// Initial λ step.
@@ -53,80 +52,24 @@ pub struct ContinuationStats {
 }
 
 /// Solves the MPDE system by ramping the AC excitation from `λ = 0` to
-/// `λ = 1`.
+/// `λ = 1`, as the fallback rung of the MPDE solve's
+/// [`NewtonDriver`](rfsim_circuit::driver::NewtonDriver) ladder.
 ///
-/// The system's λ is left at 1 on success. `x0` seeds the `λ = 0` solve
+/// Every Newton solve goes through `exec` (and so the ladder's staged
+/// budget and shared workspace) with the continuation's own inner-step
+/// options. λ scales the excitation, never the Jacobian structure, so
+/// the whole homotopy runs on the symbolic factorisation the plain-Newton
+/// rung left in the workspace. λ-step halving absorbs *recoverable*
+/// sub-solve failures; interruptions and structural errors propagate.
+///
+/// The system's λ is left at 1 on return. `x0` seeds the `λ = 0` solve
 /// (the replicated DC operating point is the natural choice).
 ///
 /// # Errors
 ///
 /// Returns [`CircuitError::ConvergenceFailure`] if the step size collapses
-/// below `step_min` or the step budget is exhausted.
-pub fn continuation_solve(
-    system: &mut MpdeSystem<'_>,
-    x0: &[f64],
-    options: ContinuationOptions,
-) -> Result<(Vec<f64>, ContinuationStats)> {
-    continuation_solve_budgeted(
-        system,
-        x0,
-        options,
-        &mut LinearSolverWorkspace::new(),
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`continuation_solve`] with caller-owned linear-solver state, under a
-/// [`SolveBudget`].
-///
-/// λ scales the excitation, never the Jacobian structure, so every Newton
-/// solve along the homotopy shares one symbolic factorisation: pass the
-/// workspace that already served the plain-Newton attempt and the whole
-/// continuation runs on numeric-only refactorisations.
-///
-/// The budget covers every Newton solve along the homotopy. An
-/// interruption aborts the whole continuation — λ-step halving is for
-/// convergence failures, not control-plane stops.
-///
-/// # Errors
-///
-/// [`CircuitError::Interrupted`] when the budget stops a solve, plus
-/// everything [`continuation_solve`] returns.
-pub fn continuation_solve_budgeted(
-    system: &mut MpdeSystem<'_>,
-    x0: &[f64],
-    options: ContinuationOptions,
-    workspace: &mut LinearSolverWorkspace,
-    budget: &SolveBudget,
-) -> Result<(Vec<f64>, ContinuationStats)> {
-    // A one-rung ladder: standalone continuation still goes through the
-    // driver so its iterations are staged ("continuation") and its rung
-    // is counted. As the fallback rung of the MPDE solve the body runs
-    // directly inside that ladder's exec (`continuation_solve_rung`),
-    // avoiding nested rung accounting.
-    let driver = NewtonDriver::new(options.newton);
-    let outcome = driver.solve_ladder(
-        "mpde continuation",
-        workspace,
-        budget,
-        vec![Rung::new(
-            RungKind::Continuation,
-            move |exec: &mut RungExec<'_>| continuation_solve_rung(system, x0, options, exec),
-        )],
-    )?;
-    Ok(outcome.value)
-}
-
-/// The continuation body, running as one rung of a
-/// [`NewtonDriver`] ladder: every Newton solve goes through `exec` (and
-/// so the ladder's staged budget and shared workspace) with the
-/// continuation's own inner-step options. λ-step halving absorbs
-/// *recoverable* sub-solve failures; interruptions and structural errors
-/// propagate.
-///
-/// # Errors
-///
-/// See [`continuation_solve`].
+/// below `step_min` or the step budget is exhausted, and
+/// [`CircuitError::Interrupted`] when the budget stops a solve.
 pub fn continuation_solve_rung(
     system: &mut MpdeSystem<'_>,
     x0: &[f64],
@@ -193,8 +136,11 @@ pub fn continuation_solve_rung(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::MultitimeGrid;
-    use rfsim_circuit::{BiWaveform, CircuitBuilder, Envelope, MosfetParams, Waveform, GROUND};
+    use crate::solver::{solve_mpde, InitialGuess, MpdeOptions, MpdeSolution, MpdeStrategy};
+    use rfsim_circuit::newton::NewtonSystem;
+    use rfsim_circuit::{
+        BiWaveform, Circuit, CircuitBuilder, Envelope, MosfetParams, Waveform, GROUND,
+    };
     use rfsim_numerics::diff::DiffScheme;
 
     fn switching_stage() -> rfsim_circuit::Circuit {
@@ -240,49 +186,55 @@ mod tests {
         b.build().expect("build")
     }
 
+    /// Solves `ckt` on an `n1 × n2` grid with the plain-Newton rung capped
+    /// at one iteration from a zero seed, so the ladder falls back to
+    /// continuation.
+    fn solve_falling_back(
+        ckt: &Circuit,
+        n1: usize,
+        n2: usize,
+        continuation: ContinuationOptions,
+    ) -> Result<MpdeSolution> {
+        let options = MpdeOptions {
+            n1,
+            n2,
+            newton: NewtonOptions {
+                max_iters: 1,
+                ..NewtonProfile::Grid.options()
+            },
+            initial_guess: InitialGuess::Samples(vec![0.0; n1 * n2 * ckt.num_unknowns()]),
+            continuation,
+            ..Default::default()
+        };
+        solve_mpde(ckt, 1e-6, 1e-4, options)
+    }
+
     #[test]
     fn continuation_reaches_full_drive() {
         let ckt = switching_stage();
-        let grid = MultitimeGrid::new(16, 8, 1e-6, 1e-4);
-        let mut sys = crate::fdtd::MpdeSystem::new(
-            &ckt,
-            grid,
-            DiffScheme::BackwardEuler,
-            DiffScheme::BackwardEuler,
-        )
-        .expect("system");
-        let dim = rfsim_circuit::newton::NewtonSystem::dim(&sys);
-        let (x, stats) =
-            continuation_solve(&mut sys, &vec![0.0; dim], ContinuationOptions::default())
-                .expect("continuation");
-        assert!(stats.accepted_steps >= 2, "multiple λ steps used");
+        let sol =
+            solve_falling_back(&ckt, 16, 8, ContinuationOptions::default()).expect("continuation");
+        assert_eq!(sol.stats.strategy, MpdeStrategy::Continuation);
+        assert!(sol.stats.continuation_steps >= 2, "multiple λ steps used");
         // Sanity: the solution is a converged residual at λ=1.
-        let mut r = vec![0.0; dim];
-        rfsim_circuit::newton::NewtonSystem::residual(&sys, &x, &mut r);
+        let be = DiffScheme::BackwardEuler;
+        let sys = MpdeSystem::new(&ckt, sol.grid, be, be).expect("system");
+        let mut r = vec![0.0; sys.dim()];
+        sys.residual(&sol.solution.data, &mut r);
         let rn = rfsim_numerics::vector::norm_inf(&r);
         assert!(rn < 1e-5, "residual at λ=1: {rn}");
     }
 
     #[test]
     fn step_budget_is_enforced() {
-        let ckt = switching_stage();
-        let grid = MultitimeGrid::new(8, 4, 1e-6, 1e-4);
-        let mut sys = crate::fdtd::MpdeSystem::new(
-            &ckt,
-            grid,
-            DiffScheme::BackwardEuler,
-            DiffScheme::BackwardEuler,
-        )
-        .expect("system");
-        let dim = rfsim_circuit::newton::NewtonSystem::dim(&sys);
         let opts = ContinuationOptions {
             max_steps: 1,
             step_init: 1e-3,
             ..Default::default()
         };
         assert!(matches!(
-            continuation_solve(&mut sys, &vec![0.0; dim], opts),
-            Err(CircuitError::ConvergenceFailure { .. })
+            solve_falling_back(&switching_stage(), 8, 4, opts),
+            Err(CircuitError::ConvergenceFailure { analysis, .. }) if analysis.contains("step budget")
         ));
     }
 }

@@ -18,7 +18,7 @@ use rfsim_numerics::SolveBudget;
 
 use crate::grid::{MultitimeGrid, MultitimeSolution};
 
-/// Options for [`envelope_follow`].
+/// Options for [`envelope_follow_budgeted`].
 #[derive(Debug, Clone, Copy)]
 pub struct EnvelopeOptions {
     /// Fast-axis differentiation scheme.
@@ -143,26 +143,15 @@ impl NewtonSystem for RowSystem<'_> {
 }
 
 /// Solves the MPDE by envelope following over `sweeps` slow periods and
-/// returns the last sweep as a multitime solution.
+/// returns the last sweep as a multitime solution, under a
+/// [`SolveBudget`]: the budget covers the DC seed and every per-row Newton
+/// solve of every sweep.
 ///
 /// # Errors
 ///
-/// Propagates DC and Newton failures (including missing bivariate sources).
-pub fn envelope_follow(
-    circuit: &Circuit,
-    grid: MultitimeGrid,
-    options: EnvelopeOptions,
-) -> Result<MultitimeSolution> {
-    envelope_follow_budgeted(circuit, grid, options, &SolveBudget::unlimited())
-}
-
-/// [`envelope_follow`] under a [`SolveBudget`]: the budget covers the DC
-/// seed and every per-row Newton solve of every sweep.
-///
-/// # Errors
-///
-/// [`rfsim_circuit::CircuitError::Interrupted`] when the budget stops a
-/// solve, plus everything [`envelope_follow`] returns.
+/// Propagates DC and Newton failures (including missing bivariate
+/// sources), and [`rfsim_circuit::CircuitError::Interrupted`] when the
+/// budget stops a solve.
 pub fn envelope_follow_budgeted(
     circuit: &Circuit,
     grid: MultitimeGrid,
@@ -286,7 +275,7 @@ mod tests {
             .unknown_index_of_node(ckt.node_by_name("out").expect("out"))
             .expect("idx");
         let grid = MultitimeGrid::new(32, 16, 1.0 / f1, 1.0 / fd);
-        let sol = envelope_follow(
+        let sol = envelope_follow_budgeted(
             &ckt,
             grid,
             EnvelopeOptions {
@@ -294,6 +283,7 @@ mod tests {
                 sweeps: 3,
                 ..Default::default()
             },
+            &SolveBudget::unlimited(),
         )
         .expect("envelope");
         // RC pole at 1/(2π·100·10p) ≈ 159 MHz ≫ f1: output ≈ input.
@@ -334,13 +324,14 @@ mod tests {
             .expect("idx");
         let grid = MultitimeGrid::new(16, 32, 1.0 / f1, 1.0 / fd);
         let mismatch = |sweeps: usize| {
-            let sol = envelope_follow(
+            let sol = envelope_follow_budgeted(
                 &ckt,
                 grid,
                 EnvelopeOptions {
                     sweeps,
                     ..Default::default()
                 },
+                &SolveBudget::unlimited(),
             )
             .expect("envelope");
             // t2-periodicity proxy: row 0 vs a backward-Euler step from the

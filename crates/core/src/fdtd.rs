@@ -15,10 +15,8 @@
 //! grids) stays tractable — this is the structural reason the method
 //! beats 300 000-step shooting.
 //!
-//! Two homotopy knobs support the continuation solver:
-//! * `lambda` scales the AC part of the excitation
-//!   (`b_eff = b_dc + λ·(b̂ − b_dc)`),
-//! * `gmin` adds a shunt conductance on every node-voltage row.
+//! One homotopy knob supports the continuation solver: `lambda` scales
+//! the AC part of the excitation (`b_eff = b_dc + λ·(b̂ − b_dc)`).
 
 use rfsim_circuit::newton::NewtonSystem;
 use rfsim_circuit::{Circuit, Result, UnknownKind};
@@ -39,8 +37,6 @@ pub struct MpdeSystem<'a> {
     b_dc: Vec<f64>,
     /// Homotopy parameter scaling the AC excitation.
     lambda: f64,
-    /// Shunt conductance added on node-voltage rows.
-    gmin: f64,
     kinds: Vec<UnknownKind>,
 }
 
@@ -81,7 +77,6 @@ impl<'a> MpdeSystem<'a> {
             b_full,
             b_dc,
             lambda: 1.0,
-            gmin: 0.0,
             kinds,
         })
     }
@@ -99,11 +94,6 @@ impl<'a> MpdeSystem<'a> {
     /// Sets the source homotopy parameter (`1.0` = full excitation).
     pub fn set_lambda(&mut self, lambda: f64) {
         self.lambda = lambda;
-    }
-
-    /// Sets the shunt conductance homotopy parameter (`0.0` = none).
-    pub fn set_gmin(&mut self, gmin: f64) {
-        self.gmin = gmin;
     }
 
     /// Effective excitation at a grid point under the current `lambda`.
@@ -157,9 +147,6 @@ impl NewtonSystem for MpdeSystem<'_> {
                 self.circuit.eval_f(xj, &mut f, None);
                 for u in 0..n {
                     out[src + u] += f[u] + self.b_eff(src, u);
-                    if self.gmin != 0.0 && self.kinds[src + u] == UnknownKind::NodeVoltage {
-                        out[src + u] += self.gmin * xj[u];
-                    }
                 }
             }
         }
@@ -219,10 +206,6 @@ impl NewtonSystem for MpdeSystem<'_> {
                 }
                 for u in 0..n {
                     out[src + u] += f[u] + self.b_eff(src, u);
-                    if self.gmin != 0.0 && self.kinds[src + u] == UnknownKind::NodeVoltage {
-                        out[src + u] += self.gmin * xj[u];
-                        jac.push(src + u, src + u, self.gmin);
-                    }
                 }
             }
         }
@@ -330,38 +313,5 @@ mod tests {
         let mut r = vec![0.0; dim];
         sys.residual(&x, &mut r);
         assert!(norm_inf(&r) < 1e-14, "residual at λ=0: {}", norm_inf(&r));
-    }
-
-    #[test]
-    fn gmin_adds_diagonal_on_voltage_rows() {
-        let ckt = rc_sheared(1e6, 1e3);
-        let grid = MultitimeGrid::new(2, 2, 1e-6, 1e-3);
-        let mut sys = MpdeSystem::new(
-            &ckt,
-            grid,
-            DiffScheme::BackwardEuler,
-            DiffScheme::BackwardEuler,
-        )
-        .expect("system");
-        sys.set_gmin(1e-3);
-        sys.set_lambda(0.0);
-        let dim = sys.dim();
-        let x = vec![1.0; dim];
-        let mut r_on = vec![0.0; dim];
-        sys.residual(&x, &mut r_on);
-        sys.set_gmin(0.0);
-        let mut r_off = vec![0.0; dim];
-        sys.residual(&x, &mut r_off);
-        // Voltage rows differ by exactly gmin·1.0.
-        let n = ckt.num_unknowns();
-        for p in 0..grid.num_points() {
-            for u in 0..n {
-                let diff = r_on[p * n + u] - r_off[p * n + u];
-                match ckt.unknown_kinds()[u] {
-                    UnknownKind::NodeVoltage => assert!((diff - 1e-3).abs() < 1e-15),
-                    UnknownKind::BranchCurrent => assert!(diff.abs() < 1e-15),
-                }
-            }
-        }
     }
 }

@@ -174,18 +174,6 @@ impl MultitimeSolution {
         goertzel(&self.envelope(unknown), m)
     }
 
-    /// Complex amplitude of harmonic `m` along the *fast* axis, averaged
-    /// coherently over the slow axis (e.g. LO feedthrough at `m·f1`,
-    /// which is phase-locked across rows).
-    pub fn fast_harmonic(&self, unknown: usize, m: usize) -> Complex {
-        let (_, n2) = self.grid.shape();
-        let mut acc = Complex::ZERO;
-        for j in 0..n2 {
-            acc = acc + goertzel(&self.t1_slice(unknown, j), m);
-        }
-        acc * (1.0 / n2 as f64)
-    }
-
     /// Magnitude of harmonic `m` along the fast axis, averaged
     /// *incoherently* (per-row magnitudes). Sheared carriers rotate their
     /// fast-harmonic phase once per slow period, so the coherent average
@@ -243,27 +231,6 @@ impl MultitimeSolution {
                 (t, v)
             })
             .collect()
-    }
-
-    /// Root-mean-square of the difference to another solution on the same
-    /// grid (convergence studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn rms_difference(&self, other: &MultitimeSolution) -> f64 {
-        assert_eq!(self.grid, other.grid, "grids differ");
-        assert_eq!(
-            self.num_unknowns, other.num_unknowns,
-            "unknown counts differ"
-        );
-        let d: Vec<f64> = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        rfsim_numerics::vector::rms(&d)
     }
 }
 
@@ -353,25 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_harmonic_extraction() {
-        let s = product_solution(16, 8);
-        // x̂ row j: cos(2πu)·cos(2πv_j) → fast harmonic 1 amplitude |cos(2πv_j)|,
-        // averaged over j with signs… the *complex* average is
-        // (1/n2)Σ cos(2πv_j) = 0. Use a solution without sign flips instead:
-        let grid = MultitimeGrid::new(16, 4, 1e-6, 1e-3);
-        let mut data = Vec::new();
-        for _j in 0..4 {
-            for i in 0..16 {
-                let u = i as f64 / 16.0;
-                data.push(0.5 * (2.0 * PI * u).cos());
-            }
-        }
-        let sol = MultitimeSolution::new(grid, 1, data);
-        assert!((sol.fast_harmonic(0, 1).abs() - 0.5).abs() < 1e-12);
-        let _ = s;
-    }
-
-    #[test]
     fn diagonal_reconstruction_matches_function() {
         // x̂(t1,t2) separable and band-limited: bilinear interpolation on a
         // fine grid tracks the true diagonal well.
@@ -381,13 +329,6 @@ mod tests {
             let expect = (2.0 * PI * t / 1e-6).cos() * (2.0 * PI * t / 1e-3).cos();
             assert!((v - expect).abs() < 5e-3, "t={t}: got {v}, expect {expect}");
         }
-    }
-
-    #[test]
-    fn rms_difference_of_identical_is_zero() {
-        let a = product_solution(8, 4);
-        let b = product_solution(8, 4);
-        assert_eq!(a.rms_difference(&b), 0.0);
     }
 
     #[test]

@@ -432,16 +432,6 @@ impl Netlist {
         format!("netlist:{:016x}", self.content_hash())
     }
 
-    /// The devices' `drive` sources (well-formed netlists have at most
-    /// one; the parser enforces exactly one for steady-state analyses).
-    #[must_use]
-    pub fn drive_count(&self) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| matches!(d.kind.source(), Some(Source::Drive)))
-            .count()
-    }
-
     /// Every distinct non-ground node name, in first-appearance order
     /// (declared nodes first, then device terminals).
     #[must_use]

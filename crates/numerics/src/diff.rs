@@ -153,23 +153,6 @@ pub fn spectral_weights(n: usize, period: f64) -> Vec<f64> {
     w
 }
 
-/// Applies the dense spectral differentiation matrix built from
-/// [`spectral_weights`].
-pub fn apply_spectral_weights(weights: &[f64], samples: &[f64]) -> Vec<f64> {
-    let n = samples.len();
-    assert_eq!(weights.len(), n, "weights/samples length mismatch");
-    let mut out = vec![0.0; n];
-    for i in 0..n {
-        let mut s = 0.0;
-        for (j, &xj) in samples.iter().enumerate() {
-            let d = (i as isize - j as isize).rem_euclid(n as isize) as usize;
-            s += weights[d] * xj;
-        }
-        out[i] = s;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +232,10 @@ mod tests {
                 .collect();
             let via_fft = spectral_derivative(&x, period).expect("fft path");
             let w = spectral_weights(n, period);
-            let via_weights = apply_spectral_weights(&w, &x);
+            // The circulant product: row i weights sample j by w[(i − j) mod n].
+            let via_weights: Vec<f64> = (0..n)
+                .map(|i| (0..n).map(|j| w[(i + n - j) % n] * x[j]).sum())
+                .collect();
             for i in 0..n {
                 assert!(
                     (via_fft[i] - via_weights[i]).abs() < 1e-8,

@@ -19,8 +19,7 @@ pub use precond::{BlockJacobiPrecond, IdentityPrecond, Preconditioner};
 use crate::sparse::CsrMatrix;
 
 /// Anything that can apply `y = A·x` — an explicit sparse matrix or a
-/// matrix-free operator (e.g. transient sensitivity propagation in the
-/// Krylov shooting method).
+/// matrix-free operator such as an [`FnOperator`] closure.
 pub trait LinearOperator {
     /// Problem dimension (`A` is `dim × dim`).
     fn dim(&self) -> usize;
@@ -45,7 +44,7 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
-/// A closure-backed operator, handy for tests and shooting methods.
+/// A closure-backed operator, handy for tests.
 pub struct FnOperator<F> {
     dim: usize,
     f: F,

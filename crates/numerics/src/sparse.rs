@@ -415,11 +415,6 @@ impl CsrMatrix {
         m
     }
 
-    /// Maximum absolute entry.
-    pub fn norm_max(&self) -> f64 {
-        crate::vector::norm_inf(&self.data)
-    }
-
     /// Fingerprint of this matrix's structure (dimensions, row pointers and
     /// column indices), independent of the stored values. Note that CSR and
     /// CSC fingerprints of the same matrix differ — key caches by one form.
@@ -709,11 +704,6 @@ impl CscAssembly {
         self.map.nnz()
     }
 
-    /// Number of triplet slots the map was built from.
-    pub fn num_slots(&self) -> usize {
-        self.map.slot.len()
-    }
-
     /// Fingerprint of the compressed CSC pattern this assembly scatters
     /// into (equal to the fingerprint of any matrix it produces).
     pub fn pattern_fingerprint(&self) -> PatternFingerprint {
@@ -956,7 +946,6 @@ mod tests {
         let mut t = example();
         t.push(2, 0, -1.5); // duplicate of (2,0): must fold into one slot
         let asm = CscAssembly::new(&t);
-        assert_eq!(asm.num_slots(), 6);
         assert_eq!(asm.nnz(), 5);
         let mut m = asm.zero_matrix();
         assert!(asm.scatter(&t, &mut m));

@@ -19,10 +19,11 @@
 //! (row/column permutations plus the exact `L`/`U` elimination patterns)
 //! and re-runs only the numeric sparse triangular solves on new values:
 //!
-//! * [`SymbolicLu::analyze`] — one-time analysis of a representative matrix
-//!   (internally a full factorisation whose values are discarded).
-//! * [`SymbolicLu::refactor`] — numeric-only factorisation of a same-pattern
-//!   matrix, allocating a fresh [`SparseLu`].
+//! * [`SparseLu::symbolic_shared`] — the structure a full
+//!   [`SparseLu::factor`] of a representative matrix found.
+//! * [`SymbolicLu::refactor_shared`] — numeric-only factorisation of a
+//!   same-pattern matrix into a fresh [`SparseLu`] that shares the
+//!   structure.
 //! * [`SparseLu::refactor_in_place`] — the hot path: overwrite this factor's
 //!   values from a same-pattern matrix with **zero** allocation, no DFS and
 //!   no pivot search.
@@ -143,10 +144,10 @@ impl Default for LuOptions {
 /// fill-reducing column ordering, the pivot order chosen on the analysed
 /// matrix, and the exact `L`/`U` elimination patterns.
 ///
-/// Built by [`SymbolicLu::analyze`] (or captured from a full
-/// [`SparseLu::factor`] via [`SparseLu::symbolic`]); consumed by
-/// [`SymbolicLu::refactor`] and [`SparseLu::refactor_in_place`], which redo
-/// only the numeric work on a same-pattern matrix.
+/// Captured from a full [`SparseLu::factor`] via [`SparseLu::symbolic`]
+/// or [`SparseLu::symbolic_shared`]; consumed by
+/// [`SymbolicLu::refactor_shared`] and [`SparseLu::refactor_in_place`],
+/// which redo only the numeric work on a same-pattern matrix.
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
     n: usize,
@@ -227,30 +228,11 @@ fn row_appearance_table(
 }
 
 impl SymbolicLu {
-    /// Analyses a representative matrix: computes the fill-reducing
-    /// ordering, pivot order and elimination patterns that every
-    /// same-pattern matrix can then reuse.
-    ///
-    /// This is a full Gilbert–Peierls factorisation whose numeric factors
-    /// are discarded — pivoting is value-driven, so the analysis needs a
-    /// matrix with representative values (for Newton hot paths: the first
-    /// assembled Jacobian).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`SparseLu::factor`].
-    pub fn analyze(a: &CscMatrix, options: LuOptions) -> Result<Self> {
-        let sym = SparseLu::factor(a, options)?.sym;
-        // The factor just dropped its other fields; this Arc is unique.
-        Ok(Arc::try_unwrap(sym).unwrap_or_else(|shared| (*shared).clone()))
-    }
-
     /// Numeric-only factorisation of `a`, which must have exactly the
-    /// analysed pattern. Allocates a fresh factor (copying this structure
-    /// once — loops producing many factors should hold an
-    /// `Arc<SymbolicLu>` and call [`SymbolicLu::refactor_shared`]); use
-    /// [`SparseLu::refactor_in_place`] to reuse one factor across
-    /// iterations instead.
+    /// analysed pattern. The factor shares this `Arc`, so only the numeric
+    /// arrays are allocated (shooting keeps one factor per time step this
+    /// way); use [`SparseLu::refactor_in_place`] to reuse one factor
+    /// across iterations instead.
     ///
     /// # Errors
     ///
@@ -258,18 +240,6 @@ impl SymbolicLu {
     ///   the analysed pattern.
     /// * [`NumericsError::SingularMatrix`] if a recorded pivot vanishes for
     ///   the new values.
-    pub fn refactor(&self, a: &CscMatrix) -> Result<SparseLu> {
-        Arc::new(self.clone()).refactor_shared(a)
-    }
-
-    /// [`SymbolicLu::refactor`] without copying the structure: the returned
-    /// factor shares this `Arc`, so only the numeric arrays are allocated.
-    /// This is the right call in loops that keep many factors alive over
-    /// one structure (e.g. per-timestep sensitivity operators).
-    ///
-    /// # Errors
-    ///
-    /// See [`SymbolicLu::refactor`].
     pub fn refactor_shared(self: &Arc<Self>, a: &CscMatrix) -> Result<SparseLu> {
         let mut lu = SparseLu {
             sym: Arc::clone(self),
@@ -846,16 +816,6 @@ impl SparseLu {
         }
         out
     }
-
-    /// Solves in place, overwriting `b` with the solution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_in_place(&self, b: &mut [f64]) {
-        let x = self.solve(b);
-        b.copy_from_slice(&x);
-    }
 }
 
 /// Iterative depth-first search over the graph of `L`, collecting reached
@@ -1117,18 +1077,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn solve_in_place_matches_solve() {
-        let t = tridiag(10);
-        let a = t.to_csc();
-        let lu = SparseLu::factor(&a, LuOptions::default()).expect("factor");
-        let b: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let x = lu.solve(&b);
-        let mut y = b.clone();
-        lu.solve_in_place(&mut y);
-        assert_eq!(x, y);
-    }
-
     /// Asserts that a numeric-only refactorisation of `t2` (same pattern as
     /// `t1`) solves as accurately as a from-scratch factorisation.
     fn check_refactor_equivalence(t1: &Triplets, t2: &Triplets, b: &[f64]) {
@@ -1150,8 +1098,10 @@ mod tests {
         let r = sub(&a2.matvec(&x_re), b);
         assert!(norm_inf(&r) < 1e-9 * norm_inf(b).max(1.0));
         // The symbolic API produces the same numeric factor.
-        let sym = SymbolicLu::analyze(&a1, LuOptions::default()).expect("analyze");
-        let from_sym = sym.refactor(&a2).expect("symbolic refactor");
+        let from_sym = lu
+            .symbolic_shared()
+            .refactor_shared(&a2)
+            .expect("symbolic refactor");
         let x_sym = from_sym.solve(b);
         for (xs, xr) in x_sym.iter().zip(&x_re) {
             assert!((xs - xr).abs() < 1e-14 * scale);
@@ -1330,7 +1280,8 @@ mod tests {
     #[test]
     fn symbolic_fingerprint_matches_matrix_fingerprint() {
         let a = tridiag(25).to_csc();
-        let sym = SymbolicLu::analyze(&a, LuOptions::default()).expect("analyze");
+        let lu = SparseLu::factor(&a, LuOptions::default()).expect("factor");
+        let sym = lu.symbolic();
         assert_eq!(sym.pattern_fingerprint(), a.pattern_fingerprint());
         let other = tridiag(26).to_csc();
         assert_ne!(sym.pattern_fingerprint(), other.pattern_fingerprint());
@@ -1340,7 +1291,8 @@ mod tests {
     fn symbolic_analyze_reports_structure() {
         let t = tridiag(20);
         let a = t.to_csc();
-        let sym = SymbolicLu::analyze(&a, LuOptions::default()).expect("analyze");
+        let lu = SparseLu::factor(&a, LuOptions::default()).expect("factor");
+        let sym = lu.symbolic();
         assert_eq!(sym.dim(), 20);
         assert!(sym.matches(&a));
         assert!(sym.nnz() >= a.nnz());

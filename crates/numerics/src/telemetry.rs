@@ -212,21 +212,6 @@ impl LatencyHistogram {
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
-
-    /// Cumulative bucket view for text exposition: yields
-    /// `(upper_bound_ns, cumulative_count)` per finite bucket, then
-    /// `(None, total_count)` for the overflow (`+Inf`) bucket.
-    pub fn cumulative_buckets(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
-        let mut cum = 0u64;
-        self.buckets.iter().enumerate().map(move |(i, &n)| {
-            cum += n;
-            if i < BUCKETS {
-                (Some(Self::bucket_bound_ns(i)), cum)
-            } else {
-                (None, cum)
-            }
-        })
-    }
 }
 
 /// One typed lifecycle event inside a [`Timeline`].
@@ -451,23 +436,6 @@ mod tests {
         assert_eq!(a.sum_ns(), merged.sum_ns());
         assert_eq!(a.max_ns(), merged.max_ns());
         assert_eq!(a.quantile(0.5), merged.quantile(0.5));
-    }
-
-    #[test]
-    fn cumulative_buckets_end_at_total_count() {
-        let mut h = LatencyHistogram::new();
-        for ns in [100u64, 5_000, 1 << 50] {
-            h.record_ns(ns);
-        }
-        let buckets: Vec<_> = h.cumulative_buckets().collect();
-        assert_eq!(buckets.len(), LatencyHistogram::bucket_count() + 1);
-        let (last_bound, last_cum) = buckets[buckets.len() - 1];
-        assert_eq!(last_bound, None, "overflow bucket is +Inf");
-        assert_eq!(last_cum, 3);
-        // Cumulative counts are monotone.
-        for w in buckets.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 
     proptest! {

@@ -70,20 +70,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     })
 }
 
-/// Index and value of the entry with the largest magnitude, or `None` for an
-/// empty slice.
-#[inline]
-pub fn argmax_abs(x: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        match best {
-            Some((_, b)) if v.abs() <= b.abs() => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best
-}
-
 /// Componentwise `z = x − y` into a fresh vector.
 ///
 /// # Panics
@@ -167,12 +153,6 @@ mod tests {
         let n = norm2(&[big, big]);
         assert!(n.is_finite());
         assert!((n / big - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn argmax_abs_finds_negative_peak() {
-        assert_eq!(argmax_abs(&[1.0, -7.0, 3.0]), Some((1, -7.0)));
-        assert_eq!(argmax_abs(&[]), None);
     }
 
     #[test]

@@ -1,6 +1,4 @@
-//! Pseudo-random bit sequences and bit envelopes.
-
-use rfsim_circuit::Envelope;
+//! Pseudo-random bit sequences and the BPSK envelope decoder.
 
 /// Maximal-length LFSR (PRBS) generator.
 ///
@@ -49,29 +47,6 @@ impl Prbs {
     pub fn period(&self) -> usize {
         (1usize << self.order) - 1
     }
-}
-
-/// Builds an antipodal bit envelope (one difference period spans the whole
-/// pattern) with raised-cosine edges.
-pub fn bit_envelope(pattern: Vec<bool>, edge_fraction: f64) -> Envelope {
-    Envelope::bits(pattern, edge_fraction)
-}
-
-/// Decodes an antipodal envelope back to bits by sampling bit centres.
-///
-/// Use this when the envelope *is* the bit waveform. For a down-converted
-/// output that still rides on the residual difference-frequency carrier
-/// (`fd = k·f1 − f2 ≠ 0`, the paper's Figure 4 situation), use
-/// [`decode_bpsk_envelope`] instead.
-pub fn decode_envelope(samples: &[f64], num_bits: usize) -> Vec<bool> {
-    let n = samples.len();
-    (0..num_bits)
-        .map(|k| {
-            // Centre of bit k in the sampled period.
-            let pos = ((k as f64 + 0.5) / num_bits as f64 * n as f64) as usize % n.max(1);
-            samples[pos] >= 0.0
-        })
-        .collect()
 }
 
 /// Decodes bits from a baseband envelope that still carries the residual
@@ -174,18 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn envelope_roundtrip_decode() {
-        let pattern = vec![true, false, false, true, true, false];
-        let env = bit_envelope(pattern.clone(), 0.1);
-        let samples: Vec<f64> = (0..120).map(|k| env.eval(k as f64 / 120.0)).collect();
-        assert_eq!(decode_envelope(&samples, 6), pattern);
-    }
-
-    #[test]
     fn bpsk_roundtrip_decode() {
         use std::f64::consts::PI;
         let pattern = vec![true, false, true, true];
-        let env = bit_envelope(pattern.clone(), 0.05);
+        let env = rfsim_circuit::Envelope::bits(pattern.clone(), 0.05);
         let phi = 0.9;
         // Down-converted signal: bits on the residual fd carrier.
         let samples: Vec<f64> = (0..240)

@@ -2,10 +2,9 @@
 //!
 //! Post-processing the paper's evaluation needs on top of MPDE solutions:
 //!
-//! * [`bits`] — PRBS generators and bit-envelope construction.
+//! * [`bits`] — PRBS generators and the BPSK envelope decoder.
 //! * [`measure`] — conversion gain, harmonic distortion (HD2/HD3/THD),
-//!   dB/dBm helpers, adjacent-channel power.
-//! * [`eye`] — eye diagrams and ISI metrics over baseband envelopes.
+//!   the dB helper and harmonic-band power.
 //! * [`sweep`] — warm-started parameter sweeps (amplitude → compression)
 //!   and the batched multi-topology [`sweep::SweepEngine`]: independent
 //!   jobs grouped by circuit structure, executed on a hand-rolled worker
@@ -21,7 +20,6 @@
 #![deny(missing_docs)]
 
 pub mod bits;
-pub mod eye;
 pub mod key;
 pub mod measure;
 pub mod pool;

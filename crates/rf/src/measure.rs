@@ -8,11 +8,6 @@ pub fn ratio_to_db(ratio: f64) -> f64 {
     20.0 * ratio.abs().max(1e-300).log10()
 }
 
-/// Converts decibels to an amplitude ratio.
-pub fn db_to_ratio(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
 /// Down-conversion gain in dB: the baseband fundamental of the
 /// (differential) output envelope over the RF input amplitude.
 ///
@@ -92,16 +87,6 @@ pub fn band_power(samples: &[f64], k_lo: usize, k_hi: usize) -> f64 {
     acc
 }
 
-/// Adjacent-channel interference estimate in dBc: power of the envelope in
-/// the band `(channel_harmonics, 2·channel_harmonics]` relative to
-/// `[1, channel_harmonics]`. The paper's conclusion names ACI estimation as
-/// a target application of the method.
-pub fn aci_dbc(envelope: &[f64], channel_harmonics: usize) -> f64 {
-    let main = band_power(envelope, 1, channel_harmonics);
-    let adj = band_power(envelope, channel_harmonics + 1, 2 * channel_harmonics);
-    10.0 * (adj / main.max(1e-300)).max(1e-300).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,8 +107,6 @@ mod tests {
     #[test]
     fn db_roundtrip() {
         assert!((ratio_to_db(10.0) - 20.0).abs() < 1e-12);
-        assert!((db_to_ratio(-6.0) - 0.5012).abs() < 1e-3);
-        assert!((db_to_ratio(ratio_to_db(0.3)) - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -170,18 +153,5 @@ mod tests {
             .collect();
         assert!((band_power(&samples, 1, 1) - 2.0).abs() < 1e-9);
         assert!(band_power(&samples, 2, 10) < 1e-12);
-    }
-
-    #[test]
-    fn aci_detects_out_of_band_content() {
-        // Main channel: harmonics 1..4. Adjacent leak at harmonic 6, −20 dB.
-        let samples: Vec<f64> = (0..128)
-            .map(|k| {
-                let u = k as f64 / 128.0;
-                (2.0 * PI * u).cos() + 0.1 * (2.0 * PI * 6.0 * u).cos()
-            })
-            .collect();
-        let aci = aci_dbc(&samples, 4);
-        assert!((aci + 20.0).abs() < 0.5, "ACI = {aci} dBc");
     }
 }

@@ -18,9 +18,12 @@
 //! ```
 //!
 //! A panic anywhere crashes the process — the CI job's only pass
-//! criterion is a clean exit with the final `ok` line.
+//! criterion is a clean exit with the final `ok` line. An unknown flag or
+//! a missing or unparsable value prints one stderr line and exits with
+//! code 2 before any case runs.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use rfsim_netlist::fuzz::{mutate, random_netlist, random_token_soup, XorShift64};
 use rfsim_netlist::Netlist;
@@ -76,26 +79,30 @@ fn exercise_wire(line: &str) {
     }
 }
 
+/// The value after `flag`, parsed.
+fn parsed<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{text}'"))
+}
+
 fn main() -> ExitCode {
     let mut iters: u64 = 100_000;
     let mut seed: u64 = 0x5eed_f00d;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--iters" => iters = value("--iters").parse().expect("--iters is a number"),
-            "--seed" => seed = value("--seed").parse().expect("--seed is a number"),
+        let usage = match flag.as_str() {
+            "--iters" => parsed(&mut argv, "--iters").map(|v| iters = v),
+            "--seed" => parsed(&mut argv, "--seed").map(|v| seed = v),
             "--help" | "-h" => {
                 println!("usage: fuzz-smoke [--iters N] [--seed S]");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
+            other => Err(format!("unknown flag {other} (try --help)")),
+        };
+        if let Err(msg) = usage {
+            eprintln!("fuzz-smoke: {msg}");
+            return ExitCode::from(2);
         }
     }
 

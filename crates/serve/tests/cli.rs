@@ -1,13 +1,14 @@
-//! The `rfsim-serve` and `rfsim-client` binaries end bad input with a
-//! one-line usage error (exit code 2) and a refused connection with a
-//! failure (exit code 1), never with a panic. No test here starts a
-//! daemon.
+//! The `rfsim-serve`, `rfsim-client` and `fuzz-smoke` binaries end bad
+//! input with a one-line usage error (exit code 2) and a refused
+//! connection with a failure (exit code 1), never with a panic. No test
+//! here starts a daemon or a fuzz loop.
 
 use std::net::TcpListener;
 use std::process::{Command, Output};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_rfsim-serve");
 const CLIENT: &str = env!("CARGO_BIN_EXE_rfsim-client");
+const FUZZ: &str = env!("CARGO_BIN_EXE_fuzz-smoke");
 
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     let Output { status, stderr, .. } = Command::new(bin).args(args).output().expect("binary runs");
@@ -60,5 +61,20 @@ fn client_rejects_bad_input_before_connecting() {
     ] {
         let (code, stderr) = run(CLIENT, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn fuzz_smoke_rejects_bad_input_with_a_usage_error() {
+    for (args, named) in [
+        (&["--bogus"][..], "--bogus"),
+        (&["--iters"], "--iters"),
+        (&["--iters", "abc"], "--iters"),
+        (&["--seed", "-1"], "--seed"),
+    ] {
+        let (code, stderr) = run(FUZZ, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Integrates the circuit across one period with fixed-step backward Euler,
 //! propagating the sensitivity (monodromy) matrix `M = ∂x(T)/∂x(0)`, and
-//! Newton-iterates on the boundary residual `r(x₀) = x(T; x₀) − x₀`.
-//! Both a dense-monodromy variant (Aprille–Trick) and a matrix-free
-//! GMRES variant (Telichevesky–Kundert–White style) are provided.
+//! Newton-iterates on the boundary residual `r(x₀) = x(T; x₀) − x₀`
+//! with the dense monodromy matrix (Aprille–Trick).
 //!
 //! Applied to the *difference-frequency* period of a closely-spaced-tone
 //! problem, this is the paper's baseline: with ≥10 steps per LO period it
@@ -16,22 +15,11 @@ use rfsim_circuit::driver::NewtonDriver;
 use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions, NewtonSystem};
 use rfsim_circuit::{Circuit, CircuitError, Result, UnknownKind};
 use rfsim_numerics::dense::DenseMatrix;
-use rfsim_numerics::krylov::{gmres_budgeted, FnOperator, GmresOptions, IdentityPrecond};
 use rfsim_numerics::sparse::{CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, Triplets};
 use rfsim_numerics::sparse_lu::{LuOptions, SparseLu, SymbolicLu};
 use rfsim_numerics::vector::wrms_ratio;
 use rfsim_numerics::SolveBudget;
 use std::sync::Arc;
-
-/// How the shooting update equation `(M − I)·δ = −r` is solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShootingMethod {
-    /// Build the monodromy matrix densely by propagating unit vectors.
-    #[default]
-    DenseMonodromy,
-    /// Matrix-free GMRES using stored per-step factorisations.
-    MatrixFree,
-}
 
 /// Options for [`shooting_pss`].
 #[derive(Debug, Clone, Copy)]
@@ -42,8 +30,6 @@ pub struct ShootingOptions {
     pub max_outer: usize,
     /// Newton options for the inner per-step solves.
     pub newton: NewtonOptions,
-    /// Linear-solve strategy for the shooting update.
-    pub method: ShootingMethod,
 }
 
 impl Default for ShootingOptions {
@@ -52,7 +38,6 @@ impl Default for ShootingOptions {
             steps_per_period: 200,
             max_outer: 40,
             newton: NewtonOptions::default(),
-            method: ShootingMethod::default(),
         }
     }
 }
@@ -298,8 +283,7 @@ pub fn shooting_pss(
 }
 
 /// [`shooting_pss`] under a [`SolveBudget`]: the budget covers the DC
-/// seed, every inner per-step Newton solve of every outer iteration, and
-/// the matrix-free GMRES update.
+/// seed and every inner per-step Newton solve of every outer iteration.
 ///
 /// # Errors
 ///
@@ -356,50 +340,23 @@ pub fn shooting_pss_budgeted(
             });
         }
 
-        // Outer Newton update: (M − I)·δ = −r.
-        let delta = match options.method {
-            ShootingMethod::DenseMonodromy => {
-                let mut m = DenseMatrix::zeros(n, n);
-                let mut e = vec![0.0; n];
-                for j in 0..n {
-                    e[j] = 1.0;
-                    let col = apply_monodromy(&sweep.step_ops, &e);
-                    e[j] = 0.0;
-                    for i in 0..n {
-                        m[(i, j)] = col[i];
-                    }
-                }
-                for i in 0..n {
-                    m[(i, i)] -= 1.0;
-                }
-                let neg_r: Vec<f64> = r.iter().map(|v| -v).collect();
-                m.solve(&neg_r).map_err(CircuitError::from)?
+        // Outer Newton update: (M − I)·δ = −r, with the monodromy matrix
+        // built densely by propagating unit vectors.
+        let mut m = DenseMatrix::zeros(n, n);
+        let mut e = vec![0.0; n];
+        for j in 0..n {
+            e[j] = 1.0;
+            let col = apply_monodromy(&sweep.step_ops, &e);
+            e[j] = 0.0;
+            for i in 0..n {
+                m[(i, j)] = col[i];
             }
-            ShootingMethod::MatrixFree => {
-                // (I − M)·δ = r  ⇔  (M − I)·δ = −r.
-                let op = FnOperator::new(n, |v: &[f64], y: &mut [f64]| {
-                    let mv = apply_monodromy(&sweep.step_ops, v);
-                    for i in 0..n {
-                        y[i] = v[i] - mv[i];
-                    }
-                });
-                let (delta, _) = gmres_budgeted(
-                    &op,
-                    &IdentityPrecond,
-                    &r,
-                    &vec![0.0; n],
-                    GmresOptions {
-                        rtol: 1e-10,
-                        restart: n.min(60),
-                        max_iters: 10 * n + 50,
-                        ..Default::default()
-                    },
-                    budget,
-                )
-                .map_err(CircuitError::from)?;
-                delta
-            }
-        };
+        }
+        for i in 0..n {
+            m[(i, i)] -= 1.0;
+        }
+        let neg_r: Vec<f64> = r.iter().map(|v| -v).collect();
+        let delta = m.solve(&neg_r).map_err(CircuitError::from)?;
         for i in 0..n {
             x0[i] += delta[i];
         }
@@ -502,31 +459,6 @@ mod tests {
                 first[i],
                 last[i]
             );
-        }
-    }
-
-    #[test]
-    fn matrix_free_matches_dense() {
-        let (ckt, out) = rc_lowpass(1e3, 1e-9, 1.0, 100e3);
-        let mk = |method| {
-            shooting_pss(
-                &ckt,
-                1e-5,
-                None,
-                ShootingOptions {
-                    steps_per_period: 128,
-                    method,
-                    ..Default::default()
-                },
-            )
-            .expect("shooting")
-        };
-        let dense = mk(ShootingMethod::DenseMonodromy);
-        let free = mk(ShootingMethod::MatrixFree);
-        let sd = dense.signal(out);
-        let sf = free.signal(out);
-        for (a, b) in sd.iter().zip(&sf) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
     }
 

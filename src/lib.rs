@@ -12,10 +12,10 @@
 //! |--------|-------|----------|
 //! | [`numerics`] | `rfsim-numerics` | dense/sparse LA, sparse LU with symbolic reuse, GMRES, FFT, periodic differentiation |
 //! | [`circuit`] | `rfsim-circuit` | MNA, device models, DC operating point, transient |
-//! | [`shooting`] | `rfsim-shooting` | Newton/Krylov shooting, periodic FD collocation |
-//! | [`hb`] | `rfsim-hb` | single- and two-tone harmonic balance |
+//! | [`shooting`] | `rfsim-shooting` | dense-monodromy shooting, periodic FD collocation |
+//! | [`hb`] | `rfsim-hb` | two-tone harmonic balance |
 //! | [`mpde`] | `rfsim-mpde` | **the paper's method**: sheared MPDE grids, FDTD Newton, continuation, envelope following |
-//! | [`rf`] | `rfsim-rf` | PRBS, conversion gain, distortion, eye/ISI, the batched [`rf::sweep::SweepEngine`] |
+//! | [`rf`] | `rfsim-rf` | PRBS, BPSK decoding, conversion gain, distortion, the batched [`rf::sweep::SweepEngine`] |
 //! | [`circuits`] | `rfsim-circuits` | balanced LO-doubling mixer, unbalanced mixer, fixtures |
 //! | [`serve`] | `rfsim-serve` | the memoising simulation service: solution store, priority queue, wire protocol |
 //!

@@ -112,10 +112,9 @@ fn conversion_gain_in_plausible_band() {
 fn matched_filter_margins_stay_open_through_the_mixer() {
     // Per-bit matched-filter correlations (the decision statistic behind
     // the BPSK decoder) must separate cleanly from zero — the ISI question
-    // the paper's conclusion raises, in decision-statistic form. (The
-    // trace-minimum eye of `EyeDiagram` is exercised on true baseband
-    // envelopes in its unit tests; here the envelope still carries the
-    // 20 kHz residual carrier whose nulls would close a naive eye.)
+    // the paper's conclusion raises, in decision-statistic form. A
+    // trace-minimum eye would not do here: the envelope still carries the
+    // 20 kHz residual carrier, whose nulls would close a naive eye.
     let sent = vec![true, false, true, false, true, true];
     let mixer = scaled(sent.clone());
     let sol = solve_mpde(
