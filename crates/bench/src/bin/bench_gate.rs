@@ -1,7 +1,7 @@
 //! The CI bench-regression gate.
 //!
-//! Measures the refactor, drifting-operating-point, warm-workspace,
-//! Krylov-vs-direct, solution-store, netlist-submit, build-free-submit,
+//! Measures the refactor, warm-workspace, Krylov-vs-direct,
+//! solution-store, netlist-submit, build-free-submit,
 //! cancel-latency, recovery-ladder, sharded-throughput and
 //! telemetry-overhead scenarios in-process, checks the machine-portable
 //! speedup *ratios* against the committed baseline JSON within a
@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr19.json --out BENCH_pr22.json --tolerance 0.25
+//!     --baseline BENCH_pr22.json --out BENCH_pr25.json --tolerance 0.25
 //! ```
 
 use std::io::Write;
@@ -21,10 +21,9 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use rfsim_bench::gate::{
-    bench_json, cancel_latency_scenario, drift_scenario, evaluate, keyless_submit_scenario,
-    memo_roundtrip, mpde_krylov_vs_direct, mpde_warm_vs_cold, netlist_submit_scenario,
-    recovery_ladder_scenario, refactor_vs_full, sharded_throughput_scenario,
-    telemetry_overhead_scenario, GateCheck, Json,
+    bench_json, cancel_latency_scenario, evaluate, keyless_submit_scenario, memo_roundtrip,
+    mpde_krylov_vs_direct, mpde_warm_vs_cold, netlist_submit_scenario, recovery_ladder_scenario,
+    refactor_vs_full, sharded_throughput_scenario, telemetry_overhead_scenario, GateCheck, Json,
 };
 
 struct Args {
@@ -44,8 +43,8 @@ fn parsed<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Resu
 /// Parses the command line; the error is a one-line usage message.
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        baseline: "BENCH_pr19.json".into(),
-        out: "BENCH_pr22.json".into(),
+        baseline: "BENCH_pr22.json".into(),
+        out: "BENCH_pr25.json".into(),
         // Cross-machine reproducibility of the micro ratios is ~±20%
         // (measured by re-running a pinned build against a baseline
         // recorded on a different container), so a tighter band is
@@ -78,18 +77,6 @@ fn main() -> ExitCode {
     println!(
         "  refactor {refactor_ns:.0} ns vs full factor {full_factor_ns:.0} ns \
          → {refactor_speedup:.2}x"
-    );
-
-    let drift = drift_scenario(args.reps);
-    let drift_speedup = drift.fallback_ns / drift.restricted_ns;
-    println!(
-        "  drift: restricted {:.0} ns vs full-fallback {:.0} ns → {:.2}x, \
-         hit rate {:.0}%, fallback rate {:.0}%",
-        drift.restricted_ns,
-        drift.fallback_ns,
-        drift_speedup,
-        100.0 * drift.hit_rate(),
-        100.0 * drift.fallback_rate()
     );
 
     let (warm_ns, cold_ns) = mpde_warm_vs_cold(args.reps);
@@ -211,7 +198,6 @@ fn main() -> ExitCode {
             Some(cold / warm)
         });
     let baseline_refactor = baseline.number_at("ratios.refactor_vs_full_factor");
-    let baseline_drift = baseline.number_at("ratios.drift_restricted_vs_full_fallback");
 
     let mut checks = vec![
         GateCheck {
@@ -220,23 +206,6 @@ fn main() -> ExitCode {
             baseline: baseline_refactor,
             // The symbolic split has to stay clearly worth it.
             floor: 2.0,
-        },
-        GateCheck {
-            name: "drift_restricted_vs_full_fallback".into(),
-            measured: drift_speedup,
-            baseline: baseline_drift,
-            // Restricted pivoting must beat full fallbacks by a clear
-            // margin on any machine (observed >= 1.59 across
-            // containers), not merely break even.
-            floor: 1.3,
-        },
-        GateCheck {
-            name: "drift_in_pattern_hit_rate".into(),
-            measured: drift.hit_rate(),
-            baseline: None,
-            // PR 3 acceptance criterion: >= 90% of pivot stresses
-            // in-pattern.
-            floor: 0.9,
         },
         GateCheck {
             name: "mpde_warm_vs_cold_workspace".into(),
@@ -416,8 +385,6 @@ fn main() -> ExitCode {
     let benchmarks = [
         ("refactor/refactor_numeric", refactor_ns),
         ("refactor/factor_full", full_factor_ns),
-        ("drift/restricted_pivot_sequence", drift.restricted_ns),
-        ("drift/full_fallback_sequence", drift.fallback_ns),
         ("mpde/solve_warm_workspace", warm_ns),
         ("mpde/solve_cold_workspace", cold_ns),
         ("mpde/fig4_cold_krylov", krylov.krylov_ns),
@@ -447,16 +414,6 @@ fn main() -> ExitCode {
                     "direct_fallbacks",
                     Json::from(krylov.stats.direct_fallbacks),
                 ),
-            ]),
-        ),
-        (
-            "drift",
-            Json::object([
-                ("stressed_refreshes", Json::from(drift.stressed_refreshes)),
-                ("in_pattern_repairs", Json::from(drift.in_pattern_repairs)),
-                ("full_fallbacks", Json::from(drift.full_fallbacks)),
-                ("hit_rate", Json::from(drift.hit_rate())),
-                ("fallback_rate", Json::from(drift.fallback_rate())),
             ]),
         ),
         (

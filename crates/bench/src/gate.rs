@@ -18,7 +18,7 @@ use rfsim_circuits::{BalancedMixer, BalancedMixerParams};
 use rfsim_mpde::fdtd::MpdeSystem;
 use rfsim_mpde::solver::{solve_mpde_budgeted, MpdeOptions};
 use rfsim_numerics::sparse::Triplets;
-use rfsim_numerics::sparse_lu::{LuOptions, Ordering, SparseLu};
+use rfsim_numerics::sparse_lu::{LuOptions, SparseLu};
 use rfsim_numerics::SolveBudget;
 
 use crate::paper::{comparison_grid, scaled_mixer};
@@ -97,157 +97,6 @@ pub fn refactor_vs_full(reps: usize) -> (f64, f64) {
             SparseLu::factor(&csc, LuOptions::default()).expect("factor");
         },
     )
-}
-
-/// Outcome of the drifting-operating-point scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct DriftOutcome {
-    /// Median ns for the full drift sequence with restricted pivoting.
-    pub restricted_ns: f64,
-    /// Median ns for the same sequence with restricted pivoting disabled
-    /// (every stressed refresh pays a full re-factorisation).
-    pub fallback_ns: f64,
-    /// Pivot-stressing refreshes per sequence.
-    pub stressed_refreshes: usize,
-    /// Stressed refreshes the restricted-pivoting run repaired in-pattern.
-    pub in_pattern_repairs: usize,
-    /// Stressed refreshes that still fell back to a full factorisation.
-    pub full_fallbacks: usize,
-}
-
-impl DriftOutcome {
-    /// Fraction of pivot-stressing refreshes kept in-pattern.
-    pub fn hit_rate(&self) -> f64 {
-        self.in_pattern_repairs as f64 / self.stressed_refreshes as f64
-    }
-
-    /// Fraction that fell back to a full factorisation.
-    pub fn fallback_rate(&self) -> f64 {
-        self.full_fallbacks as f64 / self.stressed_refreshes as f64
-    }
-}
-
-/// Dense diagonally dominant `bs × bs` blocks — the per-grid-point circuit
-/// blocks of an MPDE Jacobian, where every in-block row exchange is
-/// structurally admissible.
-pub fn dense_block_matrix(seed: u64, nblocks: usize, bs: usize) -> Triplets {
-    let mut state = seed
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(0x2545F4914F6CDD1D);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let n = nblocks * bs;
-    let mut t = Triplets::new(n, n);
-    for blk in 0..nblocks {
-        let base = blk * bs;
-        for i in 0..bs {
-            let mut offdiag = 0.0;
-            for j in 0..bs {
-                if i != j {
-                    let v = next() * 2.0 - 1.0;
-                    t.push(base + i, base + j, v);
-                    offdiag += v.abs();
-                }
-            }
-            t.push(base + i, base + i, offdiag + 1.0 + next());
-        }
-    }
-    t
-}
-
-/// Same positions as `t`, values transformed by `f(row, col, v)`.
-fn remap(t: &Triplets, f: impl Fn(usize, usize, f64) -> f64) -> Triplets {
-    let mut out = Triplets::new(t.rows(), t.cols());
-    let csr = t.to_csr();
-    for i in 0..t.rows() {
-        let (cols, vals) = csr.row(i);
-        for (c, v) in cols.iter().zip(vals) {
-            out.push(i, *c, f(i, *c, *v));
-        }
-    }
-    out
-}
-
-/// Pivot-stressing refreshes per [`drift_sequence`] run.
-const DRIFT_STEPS: usize = 12;
-
-/// One run of the drifting-operating-point sequence: value refreshes on a
-/// block Jacobian where every step kills the *current* pivot entry of one
-/// block's leading column (the sharpest drift a sweep can produce) and
-/// jitters everything else. With `restricted` pivoting the stressed
-/// refreshes repair in-pattern; with the repair disabled
-/// (`restricted = false`) each detected kill costs a full
-/// re-factorisation. (Note this baseline is *repair disabled*, not the
-/// pre-PR-3 code: the old absolute `pivot_abs_min` detection would have
-/// silently accepted these ~1e-13 pivots and kept refactoring on a
-/// numerically degraded factor — the comparison here is between the two
-/// honest responses to a detected kill.) Returns
-/// `(in_pattern_repairs, full_fallbacks)` over the [`DRIFT_STEPS`]
-/// stressed refreshes.
-fn drift_sequence(restricted: bool) -> (usize, usize) {
-    let (nblocks, bs) = (48, 8);
-    let t0 = dense_block_matrix(42, nblocks, bs);
-    let a0 = t0.to_csc();
-    let opts = LuOptions {
-        ordering: Ordering::Natural,
-        restricted_pivoting: restricted,
-        ..Default::default()
-    };
-    let (mut repairs, mut fallbacks) = (0usize, 0usize);
-    let mut lu = SparseLu::factor(&a0, opts).expect("factor");
-    for step in 0..DRIFT_STEPS {
-        let victim_col = (step % nblocks) * bs;
-        let victim = lu.current_row_permutation()[victim_col];
-        let gain = 1.0 + 0.02 * ((step + 1) as f64).sin();
-        let tk = remap(&t0, |i, j, v| {
-            if i == victim && j == victim_col {
-                v * 1e-13
-            } else {
-                v * gain
-            }
-        });
-        let ak = tk.to_csc();
-        match lu.refactor_in_place(&ak) {
-            Ok(report) => {
-                if report.pivot_exchanges > 0 {
-                    repairs += 1;
-                }
-            }
-            Err(_) => {
-                fallbacks += 1;
-                lu = SparseLu::factor(&ak, opts).expect("fallback factor");
-            }
-        }
-    }
-    (repairs, fallbacks)
-}
-
-/// Times `drift_sequence` under both pivoting modes and aggregates the
-/// in-pattern/fallback counts of the restricted runs.
-pub fn drift_scenario(reps: usize) -> DriftOutcome {
-    let (mut repairs, mut fallbacks) = (0usize, 0usize);
-    let (restricted_ns, fallback_ns) = time_paired_median_ns(
-        reps,
-        || {
-            let (r, f) = drift_sequence(true);
-            repairs += r;
-            fallbacks += f;
-        },
-        || {
-            drift_sequence(false);
-        },
-    );
-    DriftOutcome {
-        restricted_ns,
-        fallback_ns,
-        stressed_refreshes: reps * DRIFT_STEPS,
-        in_pattern_repairs: repairs,
-        full_fallbacks: fallbacks,
-    }
 }
 
 /// MPDE warm-workspace vs cold-workspace solve medians (ns) on the
@@ -1312,8 +1161,8 @@ mod tests {
         let text = bench_json(
             &[("refactor/refactor_numeric", 4763831.0)],
             vec![(
-                "drift",
-                Json::object([("full_fallbacks", Json::from(0usize))]),
+                "krylov",
+                Json::object([("direct_fallbacks", Json::from(0usize))]),
             )],
             &checks,
         );
@@ -1328,7 +1177,7 @@ mod tests {
             json.number_at("ratios.refactor_vs_full_factor"),
             Some(3.821)
         );
-        assert_eq!(json.number_at("drift.full_fallbacks"), Some(0.0));
+        assert_eq!(json.number_at("krylov.direct_fallbacks"), Some(0.0));
         let benchmarks = json.array_at("benchmarks").expect("benchmarks list");
         assert_eq!(
             benchmarks[0].string_at("name"),
@@ -1399,20 +1248,5 @@ mod tests {
             outcome.speedup() > 1.0,
             "the hung job must head-of-line-block only the single scheduler: {outcome:?}"
         );
-    }
-
-    #[test]
-    fn drift_scenario_stays_in_pattern() {
-        // One cheap reprise of the acceptance criterion: >= 90% of
-        // pivot-stress refreshes repaired in-pattern (the dense-block
-        // drift is 100% by construction).
-        let outcome = drift_scenario(1);
-        assert_eq!(outcome.stressed_refreshes, 12);
-        assert!(
-            outcome.hit_rate() >= 0.9,
-            "hit rate {:.2} below the 90% acceptance floor",
-            outcome.hit_rate()
-        );
-        assert_eq!(outcome.full_fallbacks, 0);
     }
 }

@@ -154,13 +154,8 @@ pub struct WorkspaceStats {
     pub full_factorizations: usize,
     /// Numeric-only refactorisations through the cached symbolic structure.
     pub refactorizations: usize,
-    /// KLU-style in-pattern pivot exchanges performed by restricted
-    /// pivoting — operating-point jumps that would previously have cost a
-    /// full re-factorisation each.
-    pub pivot_exchanges: usize,
-    /// Refactorisations that found no admissible in-pattern pivot and fell
-    /// back to a full factorisation (also counted in
-    /// `full_factorizations`).
+    /// Refactorisations whose recorded pivot vanished and that fell back
+    /// to a full factorisation (also counted in `full_factorizations`).
     pub full_fallbacks: usize,
     /// Times the assembly slot maps had to be (re)built because the stamp
     /// sequence changed (once per structure in the steady state).
@@ -197,7 +192,6 @@ impl WorkspaceStats {
         let WorkspaceStats {
             full_factorizations,
             refactorizations,
-            pivot_exchanges,
             full_fallbacks,
             pattern_rebuilds,
             cached_solves,
@@ -211,7 +205,6 @@ impl WorkspaceStats {
         } = other;
         self.full_factorizations += full_factorizations;
         self.refactorizations += refactorizations;
-        self.pivot_exchanges += pivot_exchanges;
         self.full_fallbacks += full_fallbacks;
         self.pattern_rebuilds += pattern_rebuilds;
         self.cached_solves += cached_solves;
@@ -340,22 +333,19 @@ impl LinearSolverWorkspace {
     }
 
     /// The shared direct-LU path: in-place assembly, numeric-only
-    /// refactorisation when the cached symbolic structure still applies
-    /// (restricted pivoting repairs vanished pivots in-pattern), full
-    /// factorisation otherwise. Used by [`LinearSolver::Direct`] and as
-    /// the Krylov fallback.
+    /// refactorisation when the cached symbolic structure still applies,
+    /// full factorisation otherwise (first use, or a recorded pivot that
+    /// vanished). Used by [`LinearSolver::Direct`] and as the Krylov
+    /// fallback.
     fn solve_direct(&mut self, jac: &Triplets, rhs: &[f64]) -> Result<Vec<f64>> {
         self.assemble_csc(jac);
         let csc = self.csc.as_ref().expect("assembled above");
         match &mut self.lu {
             Some(lu) => match lu.refactor_in_place(csc) {
-                Ok(report) => {
-                    self.stats.refactorizations += 1;
-                    self.stats.pivot_exchanges += report.pivot_exchanges;
-                }
+                Ok(()) => self.stats.refactorizations += 1,
                 Err(_) => {
-                    // No admissible in-pattern pivot (or stale structure):
-                    // fall back to a full factorisation, free to repivot.
+                    // A vanished pivot (or stale structure): fall back to
+                    // a full factorisation, free to repivot.
                     *lu = SparseLu::factor(csc, LuOptions::default())?;
                     self.stats.full_factorizations += 1;
                     self.stats.full_fallbacks += 1;
@@ -1003,6 +993,26 @@ mod tests {
                 || (x[0] - 2.0).abs() < 1e-3 && (x[1] - 1.0).abs() < 1e-3;
             assert!(ok, "got {x:?}");
         }
+    }
+
+    #[test]
+    fn vanished_pivot_falls_back_to_a_full_factor() {
+        // RCM orders `Coupled`'s column 1 first and pivots it on the
+        // (1, 1) entry x0. A second solve from x0 = 0 kills that pivot on
+        // the same pattern: the workspace must repivot with one full
+        // factor and then solve exactly as a fresh workspace does.
+        let mut ws = LinearSolverWorkspace::new();
+        solve_in(&Coupled, &[2.5, 0.1], NewtonOptions::default(), &mut ws).expect("first");
+        assert_eq!(ws.stats.full_fallbacks, 0, "{:?}", ws.stats);
+        let (x, stats) =
+            solve_in(&Coupled, &[0.0, 3.0], NewtonOptions::default(), &mut ws).expect("second");
+        assert_eq!(ws.stats.full_fallbacks, 1, "{:?}", ws.stats);
+        assert_eq!(ws.stats.full_factorizations, 2, "{:?}", ws.stats);
+        assert_eq!(ws.stats.pattern_rebuilds, 1, "{:?}", ws.stats);
+        let (x_fresh, stats_fresh) =
+            solve(&Coupled, &[0.0, 3.0], NewtonOptions::default()).expect("fresh");
+        assert_eq!(bits(&x), bits(&x_fresh));
+        assert_eq!(stats, stats_fresh);
     }
 
     #[test]

@@ -509,7 +509,7 @@ mod tests {
         // Two-tone drive into a diode detector: the HB Jacobian's values
         // swing exponentially with the tone amplitude. A 40× jump on one
         // workspace must stay on the numeric-refresh path — one full
-        // factorisation total and no restricted-pivoting fallback.
+        // factorisation total and no vanished-pivot fallback.
         let detector = |amp: f64| {
             let (f1, f2) = (1e6, 1.1e6);
             let mut b = CircuitBuilder::new();

@@ -17,8 +17,9 @@
 
 use crate::{NumericsError, Result};
 
-/// A 64-bit hash of a sparse matrix's *structure* — dimensions, column (or
-/// row) pointers and index arrays — independent of the stored values.
+/// A 64-bit hash of a sparse matrix's *structure* — dimensions, column
+/// pointers and row indices of its CSC form — independent of the stored
+/// values.
 ///
 /// Fingerprints are cache **keys**, not proofs of equality: two different
 /// patterns hashing to the same value is astronomically unlikely (FNV-1a
@@ -29,10 +30,7 @@ use crate::{NumericsError, Result};
 /// the stored pattern outright, so a collision costs a transparent rebuild,
 /// never a wrong solve.
 ///
-/// Obtain one from [`CscMatrix::pattern_fingerprint`],
-/// [`CsrMatrix::pattern_fingerprint`], [`Triplets::pattern_fingerprint`] or
-/// [`CscAssembly::pattern_fingerprint`]; combine domain context (grid
-/// shape, scheme identity) into a key with [`PatternFingerprint::mix`].
+/// Obtain one from [`Triplets::pattern_fingerprint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PatternFingerprint(u64);
 
@@ -50,7 +48,7 @@ fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
 
 impl PatternFingerprint {
     /// Hashes a compressed pattern: dimensions, then both index arrays.
-    pub(crate) fn of_parts(rows: usize, cols: usize, indptr: &[usize], indices: &[usize]) -> Self {
+    fn of_parts(rows: usize, cols: usize, indptr: &[usize], indices: &[usize]) -> Self {
         let mut h = FNV_OFFSET;
         h = fnv1a_u64(h, rows as u64);
         h = fnv1a_u64(h, cols as u64);
@@ -63,27 +61,6 @@ impl PatternFingerprint {
             h = fnv1a_u64(h, i as u64);
         }
         PatternFingerprint(h)
-    }
-
-    /// Folds extra context (a grid dimension, a scheme discriminant, a
-    /// sibling fingerprint's [`PatternFingerprint::as_u64`]) into this
-    /// fingerprint, producing a new key. Order matters: `a.mix(b) ≠
-    /// b.mix(a)` in general.
-    #[must_use]
-    pub fn mix(self, context: u64) -> Self {
-        PatternFingerprint(fnv1a_u64(self.0, context))
-    }
-
-    /// The raw hash value (for display/diagnostics and for
-    /// [`PatternFingerprint::mix`]).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
-impl std::fmt::Display for PatternFingerprint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}", self.0)
     }
 }
 
@@ -414,13 +391,6 @@ impl CsrMatrix {
         }
         m
     }
-
-    /// Fingerprint of this matrix's structure (dimensions, row pointers and
-    /// column indices), independent of the stored values. Note that CSR and
-    /// CSC fingerprints of the same matrix differ — key caches by one form.
-    pub fn pattern_fingerprint(&self) -> PatternFingerprint {
-        PatternFingerprint::of_parts(self.rows, self.cols, &self.indptr, &self.indices)
-    }
 }
 
 /// Compressed sparse column matrix.
@@ -543,12 +513,6 @@ impl CscMatrix {
             l.dedup();
         }
         Ok(adj)
-    }
-
-    /// Fingerprint of this matrix's structure (dimensions, column pointers
-    /// and row indices), independent of the stored values.
-    pub fn pattern_fingerprint(&self) -> PatternFingerprint {
-        PatternFingerprint::of_parts(self.rows, self.cols, &self.indptr, &self.indices)
     }
 }
 
@@ -702,17 +666,6 @@ impl CscAssembly {
     /// Stored entries in the compressed pattern (after summing duplicates).
     pub fn nnz(&self) -> usize {
         self.map.nnz()
-    }
-
-    /// Fingerprint of the compressed CSC pattern this assembly scatters
-    /// into (equal to the fingerprint of any matrix it produces).
-    pub fn pattern_fingerprint(&self) -> PatternFingerprint {
-        PatternFingerprint::of_parts(
-            self.map.rows,
-            self.map.cols,
-            &self.map.indptr,
-            &self.map.indices,
-        )
     }
 
     /// A zero-valued matrix with this pattern, ready for [`Self::scatter`].
@@ -1023,18 +976,10 @@ mod tests {
         t2.push(2, 0, 4.5);
         t2.push(0, 2, 2.0);
         assert_eq!(t1.pattern_fingerprint(), t2.pattern_fingerprint());
-        assert_eq!(
-            t1.to_csc().pattern_fingerprint(),
-            t2.to_csc().pattern_fingerprint()
-        );
         // Duplicates fold into the same compressed slot.
         let mut t3 = example();
         t3.push(0, 0, 3.0);
         assert_eq!(t1.pattern_fingerprint(), t3.pattern_fingerprint());
-        // Assembly, CSC matrix and triplets all agree on the fingerprint.
-        let asm = CscAssembly::new(&t1);
-        assert_eq!(asm.pattern_fingerprint(), t1.to_csc().pattern_fingerprint());
-        assert_eq!(asm.pattern_fingerprint(), t1.pattern_fingerprint());
     }
 
     #[test]
@@ -1059,10 +1004,6 @@ mod tests {
         let e1 = Triplets::new(3, 3);
         let e2 = Triplets::new(3, 4);
         assert_ne!(e1.pattern_fingerprint(), e2.pattern_fingerprint());
-        // `mix` derives distinct keys from the same base pattern.
-        let f = t1.pattern_fingerprint();
-        assert_ne!(f.mix(16), f.mix(8));
-        assert_ne!(f.mix(16).mix(8), f.mix(8).mix(16));
     }
 
     proptest! {

@@ -28,50 +28,17 @@
 //!   values from a same-pattern matrix with **zero** allocation, no DFS and
 //!   no pivot search.
 //!
-//! # Restricted pivoting (KLU-style resilience)
+//! # Vanished pivots
 //!
-//! Refactorisation starts from the recorded pivot order, but a value change
-//! that drives a recorded pivot to (near) zero no longer has to discard the
-//! symbolic analysis. Following the restricted-pivoting idea of KLU (Davis
-//! & Palamadai Natarajan, *Algorithm 907: KLU, a direct sparse solver for
-//! circuit simulation problems*, ACM TOMS 37(3), 2010) — which confines
-//! pivot search to structures prepared at analysis time so refactorisation
-//! never re-runs the symbolic phase — [`SparseLu::refactor_in_place`]
-//! answers a vanished pivot with a **local row exchange confined to the
-//! recorded fill pattern**:
-//!
-//! 1. *Detection* is relative, not absolute: the pivot at column `k` has
-//!    vanished when `|u_kk| ≤ max(pivot_abs_min, refactor_rel_threshold ·
-//!    colmax)`, where `colmax` is the largest candidate magnitude in the
-//!    column (the diagonal plus the recorded `L` pattern). A badly scaled
-//!    circuit (mA stamps against kΩ stamps) therefore never trips the
-//!    check just because its pivots are small in absolute terms.
-//! 2. *Exchange*: candidate rows are exactly the recorded `L`-pattern of
-//!    the column — positions whose values the numeric sweep has already
-//!    computed. A candidate factor row `r` is structurally admissible when
-//!    rows `k` and `r` appear in *identical* sets of columns of the
-//!    recorded pattern: equality beyond `k` makes the swap permute every
-//!    later column's pattern onto itself, equality below `k` lets the
-//!    exchange also swap the `L` multipliers the two rows already
-//!    received from earlier columns of the pass (as dense partial
-//!    pivoting swaps full working rows) — together the factorisation
-//!    stays exact; this is the in-pattern analogue of KLU's
-//!    block-confined partial pivoting. The largest admissible candidate
-//!    above `pivot_threshold · colmax` becomes the new pivot; the swap is
-//!    recorded in the factor's permutation delta
-//!    ([`SparseLu::current_row_permutation`]) and persists across
-//!    subsequent refactorisations, so a drifted operating point pays for
-//!    the exchange once.
-//! 3. *Fallback*: only when no in-pattern row qualifies is
-//!    [`NumericsError::SingularMatrix`] reported; callers then fall back
-//!    to a fresh [`SparseLu::factor`], which is free to pick a completely
-//!    new pivot order.
-//!
-//! The admissibility test and the multiplier swap read a row-appearance
-//! table (for each factor row, the columns whose recorded pattern holds
-//! it). Only an exchange needs it, so the [`SymbolicLu`] builds it on the
-//! first exchange attempt and shares it with every factor of that
-//! structure; a full factor and every happy-path refactorisation skip it.
+//! Refactorisation keeps the recorded pivot order. The pivot at column `k`
+//! has vanished when `|u_kk| ≤ max(pivot_abs_min, refactor_rel_threshold ·
+//! colmax)`, where `colmax` is the largest candidate magnitude in the
+//! column (the diagonal plus the recorded `L` pattern). The test is
+//! relative, so a badly scaled circuit (mA stamps against kΩ stamps) never
+//! trips it just because its pivots are small in absolute terms. A
+//! vanished pivot ends the refactorisation with
+//! [`NumericsError::SingularMatrix`]; callers then run a fresh
+//! [`SparseLu::factor`], which is free to pick a new pivot order.
 //!
 //! # Kernel invariant
 //!
@@ -84,7 +51,7 @@
 //! solve runs earlier, on indices that each passed a bounds-checked
 //! index into a length-`n` array when the reach was computed.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::sparse::CscMatrix;
 use crate::{NumericsError, Result};
@@ -110,8 +77,6 @@ pub struct LuOptions {
     /// Diagonal preference threshold in `[0, 1]`: the diagonal entry is
     /// accepted as pivot if its magnitude is at least `pivot_threshold`
     /// times the column maximum. `1.0` forces strict partial pivoting.
-    /// Also the acceptance threshold for restricted-pivoting exchanges
-    /// during refactorisation.
     pub pivot_threshold: f64,
     /// Pivots smaller than this magnitude are treated as singular.
     pub pivot_abs_min: f64,
@@ -122,10 +87,6 @@ pub struct LuOptions {
     /// against kΩ resistor stamps) don't trigger spurious full
     /// re-factorisations; `pivot_abs_min` remains the absolute floor.
     pub refactor_rel_threshold: f64,
-    /// Whether a vanished pivot during refactorisation may be repaired by
-    /// an in-pattern row exchange (see the module docs) before falling
-    /// back to a full factorisation.
-    pub restricted_pivoting: bool,
 }
 
 impl Default for LuOptions {
@@ -135,7 +96,6 @@ impl Default for LuOptions {
             pivot_threshold: 0.1,
             pivot_abs_min: 1e-300,
             refactor_rel_threshold: 1e-3,
-            restricted_pivoting: true,
         }
     }
 }
@@ -144,8 +104,8 @@ impl Default for LuOptions {
 /// fill-reducing column ordering, the pivot order chosen on the analysed
 /// matrix, and the exact `L`/`U` elimination patterns.
 ///
-/// Captured from a full [`SparseLu::factor`] via [`SparseLu::symbolic`]
-/// or [`SparseLu::symbolic_shared`]; consumed by
+/// Captured from a full [`SparseLu::factor`] via
+/// [`SparseLu::symbolic_shared`]; consumed by
 /// [`SymbolicLu::refactor_shared`] and [`SparseLu::refactor_in_place`],
 /// which redo only the numeric work on a same-pattern matrix.
 #[derive(Debug, Clone)]
@@ -156,11 +116,6 @@ pub struct SymbolicLu {
     /// Relative vanished-pivot threshold for refactorisation (times the
     /// column's candidate maximum).
     refactor_rel_threshold: f64,
-    /// Acceptance threshold for restricted-pivoting exchange candidates
-    /// (times the column's candidate maximum).
-    pivot_threshold: f64,
-    /// Whether refactorisation may repair vanished pivots in-pattern.
-    restricted_pivoting: bool,
     /// The analysed matrix's pattern (column pointers and row indices);
     /// refactorisation requires an exact match. Stored outright — a
     /// fingerprint would admit silent wrong-matrix factorisation on
@@ -180,51 +135,6 @@ pub struct SymbolicLu {
     pinv: Vec<usize>,
     /// `q[k]` = original column sitting in factor column `k`.
     q: Vec<usize>,
-    /// Row-appearance table `(ptr, cols)` (CSR over the combined
-    /// `L`/`U`/diagonal pattern), built on first use by
-    /// [`SymbolicLu::row_cols`]: only restricted-pivoting exchanges read
-    /// it.
-    row_table: OnceLock<(Vec<usize>, Vec<usize>)>,
-}
-
-/// Builds the row-appearance table from the final (factor-space) `L`/`U`
-/// patterns: for each factor row, the ascending factor columns in whose
-/// pattern it appears (diagonal included).
-fn row_appearance_table(
-    n: usize,
-    lp: &[usize],
-    li: &[usize],
-    up: &[usize],
-    ui: &[usize],
-) -> (Vec<usize>, Vec<usize>) {
-    let mut counts = vec![0usize; n + 1];
-    for &i in li.iter().chain(ui.iter()) {
-        counts[i + 1] += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += 1; // the diagonal appearance
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let ptr = counts;
-    let mut next = ptr.clone();
-    let mut cols = vec![0usize; ptr[n]];
-    // Column-major emission keeps each row's list ascending: the diagonal
-    // appearance of row k interleaves exactly at column k.
-    for k in 0..n {
-        for &i in &ui[up[k]..up[k + 1]] {
-            cols[next[i]] = k;
-            next[i] += 1;
-        }
-        cols[next[k]] = k;
-        next[k] += 1;
-        for &i in &li[lp[k]..lp[k + 1]] {
-            cols[next[i]] = k;
-            next[i] += 1;
-        }
-    }
-    (ptr, cols)
 }
 
 impl SymbolicLu {
@@ -247,16 +157,9 @@ impl SymbolicLu {
             ux: vec![0.0; self.ui.len()],
             udiag: vec![0.0; self.n],
             scratch: vec![0.0; self.n],
-            p_cur: self.p.clone(),
-            pinv_cur: self.pinv.clone(),
         };
         lu.refactor_in_place(a)?;
         Ok(lu)
-    }
-
-    /// Dimension of the analysed matrix.
-    pub fn dim(&self) -> usize {
-        self.n
     }
 
     /// Stored entries in the `L`/`U` patterns, diagonal included
@@ -274,58 +177,6 @@ impl SymbolicLu {
             && a.indptr() == &self.a_indptr[..]
             && a.indices() == &self.a_indices[..]
     }
-
-    /// Whether factor rows `k` and `r` (an `L`-pattern candidate of column
-    /// `k`, so `r > k`) may be exchanged while pivoting column `k` without
-    /// leaving the recorded pattern: their column-appearance lists must be
-    /// **identical**.
-    ///
-    /// * Beyond `k`, equality makes the swap map every later column's
-    ///   pattern onto itself (scatter and fill stay inside the recorded
-    ///   reach, in this and every subsequent refactorisation).
-    /// * Below `k`, both rows appear only as `L` entries of already
-    ///   factored columns, whose multipliers the exchange must swap
-    ///   value-for-value — possible only where both rows hold a recorded
-    ///   slot in exactly the same columns.
-    /// * At `j = k` both lists contain `k` by construction (the diagonal,
-    ///   and `r ∈ L(k)`), and at `j = r` equality requires `k` to appear
-    ///   in column `r`'s pattern, where row `r`'s diagonal slot lives —
-    ///   so whole-list equality is exactly the right test, with no
-    ///   carve-outs.
-    fn exchange_admissible(&self, k: usize, r: usize) -> bool {
-        self.row_cols(k) == self.row_cols(r)
-    }
-
-    /// The ascending factor columns in whose recorded pattern factor row
-    /// `i` appears (diagonal included). Two rows are safe to exchange at
-    /// column `k` exactly when these lists are identical — the structural
-    /// admissibility test of restricted pivoting. The first call builds
-    /// the table for all rows.
-    fn row_cols(&self, i: usize) -> &[usize] {
-        let (ptr, cols) = self
-            .row_table
-            .get_or_init(|| row_appearance_table(self.n, &self.lp, &self.li, &self.up, &self.ui));
-        &cols[ptr[i]..ptr[i + 1]]
-    }
-
-    /// Fingerprint of the analysed matrix's CSC pattern — equal to
-    /// [`crate::sparse::CscMatrix::pattern_fingerprint`] of any matrix this
-    /// analysis accepts. A cache key only: [`SymbolicLu::matches`] remains
-    /// the authority on whether a matrix actually fits (see
-    /// [`crate::sparse::PatternFingerprint`] on collision semantics).
-    pub fn pattern_fingerprint(&self) -> crate::sparse::PatternFingerprint {
-        // Reconstruct through a borrowed CSC view? The pattern hash only
-        // needs dims + indptr + indices, which we store verbatim.
-        crate::sparse::PatternFingerprint::of_parts(self.n, self.n, &self.a_indptr, &self.a_indices)
-    }
-}
-
-/// Outcome of a successful in-place refactorisation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefactorReport {
-    /// In-pattern pivot exchanges performed by restricted pivoting during
-    /// this call (0 on the happy path where every recorded pivot held).
-    pub pivot_exchanges: usize,
 }
 
 /// Sparse LU factors `P·A·Q = L·U` with unit lower-triangular `L`.
@@ -340,12 +191,6 @@ pub struct SparseLu {
     /// Dense accumulator reused by [`Self::refactor_in_place`]
     /// (kept zeroed between calls).
     scratch: Vec<f64>,
-    /// Current row permutation — the recorded pivot order composed with
-    /// every restricted-pivoting exchange performed so far (the factor's
-    /// permutation delta). `p_cur[k]` = original row in factor row `k`.
-    p_cur: Vec<usize>,
-    /// Inverse of `p_cur`: factor row of each original row.
-    pinv_cur: Vec<usize>,
 }
 
 impl SparseLu {
@@ -528,15 +373,11 @@ impl SparseLu {
             li.iter().chain(&ui).all(|&i| i < n),
             "SparseLu::factor: stored L/U row index out of range"
         );
-        let p_cur = p.clone();
-        let pinv_cur = pinv.clone();
         Ok(SparseLu {
             sym: Arc::new(SymbolicLu {
                 n,
                 pivot_abs_min: options.pivot_abs_min,
                 refactor_rel_threshold: options.refactor_rel_threshold,
-                pivot_threshold: options.pivot_threshold,
-                restricted_pivoting: options.restricted_pivoting,
                 a_indptr: a.indptr().to_vec(),
                 a_indices: a.indices().to_vec(),
                 lp,
@@ -546,14 +387,11 @@ impl SparseLu {
                 p,
                 pinv,
                 q,
-                row_table: OnceLock::new(),
             }),
             lx,
             ux,
             udiag,
             scratch: vec![0.0; n],
-            p_cur,
-            pinv_cur,
         })
     }
 
@@ -563,22 +401,17 @@ impl SparseLu {
     /// pivot search, and no allocation — only the numeric sparse triangular
     /// solves. This is the Newton hot path.
     ///
-    /// A recorded pivot that vanished for the new values (relative to its
-    /// column — see [`LuOptions::refactor_rel_threshold`]) is repaired by a
-    /// KLU-style in-pattern row exchange when one is structurally
-    /// admissible (see the module docs); the exchange is recorded in the
-    /// factor's permutation delta and persists across later calls.
-    ///
     /// # Errors
     ///
     /// * [`NumericsError::InvalidArgument`] if `a`'s pattern differs from
     ///   the factored pattern (the factor is left unchanged).
     /// * [`NumericsError::SingularMatrix`] if a recorded pivot vanishes for
-    ///   the new values and no in-pattern exchange row qualifies — the new
-    ///   matrix may still be factorable under a different pivot order, so
-    ///   callers should retry with a full [`SparseLu::factor`]. The factor's
-    ///   values are unspecified after this error.
-    pub fn refactor_in_place(&mut self, a: &CscMatrix) -> Result<RefactorReport> {
+    ///   the new values (relative to its column — see
+    ///   [`LuOptions::refactor_rel_threshold`]). The new matrix may still be
+    ///   factorable under a different pivot order, so callers should retry
+    ///   with a full [`SparseLu::factor`]. The factor's values are
+    ///   unspecified after this error.
+    pub fn refactor_in_place(&mut self, a: &CscMatrix) -> Result<()> {
         if !self.sym.matches(a) {
             return Err(NumericsError::InvalidArgument {
                 context: format!(
@@ -596,25 +429,20 @@ impl SparseLu {
             ux,
             udiag,
             scratch,
-            p_cur,
-            pinv_cur,
         } = self;
         let sym: &SymbolicLu = sym;
         let n = sym.n;
         let x = &mut scratch[..n];
         debug_assert!(x.iter().all(|&v| v == 0.0), "scratch not cleared");
-        let mut exchanges = 0usize;
         for k in 0..n {
             let (u0, u1) = (sym.up[k], sym.up[k + 1]);
             let (l0, l1) = (sym.lp[k], sym.lp[k + 1]);
             // Scatter A[:, q[k]] into factor space. Every position lies in
             // {k} ∪ U-pattern(k) ∪ L-pattern(k): the stored pattern is the
-            // full structural reach of this column, and the current
-            // permutation maps reach onto reach (each recorded exchange
-            // swapped two rows with identical trailing patterns).
+            // full structural reach of this column.
             let (rows, vals) = a.col(sym.q[k]);
             for (&i, &v) in rows.iter().zip(vals) {
-                x[pinv_cur[i]] += v;
+                x[sym.pinv[i]] += v;
             }
             // Left-looking elimination over the recorded U pattern.
             // Ascending factor-row order is topological (L is strictly
@@ -634,80 +462,23 @@ impl SparseLu {
             }
             // Vanished-pivot detection, relative to the column's pivot
             // candidates (the diagonal plus the recorded L pattern).
-            let mut piv = x[k];
+            let piv = x[k];
             let mut colmax = piv.abs();
             for &r in &sym.li[l0..l1] {
                 colmax = colmax.max(x[r].abs());
             }
             let vanish = sym.pivot_abs_min.max(sym.refactor_rel_threshold * colmax);
             if piv.abs() <= vanish || piv.is_nan() {
-                // Restricted pivoting: the best structurally admissible
-                // in-pattern row, threshold-accepted against the column.
-                let mut best: Option<usize> = None;
-                if sym.restricted_pivoting {
-                    let accept = sym.pivot_abs_min.max(sym.pivot_threshold * colmax);
-                    let mut best_mag = 0.0f64;
-                    for &r in &sym.li[l0..l1] {
-                        let mag = x[r].abs();
-                        if mag >= accept && mag > best_mag && sym.exchange_admissible(k, r) {
-                            best_mag = mag;
-                            best = Some(r);
-                        }
-                    }
+                // Clear the touched entries so the scratch stays zeroed
+                // for the next attempt, then report the vanished pivot.
+                x[k] = 0.0;
+                for &i in sym.ui[u0..u1].iter().chain(&sym.li[l0..l1]) {
+                    x[i] = 0.0;
                 }
-                match best {
-                    Some(r) => {
-                        // Swap factor rows k ↔ r: the old diagonal value
-                        // moves into L at row r, x[r] becomes the pivot,
-                        // and the permutation delta records the exchange
-                        // for every later column's scatter (and for
-                        // subsequent refactorisations).
-                        x.swap(k, r);
-                        let (row_a, row_b) = (p_cur[k], p_cur[r]);
-                        p_cur.swap(k, r);
-                        pinv_cur[row_a] = r;
-                        pinv_cur[row_b] = k;
-                        piv = x[k];
-                        exchanges += 1;
-                        // Rows k and r also carry already-computed L
-                        // multipliers in every earlier column of this
-                        // pass; the row exchange must swap those
-                        // value-for-value (exactly what dense partial
-                        // pivoting does to the trailing part of the
-                        // working array). Admissibility guarantees both
-                        // rows hold slots in exactly the same earlier
-                        // columns — the ascending appearance list of
-                        // row k, cut at k.
-                        for &j in sym.row_cols(k).iter().take_while(|&&j| j < k) {
-                            let (mut pos_k, mut pos_r) = (NONE, NONE);
-                            for idx in sym.lp[j]..sym.lp[j + 1] {
-                                if sym.li[idx] == k {
-                                    pos_k = idx;
-                                } else if sym.li[idx] == r {
-                                    pos_r = idx;
-                                }
-                            }
-                            debug_assert!(
-                                pos_k != NONE && pos_r != NONE,
-                                "admissible exchange rows must share earlier columns"
-                            );
-                            lx.swap(pos_k, pos_r);
-                        }
-                    }
-                    None => {
-                        // Clear the touched entries so the scratch stays
-                        // zeroed for the next attempt, then report the
-                        // vanished pivot.
-                        x[k] = 0.0;
-                        for &i in sym.ui[u0..u1].iter().chain(&sym.li[l0..l1]) {
-                            x[i] = 0.0;
-                        }
-                        return Err(NumericsError::SingularMatrix {
-                            index: k,
-                            pivot: piv.abs(),
-                        });
-                    }
-                }
+                return Err(NumericsError::SingularMatrix {
+                    index: k,
+                    pivot: piv.abs(),
+                });
             }
             udiag[k] = piv;
             // Re-zero the touched entries for the next column, taking the
@@ -727,14 +498,7 @@ impl SparseLu {
                 *xr = 0.0;
             }
         }
-        Ok(RefactorReport {
-            pivot_exchanges: exchanges,
-        })
-    }
-
-    /// The symbolic structure of this factorisation.
-    pub fn symbolic(&self) -> &SymbolicLu {
-        &self.sym
+        Ok(())
     }
 
     /// A shared handle to the symbolic structure, for spawning further
@@ -754,24 +518,6 @@ impl SparseLu {
         self.sym.nnz()
     }
 
-    /// The current row permutation: the recorded pivot order composed with
-    /// every restricted-pivoting exchange performed so far. `perm[k]` is
-    /// the original row sitting in factor row `k`.
-    pub fn current_row_permutation(&self) -> &[usize] {
-        &self.p_cur
-    }
-
-    /// Number of factor rows whose current pivot row differs from the
-    /// recorded analysis — the size of the permutation delta accumulated
-    /// by restricted pivoting (0 until a pivot exchange happens).
-    pub fn permutation_delta_len(&self) -> usize {
-        self.p_cur
-            .iter()
-            .zip(&self.sym.p)
-            .filter(|(cur, rec)| cur != rec)
-            .count()
-    }
-
     /// Solves `A·x = b` using the stored factors.
     ///
     /// # Panics
@@ -781,8 +527,8 @@ impl SparseLu {
         let sym = &self.sym;
         assert_eq!(b.len(), sym.n, "SparseLu::solve: dimension mismatch");
         let n = sym.n;
-        // x = P·b, under the current (possibly exchanged) row permutation.
-        let mut x: Vec<f64> = self.p_cur.iter().map(|&pi| b[pi]).collect();
+        // x = P·b.
+        let mut x: Vec<f64> = sym.p.iter().map(|&pi| b[pi]).collect();
         let x = &mut x[..n];
         // Forward: L·y = x (unit diagonal; column-oriented scatter).
         for k in 0..n {
@@ -1267,6 +1013,43 @@ mod tests {
     }
 
     #[test]
+    fn relatively_vanished_pivot_reports_singular() {
+        // A pivot far above `pivot_abs_min` but tiny against its column
+        // has vanished: the refactor reports it, and a full factor
+        // recovers by repivoting.
+        let t1 = tridiag(8);
+        let mut lu = SparseLu::factor(&t1.to_csc(), natural_opts()).expect("factor");
+        let t2 = remap_values(&t1, |i, j, v| if i == 0 && j == 0 { 1e-9 } else { v });
+        match lu.refactor_in_place(&t2.to_csc()) {
+            Err(NumericsError::SingularMatrix { index, pivot }) => {
+                assert_eq!((index, pivot), (0, 1e-9));
+            }
+            other => panic!("expected a vanished pivot, got {other:?}"),
+        }
+        let lu = SparseLu::factor(&t2.to_csc(), natural_opts()).expect("fallback");
+        let b = vec![1.0; 8];
+        let r = sub(&t2.to_csc().matvec(&lu.solve(&b)), &b);
+        assert!(norm_inf(&r) < 1e-9);
+    }
+
+    #[test]
+    fn badly_scaled_rows_do_not_trip_detection() {
+        // mA-scale stamps against kΩ-scale stamps in separate dense
+        // blocks: pivots live at wildly different absolute magnitudes,
+        // but each is healthy *relative to its own column*, so the
+        // refresh keeps the recorded pivots.
+        let t1 = dense_blocks(3, 2, 3);
+        let scale = |i: usize| if i < 3 { 1e-6 } else { 1e3 };
+        let t1 = remap_values(&t1, |i, _, v| v * scale(i));
+        let mut lu = SparseLu::factor(&t1.to_csc(), natural_opts()).expect("factor");
+        let t2 = remap_values(&t1, |i, j, v| v * (1.0 + 0.05 * ((i + 2 * j) as f64).sin()));
+        lu.refactor_in_place(&t2.to_csc()).expect("refresh");
+        let b = vec![1.0; 6];
+        let fresh = SparseLu::factor(&t2.to_csc(), natural_opts()).expect("fresh");
+        assert_solutions_match_1e12(&lu.solve(&b), &fresh.solve(&b));
+    }
+
+    #[test]
     fn symbolic_structures_are_send_and_sync() {
         // The sweep engine moves workspaces (and with them factors and
         // shared symbolic structures) across worker threads; this must
@@ -1278,22 +1061,11 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_fingerprint_matches_matrix_fingerprint() {
-        let a = tridiag(25).to_csc();
-        let lu = SparseLu::factor(&a, LuOptions::default()).expect("factor");
-        let sym = lu.symbolic();
-        assert_eq!(sym.pattern_fingerprint(), a.pattern_fingerprint());
-        let other = tridiag(26).to_csc();
-        assert_ne!(sym.pattern_fingerprint(), other.pattern_fingerprint());
-    }
-
-    #[test]
     fn symbolic_analyze_reports_structure() {
         let t = tridiag(20);
         let a = t.to_csc();
         let lu = SparseLu::factor(&a, LuOptions::default()).expect("factor");
-        let sym = lu.symbolic();
-        assert_eq!(sym.dim(), 20);
+        let sym = lu.symbolic_shared();
         assert!(sym.matches(&a));
         assert!(sym.nnz() >= a.nnz());
         let other = tridiag(21).to_csc();
@@ -1330,6 +1102,44 @@ mod tests {
             t.push(i, i, offdiag + 1.0 + next());
         }
         (t, next)
+    }
+
+    fn natural_opts() -> LuOptions {
+        LuOptions {
+            ordering: Ordering::Natural,
+            ..Default::default()
+        }
+    }
+
+    /// Block-diagonal matrix of dense, diagonally dominant `bs × bs`
+    /// blocks.
+    fn dense_blocks(seed: u64, nblocks: usize, bs: usize) -> Triplets {
+        let mut state = seed
+            .wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add(0x2545F4914F6CDD1D);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let n = nblocks * bs;
+        let mut t = Triplets::new(n, n);
+        for blk in 0..nblocks {
+            let base = blk * bs;
+            for i in 0..bs {
+                let mut offdiag = 0.0;
+                for j in 0..bs {
+                    if i != j {
+                        let v = next() * 2.0 - 1.0;
+                        t.push(base + i, base + j, v);
+                        offdiag += v.abs();
+                    }
+                }
+                t.push(base + i, base + i, offdiag + 1.0 + next());
+            }
+        }
+        t
     }
 
     /// `x_re` must match `x_fresh` to 1e-12 relative to the solution scale.
@@ -1375,24 +1185,15 @@ mod tests {
                 assert_solutions_match_1e12(&lu.solve(&b), &fresh.solve(&b));
             }
             // Vanishing-pivot refresh: kill the recorded column-0 pivot.
-            // Restricted pivoting may repair it in-pattern (the first
-            // column is dense, so an exchange row can be admissible); when
-            // it cannot, the documented error + full-refactor fallback
-            // path must fire. Either way the factor must keep matching a
-            // from-scratch factorisation.
+            // The refactor must report it at column 0.
             let tv = remap_values(&t1, |i, j, v| if i == 0 && j == 0 { 0.0 } else { v });
             let av = tv.to_csc();
             match lu.refactor_in_place(&av) {
-                Ok(report) => {
-                    prop_assert!(report.pivot_exchanges >= 1);
-                    let fresh = SparseLu::factor(&av, opts).expect("fresh factor");
-                    assert_solutions_match_1e12(&lu.solve(&b), &fresh.solve(&b));
-                }
                 Err(NumericsError::SingularMatrix { index, pivot }) => {
                     prop_assert_eq!(index, 0);
                     prop_assert!(pivot.abs() < 1e-300);
                 }
-                other => panic!("expected repair or vanished pivot, got {other:?}"),
+                other => panic!("expected a vanished pivot, got {other:?}"),
             }
             // The fallback a caller performs: full factorisation, free to
             // repivot away from the vanished diagonal.
@@ -1591,357 +1392,6 @@ mod mna_pivot_regression {
     }
 }
 
-#[cfg(test)]
-mod restricted_pivoting {
-    use super::*;
-    use crate::sparse::Triplets;
-    use crate::vector::{norm_inf, sub};
-    use proptest::prelude::*;
-
-    fn natural_opts() -> LuOptions {
-        LuOptions {
-            ordering: Ordering::Natural,
-            ..Default::default()
-        }
-    }
-
-    /// Deterministic xorshift stream in `[0, 1)`.
-    fn rng(seed: u64) -> impl FnMut() -> f64 {
-        let mut state = seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(0x2545F4914F6CDD1D);
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
-
-    /// Block-diagonal matrix of dense, diagonally dominant `bs × bs`
-    /// blocks. Dense blocks make every in-block row exchange structurally
-    /// admissible — the worst case an MNA Jacobian's local device blocks
-    /// approximate — so restricted pivoting can always repair an in-block
-    /// pivot kill without a full re-factorisation.
-    fn dense_blocks(seed: u64, nblocks: usize, bs: usize) -> Triplets {
-        let mut next = rng(seed);
-        let n = nblocks * bs;
-        let mut t = Triplets::new(n, n);
-        for blk in 0..nblocks {
-            let base = blk * bs;
-            for i in 0..bs {
-                let mut offdiag = 0.0;
-                for j in 0..bs {
-                    if i != j {
-                        let v = next() * 2.0 - 1.0;
-                        t.push(base + i, base + j, v);
-                        offdiag += v.abs();
-                    }
-                }
-                t.push(base + i, base + i, offdiag + 1.0 + next());
-            }
-        }
-        t
-    }
-
-    /// Same positions as `t`, values transformed by `f(row, col, v)`.
-    fn remap(t: &Triplets, f: impl Fn(usize, usize, f64) -> f64) -> Triplets {
-        let mut out = Triplets::new(t.rows(), t.cols());
-        let csr = t.to_csr();
-        for i in 0..t.rows() {
-            let (cols, vals) = csr.row(i);
-            for (c, v) in cols.iter().zip(vals) {
-                out.push(i, *c, f(i, *c, *v));
-            }
-        }
-        out
-    }
-
-    fn assert_match_1e12(x_re: &[f64], x_fresh: &[f64]) {
-        let scale = norm_inf(x_fresh).max(1.0);
-        for (r, f) in x_re.iter().zip(x_fresh) {
-            assert!(
-                (r - f).abs() < 1e-12 * scale,
-                "restricted-pivot refactor vs fresh factor differ beyond 1e-12: {r} vs {f}"
-            );
-        }
-    }
-
-    #[test]
-    fn exchange_repairs_killed_pivot_in_dense_block() {
-        let t1 = dense_blocks(7, 3, 4);
-        let a1 = t1.to_csc();
-        let mut lu = SparseLu::factor(&a1, natural_opts()).expect("factor");
-        assert_eq!(lu.permutation_delta_len(), 0);
-        // Kill the recorded pivot *entry* of factor column 0: tiny
-        // relative to its column, far above pivot_abs_min — exactly the
-        // case the old absolute detection missed and the old fallback
-        // answered with a full re-factorisation. (Only the entry dies; the
-        // matrix itself stays well-conditioned, so refactor and fresh
-        // factor must agree to 1e-12.)
-        let victim = lu.current_row_permutation()[0];
-        let t2 = remap(
-            &t1,
-            |i, j, v| {
-                if i == victim && j == 0 {
-                    v * 1e-13
-                } else {
-                    v
-                }
-            },
-        );
-        let a2 = t2.to_csc();
-        let report = lu.refactor_in_place(&a2).expect("in-pattern repair");
-        assert!(report.pivot_exchanges >= 1, "expected a pivot exchange");
-        assert!(lu.permutation_delta_len() >= 2);
-        let b: Vec<f64> = (0..12).map(|i| (i as f64 * 0.37).sin()).collect();
-        let fresh = SparseLu::factor(&a2, natural_opts()).expect("fresh");
-        assert_match_1e12(&lu.solve(&b), &fresh.solve(&b));
-        // The exchanged permutation persists: refreshing with the same
-        // values again needs no further exchange.
-        let again = lu.refactor_in_place(&a2).expect("steady refresh");
-        assert_eq!(again.pivot_exchanges, 0);
-        assert_match_1e12(&lu.solve(&b), &fresh.solve(&b));
-    }
-
-    #[test]
-    fn row_table_is_built_by_the_first_exchange_only() {
-        let t1 = dense_blocks(7, 3, 4);
-        let mut lu = SparseLu::factor(&t1.to_csc(), natural_opts()).expect("factor");
-        assert!(
-            lu.sym.row_table.get().is_none(),
-            "factor built the row table"
-        );
-        let t2 = remap(&t1, |i, j, v| v * (1.0 + 0.05 * ((i + 2 * j) as f64).sin()));
-        for _ in 0..2 {
-            let report = lu.refactor_in_place(&t2.to_csc()).expect("happy path");
-            assert_eq!(report.pivot_exchanges, 0);
-        }
-        assert!(
-            lu.sym.row_table.get().is_none(),
-            "a happy-path refactor built the row table"
-        );
-        let victim = lu.current_row_permutation()[0];
-        let t3 = remap(
-            &t1,
-            |i, j, v| {
-                if i == victim && j == 0 {
-                    v * 1e-13
-                } else {
-                    v
-                }
-            },
-        );
-        let a3 = t3.to_csc();
-        let report = lu.refactor_in_place(&a3).expect("in-pattern repair");
-        assert!(report.pivot_exchanges >= 1, "expected a pivot exchange");
-        assert!(
-            lu.sym.row_table.get().is_some(),
-            "the exchange left the row table unbuilt"
-        );
-        let b: Vec<f64> = (0..12).map(|i| (i as f64 * 0.61).cos()).collect();
-        let fresh = SparseLu::factor(&a3, natural_opts()).expect("fresh");
-        assert_match_1e12(&lu.solve(&b), &fresh.solve(&b));
-    }
-
-    #[test]
-    fn badly_scaled_rows_do_not_trip_detection() {
-        // mA-scale stamps against kΩ-scale stamps: pivots live at wildly
-        // different absolute magnitudes, but each is healthy *relative to
-        // its own column*, so no exchange and no full-refactor fallback.
-        let t1 = dense_blocks(3, 2, 3);
-        let scale = |i: usize| if i < 3 { 1e-6 } else { 1e3 };
-        let t1 = remap(&t1, |i, _, v| v * scale(i));
-        let mut lu = SparseLu::factor(&t1.to_csc(), natural_opts()).expect("factor");
-        let t2 = remap(&t1, |i, j, v| v * (1.0 + 0.05 * ((i + 2 * j) as f64).sin()));
-        let report = lu.refactor_in_place(&t2.to_csc()).expect("refresh");
-        assert_eq!(
-            report.pivot_exchanges, 0,
-            "healthy pivots must not exchange"
-        );
-        let b = vec![1.0; 6];
-        let fresh = SparseLu::factor(&t2.to_csc(), natural_opts()).expect("fresh");
-        assert_match_1e12(&lu.solve(&b), &fresh.solve(&b));
-    }
-
-    #[test]
-    fn inadmissible_exchange_still_reports_singular() {
-        // A tridiagonal matrix's rows have distinct trailing patterns, so
-        // no in-pattern exchange is admissible at an interior kill: the
-        // documented SingularMatrix + full-refactor contract must survive.
-        let n = 8;
-        let mut t1 = Triplets::new(n, n);
-        for i in 0..n {
-            t1.push(i, i, 4.0);
-            if i > 0 {
-                t1.push(i, i - 1, -1.0);
-                t1.push(i - 1, i, -1.0);
-            }
-        }
-        let mut lu = SparseLu::factor(&t1.to_csc(), natural_opts()).expect("factor");
-        let t2 = remap(&t1, |i, j, v| if i == 0 && j == 0 { 1e-9 } else { v });
-        match lu.refactor_in_place(&t2.to_csc()) {
-            Err(NumericsError::SingularMatrix { index, .. }) => assert_eq!(index, 0),
-            other => panic!("expected inadmissible exchange to stay singular, got {other:?}"),
-        }
-        // Recovery contract unchanged: a full factor takes over.
-        let lu = SparseLu::factor(&t2.to_csc(), natural_opts()).expect("fallback");
-        let b = vec![1.0; n];
-        let r = sub(&t2.to_csc().matvec(&lu.solve(&b)), &b);
-        assert!(norm_inf(&r) < 1e-9);
-    }
-
-    #[test]
-    fn exchange_at_interior_column_swaps_earlier_multipliers() {
-        // Regression: an exchange at column k > 0 must also swap the L
-        // multipliers rows k and r already received from columns < k in
-        // the same pass (exactly what dense partial pivoting does to the
-        // trailing working array). The original implementation skipped
-        // that and returned Ok with a silently wrong factorization.
-        //
-        // Dense diagonally dominant 5x5 with natural ordering (identity
-        // pivot order), refreshed with values that drive the column-2
-        // Schur-complement pivot to exactly zero while the matrix stays
-        // well-conditioned.
-        let n = 5;
-        let mut base = [[0.0f64; 5]; 5];
-        let mut next = rng(3);
-        for (i, row) in base.iter_mut().enumerate() {
-            let mut offdiag = 0.0;
-            for (j, v) in row.iter_mut().enumerate() {
-                if i != j {
-                    *v = next() * 2.0 - 1.0;
-                    offdiag += v.abs();
-                }
-            }
-            row[i] = offdiag + 1.0 + next();
-        }
-        // No-pivot Doolittle elimination to find u22: subtracting it from
-        // base[2][2] zeroes the recorded pivot of factor column 2 (the
-        // leading 2x2 elimination does not read entry (2,2)).
-        let mut lu_dense = base;
-        for k in 0..n {
-            for i in (k + 1)..n {
-                let m = lu_dense[i][k] / lu_dense[k][k];
-                lu_dense[i][k] = m;
-                for j in (k + 1)..n {
-                    lu_dense[i][j] -= m * lu_dense[k][j];
-                }
-            }
-        }
-        let u22 = lu_dense[2][2];
-        let from_dense = |vals: &[[f64; 5]; 5]| {
-            let mut t = Triplets::new(n, n);
-            for (i, row) in vals.iter().enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    t.push(i, j, v);
-                }
-            }
-            t
-        };
-        let mut lu = SparseLu::factor(&from_dense(&base).to_csc(), natural_opts()).expect("factor");
-        assert_eq!(
-            lu.current_row_permutation(),
-            &[0, 1, 2, 3, 4],
-            "dominant diagonal must record the identity pivot order"
-        );
-        let mut stressed = base;
-        stressed[2][2] -= u22;
-        let a2 = from_dense(&stressed).to_csc();
-        let report = lu.refactor_in_place(&a2).expect("interior repair");
-        assert!(report.pivot_exchanges >= 1);
-        let b = [1.0, -2.0, 3.0, -4.0, 5.0];
-        let x = lu.solve(&b);
-        let r = sub(&a2.matvec(&x), &b);
-        assert!(
-            norm_inf(&r) < 1e-9,
-            "interior exchange produced a wrong factorization: residual {}",
-            norm_inf(&r)
-        );
-        let fresh = SparseLu::factor(&a2, natural_opts()).expect("fresh");
-        assert_match_1e12(&x, &fresh.solve(&b));
-    }
-
-    #[test]
-    fn exchange_rejects_rows_with_different_leading_patterns() {
-        // Rows whose appearance lists agree beyond k but differ below it
-        // cannot be exchanged: the swapped row would scatter into columns
-        // where it has no recorded slot on the next refactorisation, and
-        // its earlier-column multipliers would have nowhere to go.
-        // Pattern: row 2 appears in column 0, row 1 does not; both appear
-        // in columns 1 and 2.
-        let build = |d11: f64| {
-            let mut t = Triplets::new(4, 4);
-            t.push(0, 0, 2.0);
-            t.push(2, 0, 1.0);
-            t.push(1, 1, d11);
-            t.push(2, 1, 1.0);
-            t.push(1, 2, 1.0);
-            t.push(2, 2, 3.0);
-            t.push(3, 3, 1.0);
-            t
-        };
-        let mut lu = SparseLu::factor(&build(1.0).to_csc(), natural_opts()).expect("factor");
-        match lu.refactor_in_place(&build(1e-14).to_csc()) {
-            Err(NumericsError::SingularMatrix { index, .. }) => assert_eq!(index, 1),
-            other => panic!("leading-pattern mismatch must refuse the exchange, got {other:?}"),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
-        #[test]
-        fn prop_pivot_stress_stays_in_pattern(seed in 0u64..10_000) {
-            // Satellite property: random value refreshes that deliberately
-            // drive the recorded pivot of a block through (near) zero must
-            // be repaired in-pattern — no full re-factorisation — while
-            // matching a fresh factorisation of the same values to 1e-12.
-            let nblocks = 3;
-            let bs = 4;
-            let n = nblocks * bs;
-            let t1 = dense_blocks(seed, nblocks, bs);
-            let mut next = rng(seed ^ 0xABCD);
-            let mut lu = SparseLu::factor(&t1.to_csc(), natural_opts()).expect("factor");
-            let b: Vec<f64> = (0..n).map(|_| next() * 2.0 - 1.0).collect();
-            let mut exchanges = 0usize;
-            for refresh in 0..5 {
-                // Kill the *current* pivot entry of one block's first
-                // column (a different original row after each exchange,
-                // since the permutation delta persists), jitter everything
-                // else. Only the entry dies — the matrix stays
-                // well-conditioned, so 1e-12 agreement is meaningful.
-                let victim_col = (refresh % nblocks) * bs;
-                let victim = lu.current_row_permutation()[victim_col];
-                let gain = 0.75 + 0.5 * next();
-                let tk = remap(&t1, |i, j, v| {
-                    if i == victim && j == victim_col {
-                        v * 1e-13
-                    } else {
-                        v * gain
-                    }
-                });
-                let ak = tk.to_csc();
-                let report = lu
-                    .refactor_in_place(&ak)
-                    .expect("pivot stress must stay in-pattern");
-                prop_assert!(report.pivot_exchanges >= 1, "refresh {refresh} exchanged nothing");
-                exchanges += report.pivot_exchanges;
-                let fresh = SparseLu::factor(&ak, natural_opts()).expect("fresh");
-                let x_re = lu.solve(&b);
-                let x_fresh = fresh.solve(&b);
-                let scale = norm_inf(&x_fresh).max(1.0);
-                for (r, f) in x_re.iter().zip(&x_fresh) {
-                    prop_assert!((r - f).abs() < 1e-12 * scale,
-                        "refresh {refresh}: {r} vs {f}");
-                }
-                let r = sub(&ak.matvec(&x_re), &b);
-                prop_assert!(norm_inf(&r) < 1e-9 * norm_inf(&b).max(1.0));
-            }
-            prop_assert!(exchanges >= 5);
-        }
-    }
-}
-
 /// Bit-identity oracle for the numeric kernels: plain index-loop
 /// `refactor_in_place` and `solve`, every access bounds-checked, in the
 /// same floating-point operation order. The tuned kernels must reproduce
@@ -1955,7 +1405,7 @@ mod kernel_oracle {
 
     /// The reference numeric refactorisation (same contract as
     /// [`SparseLu::refactor_in_place`]).
-    fn reference_refactor_in_place(lu: &mut SparseLu, a: &CscMatrix) -> Result<RefactorReport> {
+    fn reference_refactor_in_place(lu: &mut SparseLu, a: &CscMatrix) -> Result<()> {
         if !lu.sym.matches(a) {
             return Err(NumericsError::InvalidArgument {
                 context: "reference refactor: pattern differs".into(),
@@ -1967,17 +1417,14 @@ mod kernel_oracle {
             ux,
             udiag,
             scratch,
-            p_cur,
-            pinv_cur,
         } = lu;
         let sym: &SymbolicLu = sym;
         let n = sym.n;
         let x = scratch;
-        let mut exchanges = 0usize;
         for k in 0..n {
             let (rows, vals) = a.col(sym.q[k]);
             for (&i, &v) in rows.iter().zip(vals) {
-                x[pinv_cur[i]] += v;
+                x[sym.pinv[i]] += v;
             }
             for t in sym.up[k]..sym.up[k + 1] {
                 let i = sym.ui[t];
@@ -1989,61 +1436,24 @@ mod kernel_oracle {
                     }
                 }
             }
-            let mut piv = x[k];
+            let piv = x[k];
             let mut colmax = piv.abs();
             for idx in sym.lp[k]..sym.lp[k + 1] {
                 colmax = colmax.max(x[sym.li[idx]].abs());
             }
             let vanish = sym.pivot_abs_min.max(sym.refactor_rel_threshold * colmax);
             if piv.abs() <= vanish || piv.is_nan() {
-                let mut best: Option<usize> = None;
-                if sym.restricted_pivoting {
-                    let accept = sym.pivot_abs_min.max(sym.pivot_threshold * colmax);
-                    let mut best_mag = 0.0f64;
-                    for idx in sym.lp[k]..sym.lp[k + 1] {
-                        let r = sym.li[idx];
-                        let mag = x[r].abs();
-                        if mag >= accept && mag > best_mag && sym.exchange_admissible(k, r) {
-                            best_mag = mag;
-                            best = Some(r);
-                        }
-                    }
+                x[k] = 0.0;
+                for t in sym.up[k]..sym.up[k + 1] {
+                    x[sym.ui[t]] = 0.0;
                 }
-                match best {
-                    Some(r) => {
-                        x.swap(k, r);
-                        let (row_a, row_b) = (p_cur[k], p_cur[r]);
-                        p_cur.swap(k, r);
-                        pinv_cur[row_a] = r;
-                        pinv_cur[row_b] = k;
-                        piv = x[k];
-                        exchanges += 1;
-                        for &j in sym.row_cols(k).iter().take_while(|&&j| j < k) {
-                            let (mut pos_k, mut pos_r) = (NONE, NONE);
-                            for idx in sym.lp[j]..sym.lp[j + 1] {
-                                if sym.li[idx] == k {
-                                    pos_k = idx;
-                                } else if sym.li[idx] == r {
-                                    pos_r = idx;
-                                }
-                            }
-                            lx.swap(pos_k, pos_r);
-                        }
-                    }
-                    None => {
-                        x[k] = 0.0;
-                        for t in sym.up[k]..sym.up[k + 1] {
-                            x[sym.ui[t]] = 0.0;
-                        }
-                        for idx in sym.lp[k]..sym.lp[k + 1] {
-                            x[sym.li[idx]] = 0.0;
-                        }
-                        return Err(NumericsError::SingularMatrix {
-                            index: k,
-                            pivot: piv.abs(),
-                        });
-                    }
+                for idx in sym.lp[k]..sym.lp[k + 1] {
+                    x[sym.li[idx]] = 0.0;
                 }
+                return Err(NumericsError::SingularMatrix {
+                    index: k,
+                    pivot: piv.abs(),
+                });
             }
             udiag[k] = piv;
             for idx in sym.lp[k]..sym.lp[k + 1] {
@@ -2057,9 +1467,7 @@ mod kernel_oracle {
                 x[sym.li[idx]] = 0.0;
             }
         }
-        Ok(RefactorReport {
-            pivot_exchanges: exchanges,
-        })
+        Ok(())
     }
 
     /// The reference triangular solve (same contract as
@@ -2067,7 +1475,7 @@ mod kernel_oracle {
     fn reference_solve(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
         let sym = &lu.sym;
         let n = sym.n;
-        let mut x: Vec<f64> = lu.p_cur.iter().map(|&pi| b[pi]).collect();
+        let mut x: Vec<f64> = sym.p.iter().map(|&pi| b[pi]).collect();
         for k in 0..n {
             let xk = x[k];
             if xk != 0.0 {
@@ -2097,14 +1505,11 @@ mod kernel_oracle {
     }
 
     /// Asserts two factors of one structure hold the same bits: pivots,
-    /// `L`/`U` values, permutation delta and (zeroed) accumulator.
+    /// `L`/`U` values and (zeroed) accumulator.
     fn assert_same_factor(got: &SparseLu, want: &SparseLu) {
         assert_eq!(bits(&got.udiag), bits(&want.udiag), "udiag");
         assert_eq!(bits(&got.lx), bits(&want.lx), "L values");
         assert_eq!(bits(&got.ux), bits(&want.ux), "U values");
-        assert_eq!(got.p_cur, want.p_cur, "row permutation");
-        assert_eq!(got.pinv_cur, want.pinv_cur, "inverse row permutation");
-        assert_eq!(got.permutation_delta_len(), want.permutation_delta_len());
         assert_eq!(bits(&got.scratch), bits(&want.scratch), "accumulator");
     }
 
@@ -2123,8 +1528,7 @@ mod kernel_oracle {
     /// of `bs`-unknown points: block row `p` holds `G_p + C_p/h1 + C_p/h2`
     /// at `p` and `−C/h` couplings to its two upstream neighbours. `G` is
     /// dense and dominant; `C` is dense or follows one random pattern
-    /// shared by every point (rows of a block then differ in pattern, so
-    /// fewer exchanges are admissible). Entries keyed by `(row, col)`.
+    /// shared by every point. Entries keyed by `(row, col)`.
     fn periodic_grid(
         next: &mut impl FnMut() -> f64,
         bs: usize,
@@ -2206,14 +1610,13 @@ mod kernel_oracle {
                     .collect();
                 // Drive the pivot of one factor column to (near) zero: subtract
                 // its current value from the pivot entry, when that entry is
-                // stored. The exchange is admissible when the pivot row still
-                // has an unpivoted same-pattern sibling; otherwise both
-                // kernels must report the same vanished pivot.
+                // stored. Both kernels must agree on the outcome, a vanished
+                // pivot included.
                 if next() < 0.7 {
                     let mut probe = reference.clone();
                     if reference_refactor_in_place(&mut probe, &to_csc(n, &values)).is_ok() {
                         let k = ((next() * n as f64) as usize).min(n - 1);
-                        let pos = (probe.p_cur[k], probe.sym.q[k]);
+                        let pos = (probe.sym.p[k], probe.sym.q[k]);
                         if let Some(v) = values.get_mut(&pos) {
                             *v -= probe.udiag[k];
                         }
@@ -2241,9 +1644,9 @@ mod kernel_oracle {
 
     #[test]
     fn grid_stress_exercises_exchanges_and_refusals() {
-        // The property above only bites if its kills really reach both
-        // restricted-pivoting outcomes; count them over a fixed seed set.
-        let (mut exchanged, mut refused) = (0usize, 0usize);
+        // The property above only bites if its kills really reach the
+        // vanished-pivot refusal; count them over a fixed seed set.
+        let mut refused = 0usize;
         for seed in 0..40u64 {
             let mut next = rng(seed);
             let (bs, n1, n2) = (2 + (seed % 5) as usize, 4, 3);
@@ -2252,7 +1655,7 @@ mod kernel_oracle {
             let lu = SparseLu::factor(&to_csc(n, &base), LuOptions::default()).expect("factor");
             for k in 0..n {
                 let mut values = base.clone();
-                let pos = (lu.p_cur[k], lu.sym.q[k]);
+                let pos = (lu.sym.p[k], lu.sym.q[k]);
                 let Some(v) = values.get_mut(&pos) else {
                     continue;
                 };
@@ -2266,14 +1669,11 @@ mod kernel_oracle {
                     format!("{:?}", reference_refactor_in_place(&mut want, &a))
                 );
                 assert_same_factor(&got, &want);
-                match result {
-                    Ok(report) if report.pivot_exchanges > 0 => exchanged += 1,
-                    Err(NumericsError::SingularMatrix { .. }) => refused += 1,
-                    _ => {}
+                if let Err(NumericsError::SingularMatrix { .. }) = result {
+                    refused += 1;
                 }
             }
         }
-        assert!(exchanged >= 100, "only {exchanged} kills exchanged");
         assert!(refused >= 100, "only {refused} kills were refused");
     }
 }

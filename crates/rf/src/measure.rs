@@ -1,7 +1,6 @@
-//! Conversion gain, distortion and channel-power measurements.
+//! Conversion gain and distortion measurements.
 
 use rfsim_mpde::MultitimeSolution;
-use rfsim_numerics::fft::fft_real;
 
 /// Converts an amplitude ratio to decibels (`20·log10`).
 pub fn ratio_to_db(ratio: f64) -> f64 {
@@ -64,29 +63,6 @@ pub fn thd(
     acc.sqrt() / fund
 }
 
-/// Power (V²) of a sampled periodic signal in a harmonic band
-/// `[k_lo, k_hi]` (inclusive), from a one-sided spectrum.
-pub fn band_power(samples: &[f64], k_lo: usize, k_hi: usize) -> f64 {
-    let n = samples.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let spec = fft_real(samples);
-    let half = n / 2;
-    let mut acc = 0.0;
-    for k in k_lo..=k_hi.min(half) {
-        let scale = if k == 0 || (n.is_multiple_of(2) && k == half) {
-            1.0 / n as f64
-        } else {
-            2.0 / n as f64
-        };
-        let a = spec[k].abs() * scale;
-        // RMS power of a cosine of amplitude a is a²/2 (a² for DC).
-        acc += if k == 0 { a * a } else { a * a / 2.0 };
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,15 +119,5 @@ mod tests {
         let single = differential_baseband_harmonic(&sol, 0, None, 1);
         let diff = differential_baseband_harmonic(&sol, 0, Some(1), 1);
         assert!((diff - 2.0 * single).abs() < 1e-9);
-    }
-
-    #[test]
-    fn band_power_parseval_slice() {
-        // cos with amplitude 2: power = 2²/2 = 2 in harmonic 1.
-        let samples: Vec<f64> = (0..64)
-            .map(|k| 2.0 * (2.0 * PI * k as f64 / 64.0).cos())
-            .collect();
-        assert!((band_power(&samples, 1, 1) - 2.0).abs() < 1e-9);
-        assert!(band_power(&samples, 2, 10) < 1e-12);
     }
 }

@@ -505,9 +505,9 @@ impl SweepEngine {
 
     /// Aggregated linear-solver counters across every workspace the
     /// engine's sweeps have used — refactorisations vs full
-    /// factorisations, restricted-pivoting exchanges vs full fallbacks,
-    /// preconditioner refreshes vs rebuilds. Take the snapshot between
-    /// batches: a sweep reports when it finishes.
+    /// factorisations and vanished-pivot fallbacks, preconditioner
+    /// refreshes vs rebuilds. Take the snapshot between batches: a sweep
+    /// reports when it finishes.
     pub fn solver_stats(&self) -> WorkspaceStats {
         self.totals.lock().expect("engine totals poisoned").1
     }

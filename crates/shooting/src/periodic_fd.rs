@@ -397,7 +397,7 @@ mod tests {
         // A rectifier's Jacobian values swing exponentially with drive.
         // One workspace carried across a 40× amplitude jump must keep the
         // symbolic factorisation alive: one full factorisation total, no
-        // restricted-pivoting fallback, everything after the first
+        // vanished-pivot fallback, everything after the first
         // iteration a numeric-only refresh.
         let rectifier = |amp: f64| {
             let mut b = CircuitBuilder::new();

@@ -197,9 +197,8 @@ fn integrate_period(
             // Every step shares one structure: slot maps and the symbolic
             // factorisation are built on the first step; later steps scatter
             // in place and refactor numerically. A step whose values kill a
-            // recorded pivot is repaired by an in-pattern row exchange when
-            // admissible (restricted pivoting), with a full factorisation
-            // only as the last resort.
+            // recorded pivot gets a full factorisation, which becomes the
+            // structure later steps share.
             jac.clear();
             sys.residual_and_jacobian(&x_new, &mut res, &mut jac);
             if CscAssembly::assemble_cached(&mut cache.jac_assembly, &mut cache.jac_csc, &jac) {

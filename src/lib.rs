@@ -49,7 +49,7 @@
 //!    over all gmin/source rungs, the MPDE solver into its continuation
 //!    fallback, shooting across all inner steps and outer iterations, and
 //!    sweeps across parameter points. Structural changes are detected (the
-//!    slot map verifies every stamp; the factor fingerprints the pattern)
+//!    slot map verifies every stamp; the factor compares the stored pattern)
 //!    and answered by a transparent rebuild, and a refactorisation whose
 //!    recorded pivot vanishes falls back to a fresh factorisation that may
 //!    repivot.
