@@ -559,17 +559,17 @@ pub struct LadderOutcome {
 /// settle with the *typed* [`rfsim_circuit::CircuitError::Diverged`]
 /// outcome in far fewer iterations than the ceiling, committing zero
 /// NaN iterates along the way (watched via the budget's progress
-/// snapshots). A two-rung [`rfsim_circuit::driver::NewtonDriver`]
-/// ladder over the same shape
-/// then proves the climb: the plain rung diverges, the retry rung
-/// rescues the solve, and the outcome records which rung won.
+/// snapshots). A plain Newton solve of the same shape with one
+/// [`rfsim_circuit::driver::fall_back`] rung then proves the climb: the
+/// plain solve diverges, the retry rung rescues it, and the workspace
+/// counts exactly one rung entered and one rescue.
 pub fn recovery_ladder_scenario(reps: usize) -> LadderOutcome {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    use rfsim_circuit::driver::{NewtonDriver, Rung, RungExec, RungKind};
+    use rfsim_circuit::driver::{fall_back, RungKind};
     use rfsim_circuit::fault::SolveFault;
-    use rfsim_circuit::newton::NewtonOptions;
+    use rfsim_circuit::newton::newton_solve_budgeted;
     use rfsim_circuit::CircuitError;
 
     /// Finite residual only at the seed: the first step diverges.
@@ -632,26 +632,26 @@ pub fn recovery_ladder_scenario(reps: usize) -> LadderOutcome {
 
     let mut ladder_rescues = 0;
     let mut workspace = LinearSolverWorkspace::new();
+    let options = NewtonOptions {
+        max_iters: FAULT_MAX_ITERS,
+        ..Default::default()
+    };
     for _ in 0..reps {
-        let outcome = NewtonDriver::new(NewtonOptions {
-            max_iters: FAULT_MAX_ITERS,
-            ..Default::default()
-        })
-        .solve_ladder(
-            "bench recovery ladder",
+        let before = workspace.stats;
+        let seeded =
+            newton_solve_budgeted(&NanRidge, &[1.0], &[], options, &mut workspace, &budget);
+        fall_back(
+            seeded,
+            RungKind::RetryUnseeded,
             &mut workspace,
             &budget,
-            vec![
-                Rung::new(RungKind::Plain, |exec: &mut RungExec<'_>| {
-                    exec.newton(&NanRidge, &[1.0], &[]).map(|(x, _)| x)
-                }),
-                Rung::new(RungKind::RetryUnseeded, |exec: &mut RungExec<'_>| {
-                    exec.newton(&Anchored, &[0.0], &[]).map(|(x, _)| x)
-                }),
-            ],
+            |ws, b| newton_solve_budgeted(&Anchored, &[0.0], &[], options, ws, b),
         )
         .expect("the retry rung rescues the solve");
-        if outcome.rung == RungKind::RetryUnseeded && outcome.rungs_attempted == 2 {
+        let after = workspace.stats;
+        if after.rung_attempts == before.rung_attempts + 1
+            && after.rung_successes == before.rung_successes + 1
+        {
             ladder_rescues += 1;
         }
     }

@@ -10,33 +10,32 @@ use rfsim_numerics::sparse::Triplets;
 use rfsim_numerics::SolveBudget;
 
 use crate::circuit::{Circuit, UnknownKind};
-use crate::driver::{NewtonDriver, NewtonProfile, Rung, RungExec, RungKind};
-use crate::newton::{LinearSolverWorkspace, NewtonOptions, NewtonStats, NewtonSystem};
+use crate::driver::{fall_back, NewtonProfile, RungKind};
+use crate::newton::{
+    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonStats, NewtonSystem,
+};
 use crate::{CircuitError, Result};
+
+/// Initial gmin of gmin stepping (S); each step divides it by 10.
+const GMIN_START: f64 = 1e-2;
+
+/// Gmin left in place from node voltages to ground during analysis (S).
+const GMIN_FINAL: f64 = 1e-12;
+
+/// Most source-stepping substeps before the rung gives up.
+const MAX_SOURCE_STEPS: usize = 200;
 
 /// Options for [`dc_operating_point`].
 #[derive(Debug, Clone, Copy)]
 pub struct DcOptions {
     /// Newton options for each inner solve.
     pub newton: NewtonOptions,
-    /// Initial gmin for gmin stepping (S).
-    pub gmin_start: f64,
-    /// Final gmin left in place during analysis (0 = removed).
-    pub gmin_final: f64,
-    /// Decades per gmin step.
-    pub gmin_steps_per_decade: usize,
-    /// Maximum source-stepping substeps.
-    pub max_source_steps: usize,
 }
 
 impl Default for DcOptions {
     fn default() -> Self {
         DcOptions {
             newton: NewtonProfile::Dc.options(),
-            gmin_start: 1e-2,
-            gmin_final: 1e-12,
-            gmin_steps_per_decade: 1,
-            max_source_steps: 200,
         }
     }
 }
@@ -109,11 +108,11 @@ pub fn dc_operating_point(circuit: &Circuit, options: DcOptions) -> Result<DcRes
 
 /// [`dc_operating_point`] under a [`SolveBudget`].
 ///
-/// The ladder is declared on a [`NewtonDriver`]: plain Newton → gmin
-/// stepping → source stepping, each rung under a stage-labelled budget
-/// child. A [`CircuitError::Interrupted`] outcome short-circuits the
-/// whole ladder (the driver never retries a control-plane stop), as does
-/// any structural error; recoverable failures — divergence, iteration
+/// The ladder is plain Newton, then [`fall_back`] to gmin stepping, then
+/// to source stepping, each fallback under a stage-labelled budget
+/// child. A [`CircuitError::Interrupted`] outcome passes every rung
+/// untouched (a control-plane stop is never retried), as does any
+/// structural error; recoverable failures — divergence, iteration
 /// exhaustion, singular kernels — feed the next rung.
 ///
 /// # Errors
@@ -129,43 +128,39 @@ pub fn dc_operating_point_budgeted(
     let mut b = vec![0.0; n];
     circuit.eval_b(0.0, &mut b);
     let kinds = circuit.unknown_kinds().to_vec();
-    let x0 = vec![0.0; n];
+    let newton = options.newton;
     // The DC system's Jacobian pattern is identical across every rung of
     // the ladder (gmin and λ scale values, never structure), so one
     // workspace carries the symbolic factorisation through all of them.
     let mut workspace = LinearSolverWorkspace::new();
-    let driver = NewtonDriver::new(options.newton);
-    let b_ref = &b;
-    let kinds_ref = &kinds;
-    let opts_ref = &options;
-    let outcome = driver.solve_ladder(
-        "dc operating point",
+    let sys = DcSystem {
+        circuit,
+        b: b.clone(),
+        gmin: GMIN_FINAL,
+        lambda: 1.0,
+    };
+    let plain = newton_solve_budgeted(&sys, &vec![0.0; n], &kinds, newton, &mut workspace, budget)
+        .map(|solved| (solved, DcStrategy::Direct));
+    let gmin = fall_back(
+        plain,
+        RungKind::GminStepping,
         &mut workspace,
         budget,
-        vec![
-            Rung::new(RungKind::Plain, |exec: &mut RungExec<'_>| {
-                let sys = DcSystem {
-                    circuit,
-                    b: b_ref.clone(),
-                    gmin: opts_ref.gmin_final,
-                    lambda: 1.0,
-                };
-                exec.newton(&sys, &x0, kinds_ref)
-            }),
-            Rung::new(RungKind::GminStepping, |exec: &mut RungExec<'_>| {
-                gmin_stepping(circuit, b_ref, kinds_ref, opts_ref, exec)
-            }),
-            Rung::new(RungKind::SourceStepping, |exec: &mut RungExec<'_>| {
-                source_stepping(circuit, b_ref, kinds_ref, opts_ref, exec)
-            }),
-        ],
+        |ws, rung| {
+            let solved = gmin_stepping(circuit, &b, &kinds, newton, ws, rung)?;
+            Ok((solved, DcStrategy::GminStepping))
+        },
+    );
+    let ((solution, stats), strategy) = fall_back(
+        gmin,
+        RungKind::SourceStepping,
+        &mut workspace,
+        budget,
+        |ws, rung| {
+            let solved = source_stepping(circuit, &b, &kinds, newton, ws, rung)?;
+            Ok((solved, DcStrategy::SourceStepping))
+        },
     )?;
-    let strategy = match outcome.rung {
-        RungKind::GminStepping => DcStrategy::GminStepping,
-        RungKind::SourceStepping => DcStrategy::SourceStepping,
-        _ => DcStrategy::Direct,
-    };
-    let (solution, stats) = outcome.value;
     Ok(DcResult {
         solution,
         stats,
@@ -175,17 +170,17 @@ pub fn dc_operating_point_budgeted(
 
 /// The gmin-stepping rung: ramp a shunt conductance down decade by
 /// decade, then polish at the residual gmin. Any sub-solve error
-/// propagates — the driver classifies it (recoverable → next rung).
+/// propagates for the caller's ladder to classify.
 fn gmin_stepping(
     circuit: &Circuit,
     b: &[f64],
     kinds: &[UnknownKind],
-    options: &DcOptions,
-    exec: &mut RungExec<'_>,
+    newton: NewtonOptions,
+    workspace: &mut LinearSolverWorkspace,
+    budget: &SolveBudget,
 ) -> Result<(Vec<f64>, NewtonStats)> {
     let mut x = vec![0.0; circuit.num_unknowns()];
-    let mut gmin = options.gmin_start;
-    let factor = 10f64.powf(1.0 / options.gmin_steps_per_decade.max(1) as f64);
+    let mut gmin = GMIN_START;
     loop {
         let sys = DcSystem {
             circuit,
@@ -193,20 +188,20 @@ fn gmin_stepping(
             gmin,
             lambda: 1.0,
         };
-        x = exec.newton(&sys, &x, kinds)?.0;
-        if gmin <= options.gmin_final {
+        x = newton_solve_budgeted(&sys, &x, kinds, newton, workspace, budget)?.0;
+        if gmin <= GMIN_FINAL {
             break;
         }
-        gmin = (gmin / factor).max(options.gmin_final);
+        gmin = (gmin / 10.0).max(GMIN_FINAL);
     }
     // Final polish at the residual gmin.
     let sys = DcSystem {
         circuit,
         b: b.to_vec(),
-        gmin: options.gmin_final,
+        gmin: GMIN_FINAL,
         lambda: 1.0,
     };
-    exec.newton(&sys, &x, kinds)
+    newton_solve_budgeted(&sys, &x, kinds, newton, workspace, budget)
 }
 
 /// The source-stepping rung: ramp the excitation λ from 0 to 1, halving
@@ -216,8 +211,9 @@ fn source_stepping(
     circuit: &Circuit,
     b: &[f64],
     kinds: &[UnknownKind],
-    options: &DcOptions,
-    exec: &mut RungExec<'_>,
+    newton: NewtonOptions,
+    workspace: &mut LinearSolverWorkspace,
+    budget: &SolveBudget,
 ) -> Result<(Vec<f64>, NewtonStats)> {
     let give_up = |steps_used: usize| CircuitError::ConvergenceFailure {
         analysis: "dc operating point (source stepping)".into(),
@@ -230,17 +226,17 @@ fn source_stepping(
     let mut steps_used = 0;
     let mut last_stats = None;
     while lambda < 1.0 {
-        if steps_used >= options.max_source_steps {
+        if steps_used >= MAX_SOURCE_STEPS {
             return Err(give_up(steps_used));
         }
         let target = (lambda + step).min(1.0);
         let sys = DcSystem {
             circuit,
             b: b.to_vec(),
-            gmin: options.gmin_final,
+            gmin: GMIN_FINAL,
             lambda: target,
         };
-        match exec.newton(&sys, &x, kinds) {
+        match newton_solve_budgeted(&sys, &x, kinds, newton, workspace, budget) {
             Ok((sol, stats)) => {
                 x = sol;
                 lambda = target;

@@ -40,7 +40,7 @@ pub enum CircuitError {
     /// (which burns `max_iters` making finite-but-insufficient
     /// progress), divergence is detected the moment it happens and is
     /// the typed signal a recovery ladder
-    /// ([`NewtonDriver`](crate::driver::NewtonDriver)) uses to move to
+    /// ([`fall_back`](crate::driver::fall_back)) uses to move to
     /// its next rung instead of committing a NaN iterate.
     Diverged {
         /// Which analysis diverged.

@@ -8,7 +8,7 @@
 //! panicking solve fails one batch instead of a whole service.
 //!
 //! The faults are not mocks: [`SolveFault::run`] executes a genuine
-//! budgeted Newton solve (through the [`NewtonDriver`]) over a tiny
+//! budgeted Newton solve ([`newton_solve_budgeted`]) over a tiny
 //! synthetic [`NewtonSystem`] engineered to exhibit the failure mode,
 //! so the exact production code paths — the iteration loop, the damping
 //! trials, the budget check points — are what the tests exercise.
@@ -22,8 +22,7 @@ use std::time::Duration;
 use rfsim_numerics::sparse::Triplets;
 use rfsim_numerics::SolveBudget;
 
-use crate::driver::NewtonDriver;
-use crate::newton::{NewtonOptions, NewtonSystem};
+use crate::newton::{newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonSystem};
 use crate::Result;
 
 /// What the injected solve does.
@@ -104,14 +103,8 @@ impl SolveFault {
                     max_iters: (max_ms / poll_ms.max(1)).max(1) as usize,
                     ..Default::default()
                 };
-                NewtonDriver::new(options)
-                    .solve(
-                        &system,
-                        &[0.0],
-                        &[],
-                        &mut crate::newton::LinearSolverWorkspace::new(),
-                        budget,
-                    )
+                let mut workspace = LinearSolverWorkspace::new();
+                newton_solve_budgeted(&system, &[0.0], &[], options, &mut workspace, budget)
                     .map(|_| ())
             }
             FaultMode::Diverge => {
@@ -120,14 +113,8 @@ impl SolveFault {
                     max_iters: 8,
                     ..Default::default()
                 };
-                NewtonDriver::new(options)
-                    .solve(
-                        &system,
-                        &[1.0],
-                        &[],
-                        &mut crate::newton::LinearSolverWorkspace::new(),
-                        budget,
-                    )
+                let mut workspace = LinearSolverWorkspace::new();
+                newton_solve_budgeted(&system, &[1.0], &[], options, &mut workspace, budget)
                     .map(|_| ())
             }
             FaultMode::Panic => panic!("injected fault: panic on solve"),

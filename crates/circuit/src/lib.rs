@@ -50,7 +50,7 @@ mod node;
 pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, UnknownKind};
 pub use devices::{DiodeParams, MosPolarity, MosfetParams};
-pub use driver::{DriverOutcome, NewtonDriver, NewtonProfile, Rung, RungExec, RungKind};
+pub use driver::{NewtonProfile, RungKind};
 pub use error::CircuitError;
 pub use node::{NodeId, GROUND};
 pub use stamp::StampContext;

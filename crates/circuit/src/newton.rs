@@ -17,8 +17,8 @@
 //! MPDE continuation, shooting, parameter sweeps) pass one workspace to
 //! every [`newton_solve_budgeted`] call so the cache also persists
 //! *across* Newton solves. That function is the one Newton entry point;
-//! the backends reach it through the
-//! [`NewtonDriver`](crate::driver::NewtonDriver) recovery ladder.
+//! backends with fallback rungs chain them onto its result with
+//! [`fall_back`](crate::driver::fall_back).
 
 use rfsim_numerics::krylov::{gmres_budgeted, BlockJacobiPrecond, GmresOptions};
 use rfsim_numerics::sparse::{CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, Triplets};
@@ -134,7 +134,6 @@ impl LinearSolver {
                 rtol,
                 restart,
                 max_iters,
-                ..Default::default()
             };
             if let Some(x) = ws.solve_block_jacobi(jac, rhs, block_size, opts, budget)? {
                 return Ok(x);
@@ -175,13 +174,12 @@ pub struct WorkspaceStats {
     /// Preconditioner (re)builds from scratch (first use, structural
     /// change, or recovery from a refresh breakdown).
     pub precond_rebuilds: usize,
-    /// Recovery-ladder rungs attempted by a
-    /// [`NewtonDriver`](crate::driver::NewtonDriver) solve (a one-rung
-    /// solve that converges first try counts 1).
+    /// Fallback rungs entered through
+    /// [`fall_back`](crate::driver::fall_back): rungs beyond a solve's
+    /// first attempt (a solve that converges first try counts 0).
     pub rung_attempts: usize,
-    /// Rungs that produced the accepted solution (one per successful
-    /// driver solve; `rung_attempts − rung_successes` is the recovery
-    /// work the ladder absorbed).
+    /// Fallback rungs that produced the accepted solution: solves
+    /// rescued by a fallback rung.
     pub rung_successes: usize,
 }
 
@@ -386,25 +384,35 @@ pub trait NewtonSystem {
     fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets);
 }
 
-/// Options for [`newton_solve_budgeted`], and through it for every
-/// [`NewtonDriver`](crate::driver::NewtonDriver) rung.
+/// Relative tolerance on a Newton update (and, with [`ABSTOL_V`], the
+/// weight of transient's local-truncation-error estimate and of
+/// shooting's periodicity test).
+pub const RELTOL: f64 = 1e-3;
+
+/// Absolute update tolerance for voltage-like unknowns (volts).
+pub const ABSTOL_V: f64 = 1e-6;
+
+/// Absolute update tolerance for current-like unknowns (amperes).
+const ABSTOL_I: f64 = 1e-9;
+
+/// Residual 2-norm below which a line-search trial is always accepted and
+/// a damped step, a chord step or a stagnated iteration may count as
+/// converged: the guard against converging updates on a stagnated
+/// residual. Set generously.
+const RESIDUAL_TOL: f64 = 1e-6;
+
+/// Per-iteration clamp on voltage-unknown updates (volts). Plays the
+/// role of SPICE's junction limiting: exponential devices (diode, BJT)
+/// otherwise provoke multi-hundred-volt Newton overshoots whose
+/// backtracked steps cycle without converging. Applied per component
+/// before the line search; current unknowns are not clamped.
+const MAX_VOLTAGE_STEP: f64 = 2.0;
+
+/// Options for [`newton_solve_budgeted`].
 #[derive(Debug, Clone, Copy)]
 pub struct NewtonOptions {
     /// Maximum Newton iterations.
     pub max_iters: usize,
-    /// Relative tolerance on the update.
-    pub reltol: f64,
-    /// Absolute tolerance for voltage-like unknowns (volts).
-    pub abstol_v: f64,
-    /// Absolute tolerance for current-like unknowns (amperes).
-    pub abstol_i: f64,
-    /// Smallest damping factor tried before declaring failure of the
-    /// line search (the full step is still taken if the residual grows
-    /// more slowly than this guard).
-    pub min_damping: f64,
-    /// Residual must also drop below `residual_tol` (∞-norm guard against
-    /// converging updates on a stagnated residual). Set generously.
-    pub residual_tol: f64,
     /// Linear-solver strategy for the Newton updates.
     pub linear: LinearSolver,
     /// Chord (modified-Newton) steps: after each fresh Jacobian
@@ -415,26 +423,14 @@ pub struct NewtonOptions {
     /// [`LinearSolver::Direct`], [`LinearSolver::Auto`] when it resolves
     /// to direct, and the rest of a solve after a Krylov fallback.
     pub jacobian_reuse: usize,
-    /// Per-iteration clamp on voltage-unknown updates (volts). Plays the
-    /// role of SPICE's junction limiting: exponential devices (diode, BJT)
-    /// otherwise provoke multi-hundred-volt Newton overshoots whose
-    /// backtracked steps cycle without converging. Applied per component
-    /// before the line search; current unknowns are not clamped.
-    pub max_voltage_step: f64,
 }
 
 impl Default for NewtonOptions {
     fn default() -> Self {
         NewtonOptions {
             max_iters: 100,
-            reltol: 1e-3,
-            abstol_v: 1e-6,
-            abstol_i: 1e-9,
-            min_damping: 1.0 / 1024.0,
-            residual_tol: 1e-6,
             linear: LinearSolver::Direct,
             jacobian_reuse: 0,
-            max_voltage_step: 2.0,
         }
     }
 }
@@ -564,19 +560,16 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         };
         // Voltage-update limiting (junction limiting): clamp per component
         // so one over-eager exponential cannot poison the whole step.
-        if options.max_voltage_step.is_finite() && !kinds.is_empty() {
-            let lim = options.max_voltage_step;
-            for (d, kind) in dx.iter_mut().zip(kinds) {
-                if *kind == UnknownKind::NodeVoltage {
-                    *d = d.clamp(-lim, lim);
-                }
+        for (d, kind) in dx.iter_mut().zip(kinds) {
+            if *kind == UnknownKind::NodeVoltage {
+                *d = d.clamp(-MAX_VOLTAGE_STEP, MAX_VOLTAGE_STEP);
             }
         }
 
-        // Damped backtracking line search on the residual norm. We halve far
-        // below `min_damping` if necessary (stiff exponentials can demand
-        // microscopic first steps); `min_damping` only gates what counts as
-        // an *undamped* step for the convergence test below.
+        // Damped backtracking line search on the residual norm: halve α
+        // down to 1e-15 if necessary (stiff exponentials can demand
+        // microscopic first steps). The convergence test below counts
+        // α ≥ 0.99 as an undamped step.
         let mut alpha: f64 = 1.0;
         let mut accepted = false;
         let mut best: Option<(f64, f64)> = None; // (alpha, norm)
@@ -587,7 +580,7 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
             system.residual(&trial, &mut trial_res);
             let trial_norm = norm2(&trial_res);
             if trial_norm.is_finite() {
-                if trial_norm < res_norm || trial_norm < options.residual_tol {
+                if trial_norm < res_norm || trial_norm < RESIDUAL_TOL {
                     accepted = true;
                     break;
                 }
@@ -645,9 +638,9 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         for (s, d) in scaled_dx.iter_mut().zip(&dx) {
             *s = alpha * d;
         }
-        let ratio = weighted_update_ratio(&scaled_dx, &x, kinds, &options);
+        let ratio = weighted_update_ratio(&scaled_dx, &x, kinds);
         // Stagnation at the linear-solver noise floor: if the residual sits
-        // below `residual_tol` and stops improving, the update criterion can
+        // below `RESIDUAL_TOL` and stops improving, the update criterion can
         // chatter forever on ill-scaled unknowns — accept.
         if res_norm >= 0.999 * prev_norm {
             stagnant += 1;
@@ -655,13 +648,13 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
             stagnant = 0;
         }
         prev_norm = res_norm;
-        let stagnated_converged = stagnant >= 3 && res_norm <= options.residual_tol;
+        let stagnated_converged = stagnant >= 3 && res_norm <= RESIDUAL_TOL;
         let would_converge = stagnated_converged
             || (ratio <= 1.0
                 && res_norm.is_finite()
-                && (alpha >= 0.99 || res_norm <= options.residual_tol));
+                && (alpha >= 0.99 || res_norm <= RESIDUAL_TOL));
         if would_converge {
-            if fresh || res_norm <= options.residual_tol {
+            if fresh || res_norm <= RESIDUAL_TOL {
                 return Ok((
                     x,
                     NewtonStats {
@@ -702,18 +695,13 @@ fn chord_solve(workspace: &mut LinearSolverWorkspace, neg_f: &[f64]) -> Result<V
 /// Weighted update ratio with per-kind absolute tolerances.
 ///
 /// Contract: `kinds` is either empty — every unknown is then judged
-/// against the *voltage* tolerance `abstol_v`, which is only correct for
+/// against the *voltage* tolerance [`ABSTOL_V`], which is only correct for
 /// systems with no branch-current unknowns (scalar test systems, pure
 /// nodal reductions) — or it names every unknown. All production
 /// backends thread real kinds (`Circuit::unknown_kinds` et al.); the
 /// empty-slice path exists for kind-less callers that own that
 /// trade-off.
-fn weighted_update_ratio(
-    dx: &[f64],
-    x: &[f64],
-    kinds: &[UnknownKind],
-    options: &NewtonOptions,
-) -> f64 {
+fn weighted_update_ratio(dx: &[f64], x: &[f64], kinds: &[UnknownKind]) -> f64 {
     debug_assert!(
         kinds.is_empty() || kinds.len() == dx.len(),
         "kinds must be empty (all-voltage tolerances) or cover every unknown \
@@ -722,17 +710,17 @@ fn weighted_update_ratio(
         dx.len()
     );
     if kinds.is_empty() {
-        return wrms_ratio(dx, x, options.reltol, options.abstol_v);
+        return wrms_ratio(dx, x, RELTOL, ABSTOL_V);
     }
     dx.iter()
         .zip(x)
         .zip(kinds)
         .map(|((&d, &xi), kind)| {
             let abstol = match kind {
-                UnknownKind::NodeVoltage => options.abstol_v,
-                UnknownKind::BranchCurrent => options.abstol_i,
+                UnknownKind::NodeVoltage => ABSTOL_V,
+                UnknownKind::BranchCurrent => ABSTOL_I,
             };
-            d.abs() / (options.reltol * xi.abs() + abstol)
+            d.abs() / (RELTOL * xi.abs() + abstol)
         })
         .fold(0.0_f64, f64::max)
 }
@@ -826,8 +814,6 @@ mod tests {
     fn iteration_budget_enforced() {
         let opts = NewtonOptions {
             max_iters: 1,
-            reltol: 1e-15,
-            abstol_v: 1e-18,
             ..Default::default()
         };
         assert!(matches!(
@@ -837,9 +823,9 @@ mod tests {
     }
 
     /// Finite residual only at the starting point: every damping trial,
-    /// however small the step, lands on NaN. The old fallback committed
-    /// the `min_damping` trial anyway, poisoning `x` and burning
-    /// `max_iters` at NaN (the stagnation counter cannot fire on NaN).
+    /// however small the step, lands on NaN. Committing the least-bad
+    /// trial anyway would poison `x` and burn `max_iters` at NaN (the
+    /// stagnation counter cannot fire on NaN).
     struct NaNRidge;
 
     impl NewtonSystem for NaNRidge {
@@ -1254,13 +1240,14 @@ mod tests {
 
     #[test]
     fn kinds_affect_tolerances() {
-        let kinds = [UnknownKind::BranchCurrent];
-        let opts = NewtonOptions::default();
         // A 1 µA update on a current unknown is not converged
-        // (abstol_i = 1 nA), though it would be for a voltage unknown.
-        let ratio_i = weighted_update_ratio(&[1e-6], &[0.0], &kinds, &opts);
+        // (ABSTOL_I = 1 nA), though it would be for a voltage unknown
+        // (ABSTOL_V = 1 µV).
+        let step = ABSTOL_V;
+        assert!(step > ABSTOL_I);
+        let ratio_i = weighted_update_ratio(&[step], &[0.0], &[UnknownKind::BranchCurrent]);
         assert!(ratio_i > 1.0);
-        let ratio_v = weighted_update_ratio(&[1e-6], &[0.0], &[UnknownKind::NodeVoltage], &opts);
+        let ratio_v = weighted_update_ratio(&[step], &[0.0], &[UnknownKind::NodeVoltage]);
         assert!(ratio_v <= 1.0);
     }
 }

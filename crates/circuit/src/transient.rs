@@ -12,8 +12,9 @@ use rfsim_numerics::SolveBudget;
 
 use crate::circuit::Circuit;
 use crate::dcop::{dc_operating_point_budgeted, DcOptions};
-use crate::driver::NewtonDriver;
-use crate::newton::{LinearSolverWorkspace, NewtonOptions, NewtonSystem};
+use crate::newton::{
+    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonSystem, ABSTOL_V, RELTOL,
+};
 use crate::{CircuitError, Result};
 
 /// Implicit integration scheme.
@@ -30,6 +31,13 @@ pub enum Integrator {
     Bdf2,
 }
 
+/// Smallest permitted step (s).
+const DT_MIN: f64 = 1e-15;
+
+/// LTE tolerance of the adaptive step controller, in weighted-update
+/// units ([`RELTOL`] and [`ABSTOL_V`]).
+const LTE_TOL: f64 = 10.0;
+
 /// Options for [`transient`].
 #[derive(Debug, Clone, Copy)]
 pub struct TransientOptions {
@@ -37,16 +45,12 @@ pub struct TransientOptions {
     pub t_stop: f64,
     /// Initial step size.
     pub dt_init: f64,
-    /// Smallest permitted step.
-    pub dt_min: f64,
     /// Largest permitted step (0 = `t_stop / 50`).
     pub dt_max: f64,
     /// Integration scheme.
     pub integrator: Integrator,
     /// Use the LTE step controller (false = fixed step `dt_init`).
     pub adaptive: bool,
-    /// LTE tolerance in weighted-update units.
-    pub lte_tol: f64,
     /// Newton options for each step.
     pub newton: NewtonOptions,
 }
@@ -56,11 +60,9 @@ impl Default for TransientOptions {
         TransientOptions {
             t_stop: 1e-3,
             dt_init: 1e-6,
-            dt_min: 1e-15,
             dt_max: 0.0,
             integrator: Integrator::default(),
             adaptive: true,
-            lte_tol: 10.0,
             newton: NewtonOptions::default(),
         }
     }
@@ -186,7 +188,7 @@ impl NewtonSystem for StepSystem<'_> {
 /// # Errors
 ///
 /// Propagates DC and Newton failures; fails if the controller cannot make
-/// progress at `dt_min`.
+/// progress at the smallest permitted step (1e-15 s).
 pub fn transient(circuit: &Circuit, options: TransientOptions) -> Result<TransientResult> {
     transient_budgeted(circuit, options, &SolveBudget::unlimited())
 }
@@ -208,7 +210,6 @@ pub fn transient_budgeted(
         circuit,
         DcOptions {
             newton: options.newton,
-            ..Default::default()
         },
         budget,
     )?;
@@ -355,13 +356,13 @@ pub fn transient_from_budgeted(
             None => x.clone(),
         };
 
-        // Per-timestep recovery is dt halving (below), not a rung
-        // ladder; the driver still owns the solve so rung accounting and
-        // progress staging stay uniform across backends.
-        match NewtonDriver::new(options.newton).solve(
+        // Per-timestep recovery is dt reduction (below), not a rung
+        // ladder.
+        match newton_solve_budgeted(
             &sys,
             &prediction,
             &kinds,
+            options.newton,
             &mut workspace,
             budget,
         ) {
@@ -373,14 +374,11 @@ pub fn transient_from_budgeted(
                         .iter()
                         .zip(&prediction)
                         .zip(&x_new)
-                        .map(|((xn, xp), xref)| {
-                            (xn - xp).abs()
-                                / (options.newton.reltol * xref.abs() + options.newton.abstol_v)
-                        })
+                        .map(|((xn, xp), xref)| (xn - xp).abs() / (RELTOL * xref.abs() + ABSTOL_V))
                         .fold(0.0_f64, f64::max);
-                    if lte > 4.0 * options.lte_tol && dt > options.dt_min {
+                    if lte > 4.0 * LTE_TOL && dt > DT_MIN {
                         result.rejected_steps += 1;
-                        dt = (dt * 0.5).max(options.dt_min);
+                        dt = (dt * 0.5).max(DT_MIN);
                         continue;
                     }
                     // Step-size update for next step.
@@ -388,12 +386,12 @@ pub fn transient_from_budgeted(
                         Integrator::BackwardEuler => 1.0,
                         _ => 2.0,
                     };
-                    let ratio = (options.lte_tol / lte.max(1e-12)).powf(1.0 / (order + 1.0));
-                    dt = (dt * ratio.clamp(0.3, 2.0)).clamp(options.dt_min, dt_max);
+                    let ratio = (LTE_TOL / lte.max(1e-12)).powf(1.0 / (order + 1.0));
+                    dt = (dt * ratio.clamp(0.3, 2.0)).clamp(DT_MIN, dt_max);
                 }
 
                 // Accept.
-                q_prev2 = Some((q_prev.clone(), dt.max(options.dt_min)));
+                q_prev2 = Some((q_prev.clone(), dt.max(DT_MIN)));
                 circuit.eval_q(&x_new, &mut q_prev, None);
                 {
                     let mut fnew = vec![0.0; n];
@@ -411,11 +409,11 @@ pub fn transient_from_budgeted(
             Err(e) => {
                 // A budget interruption is a control-plane stop: halving
                 // dt would just re-run the interrupted solve.
-                if e.is_interrupted() || dt <= options.dt_min * 1.0001 {
+                if e.is_interrupted() || dt <= DT_MIN * 1.0001 {
                     return Err(e);
                 }
                 result.rejected_steps += 1;
-                dt = (dt * 0.25).max(options.dt_min);
+                dt = (dt * 0.25).max(DT_MIN);
             }
         }
     }

@@ -7,38 +7,24 @@
 //! replicated DC operating point) to the full bivariate excitation
 //! (`λ = 1`), with adaptive step control and warm-started Newton solves.
 
-use rfsim_circuit::driver::{NewtonProfile, RungExec};
-use rfsim_circuit::newton::NewtonOptions;
+use rfsim_circuit::driver::NewtonProfile;
+use rfsim_circuit::newton::{newton_solve_budgeted, LinearSolverWorkspace};
 use rfsim_circuit::{CircuitError, Result};
+use rfsim_numerics::SolveBudget;
 
 use crate::fdtd::MpdeSystem;
 
-/// Options for [`continuation_solve_rung`].
-#[derive(Debug, Clone, Copy)]
-pub struct ContinuationOptions {
-    /// Initial λ step.
-    pub step_init: f64,
-    /// Smallest λ step before giving up.
-    pub step_min: f64,
-    /// Largest λ step.
-    pub step_max: f64,
-    /// Maximum accepted + rejected continuation steps.
-    pub max_steps: usize,
-    /// Newton options for each λ solve.
-    pub newton: NewtonOptions,
-}
+/// Initial λ step.
+const STEP_INIT: f64 = 0.25;
 
-impl Default for ContinuationOptions {
-    fn default() -> Self {
-        ContinuationOptions {
-            step_init: 0.25,
-            step_min: 1e-4,
-            step_max: 0.5,
-            max_steps: 200,
-            newton: NewtonProfile::ContinuationStep.options(),
-        }
-    }
-}
+/// Smallest λ step before giving up.
+const STEP_MIN: f64 = 1e-4;
+
+/// Largest λ step.
+const STEP_MAX: f64 = 0.5;
+
+/// Most accepted + rejected λ steps.
+const MAX_STEPS: usize = 200;
 
 /// Statistics of a continuation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,14 +38,15 @@ pub struct ContinuationStats {
 }
 
 /// Solves the MPDE system by ramping the AC excitation from `λ = 0` to
-/// `λ = 1`, as the fallback rung of the MPDE solve's
-/// [`NewtonDriver`](rfsim_circuit::driver::NewtonDriver) ladder.
+/// `λ = 1`: the MPDE solve's fallback rung, run through
+/// [`fall_back`](rfsim_circuit::driver::fall_back).
 ///
-/// Every Newton solve goes through `exec` (and so the ladder's staged
-/// budget and shared workspace) with the continuation's own inner-step
-/// options. λ scales the excitation, never the Jacobian structure, so
-/// the whole homotopy runs on the symbolic factorisation the plain-Newton
-/// rung left in the workspace. λ-step halving absorbs *recoverable*
+/// Every Newton solve runs on `workspace` under `budget` (the rung's
+/// staged budget) with the
+/// [`ContinuationStep`](NewtonProfile::ContinuationStep) profile. λ
+/// scales the excitation, never the Jacobian structure, so the whole
+/// homotopy runs on the symbolic factorisation the plain Newton attempt
+/// left in the workspace. λ-step halving absorbs *recoverable*
 /// sub-solve failures; interruptions and structural errors propagate.
 ///
 /// The system's λ is left at 1 on return. `x0` seeds the `λ = 0` solve
@@ -68,14 +55,28 @@ pub struct ContinuationStats {
 /// # Errors
 ///
 /// Returns [`CircuitError::ConvergenceFailure`] if the step size collapses
-/// below `step_min` or the step budget is exhausted, and
+/// below its floor or the step budget is exhausted, and
 /// [`CircuitError::Interrupted`] when the budget stops a solve.
 pub fn continuation_solve_rung(
     system: &mut MpdeSystem<'_>,
     x0: &[f64],
-    options: ContinuationOptions,
-    exec: &mut RungExec<'_>,
+    workspace: &mut LinearSolverWorkspace,
+    budget: &SolveBudget,
 ) -> Result<(Vec<f64>, ContinuationStats)> {
+    ramp(system, x0, STEP_INIT, MAX_STEPS, workspace, budget)
+}
+
+/// [`continuation_solve_rung`] from a first λ step of `step_init`, with
+/// at most `max_steps` accepted + rejected steps.
+fn ramp(
+    system: &mut MpdeSystem<'_>,
+    x0: &[f64],
+    step_init: f64,
+    max_steps: usize,
+    workspace: &mut LinearSolverWorkspace,
+    budget: &SolveBudget,
+) -> Result<(Vec<f64>, ContinuationStats)> {
+    let newton = NewtonProfile::ContinuationStep.options();
     let kinds = system.kinds().to_vec();
     let mut stats = ContinuationStats {
         accepted_steps: 0,
@@ -85,13 +86,13 @@ pub fn continuation_solve_rung(
 
     // λ = 0 anchor.
     system.set_lambda(0.0);
-    let (mut x, s0) = exec.newton_with(options.newton, system, x0, &kinds)?;
+    let (mut x, s0) = newton_solve_budgeted(system, x0, &kinds, newton, workspace, budget)?;
     stats.newton_iterations += s0.iterations;
 
     let mut lambda: f64 = 0.0;
-    let mut step: f64 = options.step_init.clamp(options.step_min, options.step_max);
+    let mut step: f64 = step_init.clamp(STEP_MIN, STEP_MAX);
     while lambda < 1.0 {
-        if stats.accepted_steps + stats.rejected_steps >= options.max_steps {
+        if stats.accepted_steps + stats.rejected_steps >= max_steps {
             system.set_lambda(1.0);
             return Err(CircuitError::ConvergenceFailure {
                 analysis: "mpde continuation (step budget)".into(),
@@ -101,7 +102,7 @@ pub fn continuation_solve_rung(
         }
         let target = (lambda + step).min(1.0);
         system.set_lambda(target);
-        match exec.newton_with(options.newton, system, &x, &kinds) {
+        match newton_solve_budgeted(system, &x, &kinds, newton, workspace, budget) {
             Ok((x_new, s)) => {
                 stats.newton_iterations += s.iterations;
                 stats.accepted_steps += 1;
@@ -109,13 +110,13 @@ pub fn continuation_solve_rung(
                 lambda = target;
                 // Grow the step if Newton was comfortable.
                 if s.iterations <= 8 {
-                    step = (step * 1.7).min(options.step_max);
+                    step = (step * 1.7).min(STEP_MAX);
                 }
             }
             Err(e) if e.is_recoverable() => {
                 stats.rejected_steps += 1;
                 step *= 0.5;
-                if step < options.step_min {
+                if step < STEP_MIN {
                     system.set_lambda(1.0);
                     return Err(CircuitError::ConvergenceFailure {
                         analysis: "mpde continuation (step collapse)".into(),
@@ -136,8 +137,9 @@ pub fn continuation_solve_rung(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::MultitimeGrid;
     use crate::solver::{solve_mpde, InitialGuess, MpdeOptions, MpdeSolution, MpdeStrategy};
-    use rfsim_circuit::newton::NewtonSystem;
+    use rfsim_circuit::newton::{NewtonOptions, NewtonSystem};
     use rfsim_circuit::{
         BiWaveform, Circuit, CircuitBuilder, Envelope, MosfetParams, Waveform, GROUND,
     };
@@ -189,12 +191,7 @@ mod tests {
     /// Solves `ckt` on an `n1 × n2` grid with the plain-Newton rung capped
     /// at one iteration from a zero seed, so the ladder falls back to
     /// continuation.
-    fn solve_falling_back(
-        ckt: &Circuit,
-        n1: usize,
-        n2: usize,
-        continuation: ContinuationOptions,
-    ) -> Result<MpdeSolution> {
+    fn solve_falling_back(ckt: &Circuit, n1: usize, n2: usize) -> Result<MpdeSolution> {
         let options = MpdeOptions {
             n1,
             n2,
@@ -203,7 +200,6 @@ mod tests {
                 ..NewtonProfile::Grid.options()
             },
             initial_guess: InitialGuess::Samples(vec![0.0; n1 * n2 * ckt.num_unknowns()]),
-            continuation,
             ..Default::default()
         };
         solve_mpde(ckt, 1e-6, 1e-4, options)
@@ -212,8 +208,7 @@ mod tests {
     #[test]
     fn continuation_reaches_full_drive() {
         let ckt = switching_stage();
-        let sol =
-            solve_falling_back(&ckt, 16, 8, ContinuationOptions::default()).expect("continuation");
+        let sol = solve_falling_back(&ckt, 16, 8).expect("continuation");
         assert_eq!(sol.stats.strategy, MpdeStrategy::Continuation);
         assert!(sol.stats.continuation_steps >= 2, "multiple λ steps used");
         // Sanity: the solution is a converged residual at λ=1.
@@ -227,13 +222,22 @@ mod tests {
 
     #[test]
     fn step_budget_is_enforced() {
-        let opts = ContinuationOptions {
-            max_steps: 1,
-            step_init: 1e-3,
-            ..Default::default()
-        };
+        // One λ step of 1e-3 cannot reach full drive.
+        let ckt = switching_stage();
+        let grid = MultitimeGrid::new(8, 4, 1e-6, 1e-4);
+        let be = DiffScheme::BackwardEuler;
+        let mut sys = MpdeSystem::new(&ckt, grid, be, be).expect("system");
+        let x0 = vec![0.0; sys.dim()];
+        let ramped = ramp(
+            &mut sys,
+            &x0,
+            1e-3,
+            1,
+            &mut LinearSolverWorkspace::new(),
+            &SolveBudget::unlimited(),
+        );
         assert!(matches!(
-            solve_falling_back(&switching_stage(), 8, 4, opts),
+            ramped,
             Err(CircuitError::ConvergenceFailure { analysis, .. }) if analysis.contains("step budget")
         ));
     }

@@ -9,8 +9,10 @@
 //! (dissipative) circuits. The global-Newton solver uses a sweep or two as
 //! a high-quality initial guess.
 
-use rfsim_circuit::driver::{NewtonDriver, NewtonProfile};
-use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions, NewtonSystem};
+use rfsim_circuit::driver::NewtonProfile;
+use rfsim_circuit::newton::{
+    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonSystem,
+};
 use rfsim_circuit::{Circuit, Result, UnknownKind};
 use rfsim_numerics::diff::DiffScheme;
 use rfsim_numerics::sparse::Triplets;
@@ -196,8 +198,9 @@ pub fn envelope_follow_budgeted(
     // All row systems share one Jacobian structure (inv_h2 only scales
     // values): one workspace serves the whole sweep.
     let mut workspace = LinearSolverWorkspace::new();
-    let driver = NewtonDriver::new(options.newton);
-    let (mut row, _) = driver.solve(&sys0, &row_guess, &kinds, &mut workspace, budget)?;
+    let newton = options.newton;
+    let (mut row, _) =
+        newton_solve_budgeted(&sys0, &row_guess, &kinds, newton, &mut workspace, budget)?;
 
     let mut data = vec![0.0; n1 * n2 * n];
     let mut q_prev = row_charge(circuit, &row, n1);
@@ -215,7 +218,8 @@ pub fn envelope_follow_budgeted(
                     q_prev: q_prev.clone(),
                     b_row: b_rows[j].clone(),
                 };
-                let (new_row, _) = driver.solve(&sys, &row, &kinds, &mut workspace, budget)?;
+                let (new_row, _) =
+                    newton_solve_budgeted(&sys, &row, &kinds, newton, &mut workspace, budget)?;
                 row = new_row;
                 q_prev = row_charge(circuit, &row, n1);
             }

@@ -6,15 +6,15 @@
 //! "good starting guess" can be the replicated DC operating point or a few
 //! envelope-following sweeps.
 
-use std::cell::RefCell;
-
-use rfsim_circuit::driver::{NewtonDriver, NewtonProfile, Rung, RungExec, RungKind};
-use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions, NewtonSystem};
+use rfsim_circuit::driver::{fall_back, NewtonProfile, RungKind};
+use rfsim_circuit::newton::{
+    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonSystem,
+};
 use rfsim_circuit::{Circuit, Result};
 use rfsim_numerics::diff::DiffScheme;
 use rfsim_numerics::SolveBudget;
 
-use crate::continuation::{continuation_solve_rung, ContinuationOptions};
+use crate::continuation::continuation_solve_rung;
 use crate::envelope::{envelope_follow_budgeted, EnvelopeOptions};
 use crate::fdtd::MpdeSystem;
 use crate::grid::{MultitimeGrid, MultitimeSolution};
@@ -51,8 +51,6 @@ pub struct MpdeOptions {
     pub initial_guess: InitialGuess,
     /// Fall back to source-ramping continuation if plain Newton fails.
     pub continuation_fallback: bool,
-    /// Continuation options for the fallback.
-    pub continuation: ContinuationOptions,
 }
 
 impl Default for MpdeOptions {
@@ -62,12 +60,11 @@ impl Default for MpdeOptions {
             n2: 30,
             scheme1: DiffScheme::BackwardEuler,
             scheme2: DiffScheme::BackwardEuler,
-            // The driver's Grid profile: GMRES + block-Jacobi on large
+            // The Grid profile: GMRES + block-Jacobi on large
             // grids, direct LU with chord reuse below.
             newton: NewtonProfile::Grid.options(),
             initial_guess: InitialGuess::DcReplicate,
             continuation_fallback: true,
-            continuation: ContinuationOptions::default(),
         }
     }
 }
@@ -163,12 +160,9 @@ pub fn solve_mpde_budgeted(
 ) -> Result<MpdeSolution> {
     let grid = MultitimeGrid::new(options.n1, options.n2, t1_period, t2_period);
     let n = circuit.num_unknowns();
-    let system = MpdeSystem::new(circuit, grid, options.scheme1, options.scheme2)?;
+    let mut system = MpdeSystem::new(circuit, grid, options.scheme1, options.scheme2)?;
     let kinds = system.kinds().to_vec();
     let dim = system.dim();
-    // Both rung closures need the system — the continuation rung mutably
-    // (it ramps λ) — so it lives in a RefCell shared by the ladder.
-    let system = RefCell::new(system);
 
     let x0: Vec<f64> = match &options.initial_guess {
         InitialGuess::DcReplicate => {
@@ -200,46 +194,39 @@ pub fn solve_mpde_budgeted(
     };
 
     // The paper's two-rung ladder: global Newton from the seed, then
-    // source-ramping continuation. The driver classifies the failure —
+    // source-ramping continuation. `fall_back` classifies the failure:
     // interruptions and structural errors abort without falling back.
-    let mut rungs: Vec<Rung<'_, (Vec<f64>, MpdeStats)>> =
-        vec![Rung::new(RungKind::Plain, |exec: &mut RungExec<'_>| {
-            let sys = system.borrow();
-            let (data, stats) = exec.newton(&*sys, &x0, &kinds)?;
-            Ok((
-                data,
-                MpdeStats {
-                    newton_iterations: stats.iterations,
-                    total_newton_iterations: stats.iterations,
-                    continuation_steps: 0,
-                    strategy: MpdeStrategy::Newton,
-                    system_size: dim,
-                },
-            ))
-        })];
+    let mut solved = newton_solve_budgeted(&system, &x0, &kinds, options.newton, workspace, budget)
+        .map(|(data, stats)| {
+            let stats = MpdeStats {
+                newton_iterations: stats.iterations,
+                total_newton_iterations: stats.iterations,
+                continuation_steps: 0,
+                strategy: MpdeStrategy::Newton,
+                system_size: dim,
+            };
+            (data, stats)
+        });
     if options.continuation_fallback {
-        rungs.push(Rung::new(
+        solved = fall_back(
+            solved,
             RungKind::Continuation,
-            |exec: &mut RungExec<'_>| {
-                let mut sys = system.borrow_mut();
-                let (data, cstats) =
-                    continuation_solve_rung(&mut sys, &x0, options.continuation, exec)?;
-                Ok((
-                    data,
-                    MpdeStats {
-                        newton_iterations: 0,
-                        total_newton_iterations: cstats.newton_iterations,
-                        continuation_steps: cstats.accepted_steps,
-                        strategy: MpdeStrategy::Continuation,
-                        system_size: dim,
-                    },
-                ))
+            workspace,
+            budget,
+            |ws, b| {
+                let (data, cstats) = continuation_solve_rung(&mut system, &x0, ws, b)?;
+                let stats = MpdeStats {
+                    newton_iterations: 0,
+                    total_newton_iterations: cstats.newton_iterations,
+                    continuation_steps: cstats.accepted_steps,
+                    strategy: MpdeStrategy::Continuation,
+                    system_size: dim,
+                };
+                Ok((data, stats))
             },
-        ));
+        );
     }
-    let outcome =
-        NewtonDriver::new(options.newton).solve_ladder("mpde", workspace, budget, rungs)?;
-    let (data, stats) = outcome.value;
+    let (data, stats) = solved?;
     Ok(MpdeSolution {
         grid,
         solution: MultitimeSolution::new(grid, n, data),

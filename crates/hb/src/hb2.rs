@@ -8,8 +8,10 @@
 //! converge spectrally; switching waveforms suffer Gibbs oscillation and
 //! slow coefficient decay (the paper's §1 argument against HB).
 
-use rfsim_circuit::driver::{NewtonDriver, NewtonProfile};
-use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions, NewtonStats, NewtonSystem};
+use rfsim_circuit::driver::NewtonProfile;
+use rfsim_circuit::newton::{
+    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonStats, NewtonSystem,
+};
 use rfsim_circuit::{Circuit, Result, UnknownKind};
 use rfsim_numerics::diff::spectral_weights;
 use rfsim_numerics::sparse::Triplets;
@@ -280,7 +282,7 @@ pub fn hb2_solve_budgeted(
         kinds.extend_from_slice(circuit.unknown_kinds());
     }
     let (samples, stats) =
-        NewtonDriver::new(options.newton).solve(&sys, &x0, &kinds, workspace, budget)?;
+        newton_solve_budgeted(&sys, &x0, &kinds, options.newton, workspace, budget)?;
     Ok(Hb2Result {
         period1,
         period2,

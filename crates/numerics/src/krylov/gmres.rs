@@ -10,13 +10,15 @@ use crate::budget::SolveBudget;
 use crate::vector::{axpy, norm2};
 use crate::{NumericsError, Result};
 
+/// Absolute residual tolerance of [`gmres`], added to the relative
+/// target `rtol·‖b‖`.
+const ATOL: f64 = 1e-300;
+
 /// Options for [`gmres`].
 #[derive(Debug, Clone, Copy)]
 pub struct GmresOptions {
-    /// Relative residual tolerance: converged when `‖r‖ ≤ rtol·‖b‖ + atol`.
+    /// Relative residual tolerance: converged when `‖r‖ ≤ rtol·‖b‖ + 1e-300`.
     pub rtol: f64,
-    /// Absolute residual tolerance.
-    pub atol: f64,
     /// Krylov subspace dimension before a restart.
     pub restart: usize,
     /// Maximum total matrix–vector products.
@@ -27,7 +29,6 @@ impl Default for GmresOptions {
     fn default() -> Self {
         GmresOptions {
             rtol: 1e-10,
-            atol: 1e-300,
             restart: 50,
             max_iters: 2000,
         }
@@ -90,7 +91,7 @@ pub fn gmres_budgeted<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
     }
     let restart = options.restart.max(1).min(n.max(1));
     let bnorm = norm2(b);
-    let target = options.rtol * bnorm + options.atol;
+    let target = options.rtol * bnorm + ATOL;
 
     let mut x = x0.to_vec();
     let mut total_matvecs = 0usize;
@@ -258,7 +259,7 @@ mod arnoldi_oracle {
         let n = a.dim();
         let restart = options.restart.max(1).min(n.max(1));
         let bnorm = norm2(b);
-        let target = options.rtol * bnorm + options.atol;
+        let target = options.rtol * bnorm + ATOL;
 
         let mut x = x0.to_vec();
         let mut total_matvecs = 0usize;
@@ -419,7 +420,7 @@ mod arnoldi_oracle {
             let n = a.rows();
             let b: Vec<f64> = (0..n).map(|i| ((i * 5 + 1) % 7) as f64 - 3.0).collect();
             let x0 = vec![0.0; n];
-            let options = GmresOptions { rtol: 1e-12, restart, max_iters, ..Default::default() };
+            let options = GmresOptions { rtol: 1e-12, restart, max_iters };
             let op = FnOperator::new(n, |x: &[f64], y: &mut [f64]| a.matvec_into(x, y));
             let identity = IdentityPrecond;
             let bj;
@@ -542,7 +543,6 @@ mod tests {
             max_iters: 3,
             rtol: 1e-14,
             restart: 2,
-            ..Default::default()
         };
         match gmres(&a, &IdentityPrecond, &b, &vec![0.0; a.rows()], opts) {
             Err(NumericsError::NotConverged { iterations, .. }) => assert!(iterations <= 4),

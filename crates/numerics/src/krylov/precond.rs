@@ -10,7 +10,7 @@
 
 use crate::dense::{DenseLu, DenseMatrix};
 use crate::sparse::CsrMatrix;
-use crate::sparse_lu::LuOptions;
+use crate::sparse_lu::REFACTOR_REL_THRESHOLD;
 use crate::{NumericsError, Result};
 
 /// Applies `z = M⁻¹·r` for some approximation `M ≈ A`.
@@ -48,7 +48,7 @@ impl Preconditioner for IdentityPrecond {
 /// LU, and computes the fill of that order once. Every block's values live
 /// contiguously over that fill. A pivot must pass
 /// `|u_kk| > τ·max(|u_kk|, max_i |l_ik|)` with τ the sparse refactor's
-/// [`LuOptions::refactor_rel_threshold`]; a block that fails it (or holds
+/// [`REFACTOR_REL_THRESHOLD`]; a block that fails it (or holds
 /// an entry outside the fill) is refactored as a dense partial-pivoting
 /// [`DenseLu`] instead. GMRES is right-preconditioned and tests the true
 /// residual, so a weaker static order costs matvecs, not accuracy.
@@ -102,8 +102,6 @@ struct BlockSymbolic {
     /// row `i` of column `k` and each `U` column `j` of row `k` in list
     /// order, the slot of `(i, j)`.
     update: Vec<usize>,
-    /// The pivot threshold τ.
-    rel_threshold: f64,
 }
 
 impl BlockSymbolic {
@@ -173,7 +171,6 @@ impl BlockSymbolic {
             u_col,
             u_slot,
             update,
-            rel_threshold: LuOptions::default().refactor_rel_threshold,
         }
     }
 
@@ -188,7 +185,7 @@ impl BlockSymbolic {
             let l_slots = &self.l_slot[self.l_ptr[k]..self.l_ptr[k + 1]];
             let u_slots = &self.u_slot[self.u_ptr[k]..self.u_ptr[k + 1]];
             let colmax = l_slots.iter().fold(0.0f64, |m, &s| m.max(v[s].abs()));
-            if pivot.abs() <= self.rel_threshold * pivot.abs().max(colmax) || pivot.is_nan() {
+            if pivot.abs() <= REFACTOR_REL_THRESHOLD * pivot.abs().max(colmax) || pivot.is_nan() {
                 return false;
             }
             for &l in l_slots {

@@ -31,7 +31,7 @@
 //! # Vanished pivots
 //!
 //! Refactorisation keeps the recorded pivot order. The pivot at column `k`
-//! has vanished when `|u_kk| ≤ max(pivot_abs_min, refactor_rel_threshold ·
+//! has vanished when `|u_kk| ≤ max(1e-300, REFACTOR_REL_THRESHOLD ·
 //! colmax)`, where `colmax` is the largest candidate magnitude in the
 //! column (the diagonal plus the recorded `L` pattern). The test is
 //! relative, so a badly scaled circuit (mA stamps against kΩ stamps) never
@@ -69,35 +69,27 @@ pub enum Ordering {
     Rcm,
 }
 
+/// Diagonal preference threshold of [`SparseLu::factor`]: the diagonal
+/// entry is accepted as pivot if its magnitude is at least this times the
+/// column maximum.
+const PIVOT_THRESHOLD: f64 = 0.1;
+
+/// Pivots of at most this magnitude are treated as singular, by both
+/// [`SparseLu::factor`] and [`SparseLu::refactor_in_place`].
+const PIVOT_ABS_MIN: f64 = 1e-300;
+
+/// Refactorisation treats a recorded pivot as vanished when its magnitude
+/// is at most this times the largest candidate magnitude in its column
+/// (diagonal plus recorded `L` pattern). Relative, so badly scaled
+/// circuits (mA device stamps against kΩ resistor stamps) don't trigger
+/// spurious full re-factorisations; `1e-300` remains the absolute floor.
+pub const REFACTOR_REL_THRESHOLD: f64 = 1e-3;
+
 /// Options controlling [`SparseLu::factor`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LuOptions {
     /// Column ordering strategy.
     pub ordering: Ordering,
-    /// Diagonal preference threshold in `[0, 1]`: the diagonal entry is
-    /// accepted as pivot if its magnitude is at least `pivot_threshold`
-    /// times the column maximum. `1.0` forces strict partial pivoting.
-    pub pivot_threshold: f64,
-    /// Pivots smaller than this magnitude are treated as singular.
-    pub pivot_abs_min: f64,
-    /// Refactorisation treats a recorded pivot as vanished when its
-    /// magnitude is at most `refactor_rel_threshold` times the largest
-    /// candidate magnitude in its column (diagonal plus recorded `L`
-    /// pattern). Relative, so badly scaled circuits (mA device stamps
-    /// against kΩ resistor stamps) don't trigger spurious full
-    /// re-factorisations; `pivot_abs_min` remains the absolute floor.
-    pub refactor_rel_threshold: f64,
-}
-
-impl Default for LuOptions {
-    fn default() -> Self {
-        LuOptions {
-            ordering: Ordering::Rcm,
-            pivot_threshold: 0.1,
-            pivot_abs_min: 1e-300,
-            refactor_rel_threshold: 1e-3,
-        }
-    }
 }
 
 /// The structure of a sparse LU factorisation, independent of values: the
@@ -111,11 +103,6 @@ impl Default for LuOptions {
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
     n: usize,
-    /// Pivots below this magnitude fail refactorisation.
-    pivot_abs_min: f64,
-    /// Relative vanished-pivot threshold for refactorisation (times the
-    /// column's candidate maximum).
-    refactor_rel_threshold: f64,
     /// The analysed matrix's pattern (column pointers and row indices);
     /// refactorisation requires an exact match. Stored outright — a
     /// fingerprint would admit silent wrong-matrix factorisation on
@@ -294,7 +281,7 @@ impl SparseLu {
                     }
                 }
             }
-            if max_row == NONE || max_val <= options.pivot_abs_min {
+            if max_row == NONE || max_val <= PIVOT_ABS_MIN {
                 return Err(NumericsError::SingularMatrix {
                     index: k,
                     pivot: max_val,
@@ -309,8 +296,8 @@ impl SparseLu {
             let mut piv_row = max_row;
             if pinv[diag_row] == NONE
                 && mark[diag_row] == generation
-                && x[diag_row].abs() >= options.pivot_threshold * max_val
-                && x[diag_row].abs() > options.pivot_abs_min
+                && x[diag_row].abs() >= PIVOT_THRESHOLD * max_val
+                && x[diag_row].abs() > PIVOT_ABS_MIN
             {
                 piv_row = diag_row;
             }
@@ -376,8 +363,6 @@ impl SparseLu {
         Ok(SparseLu {
             sym: Arc::new(SymbolicLu {
                 n,
-                pivot_abs_min: options.pivot_abs_min,
-                refactor_rel_threshold: options.refactor_rel_threshold,
                 a_indptr: a.indptr().to_vec(),
                 a_indices: a.indices().to_vec(),
                 lp,
@@ -407,7 +392,7 @@ impl SparseLu {
     ///   the factored pattern (the factor is left unchanged).
     /// * [`NumericsError::SingularMatrix`] if a recorded pivot vanishes for
     ///   the new values (relative to its column — see
-    ///   [`LuOptions::refactor_rel_threshold`]). The new matrix may still be
+    ///   [`REFACTOR_REL_THRESHOLD`]). The new matrix may still be
     ///   factorable under a different pivot order, so callers should retry
     ///   with a full [`SparseLu::factor`]. The factor's values are
     ///   unspecified after this error.
@@ -467,7 +452,7 @@ impl SparseLu {
             for &r in &sym.li[l0..l1] {
                 colmax = colmax.max(x[r].abs());
             }
-            let vanish = sym.pivot_abs_min.max(sym.refactor_rel_threshold * colmax);
+            let vanish = PIVOT_ABS_MIN.max(REFACTOR_REL_THRESHOLD * colmax);
             if piv.abs() <= vanish || piv.is_nan() {
                 // Clear the touched entries so the scratch stays zeroed
                 // for the next attempt, then report the vanished pivot.
@@ -689,7 +674,6 @@ mod tests {
             &b,
             LuOptions {
                 ordering: Ordering::Natural,
-                ..Default::default()
             },
         );
     }
@@ -796,7 +780,6 @@ mod tests {
             &a,
             LuOptions {
                 ordering: Ordering::Natural,
-                ..Default::default()
             },
         )
         .expect("factor natural");
@@ -806,20 +789,6 @@ mod tests {
             "rcm fill {} > natural fill {}",
             lu_rcm.nnz(),
             lu_nat.nnz()
-        );
-    }
-
-    #[test]
-    fn strict_partial_pivoting_works() {
-        let t = tridiag(30);
-        let b = vec![1.0; 30];
-        solve_and_check(
-            &t,
-            &b,
-            LuOptions {
-                pivot_threshold: 1.0,
-                ..Default::default()
-            },
         );
     }
 
@@ -1014,7 +983,7 @@ mod tests {
 
     #[test]
     fn relatively_vanished_pivot_reports_singular() {
-        // A pivot far above `pivot_abs_min` but tiny against its column
+        // A pivot far above the absolute floor (1e-300) but tiny against its column
         // has vanished: the refactor reports it, and a full factor
         // recovers by repivoting.
         let t1 = tridiag(8);
@@ -1107,7 +1076,6 @@ mod tests {
     fn natural_opts() -> LuOptions {
         LuOptions {
             ordering: Ordering::Natural,
-            ..Default::default()
         }
     }
 
@@ -1169,7 +1137,6 @@ mod tests {
             // (0,0) later vanishes that pivot deterministically.
             let opts = LuOptions {
                 ordering: Ordering::Natural,
-                ..Default::default()
             };
             let mut lu = SparseLu::factor(&t1.to_csc(), opts).expect("factor");
             let b: Vec<f64> = (0..n).map(|_| next() * 2.0 - 1.0).collect();
@@ -1441,7 +1408,7 @@ mod kernel_oracle {
             for idx in sym.lp[k]..sym.lp[k + 1] {
                 colmax = colmax.max(x[sym.li[idx]].abs());
             }
-            let vanish = sym.pivot_abs_min.max(sym.refactor_rel_threshold * colmax);
+            let vanish = PIVOT_ABS_MIN.max(REFACTOR_REL_THRESHOLD * colmax);
             if piv.abs() <= vanish || piv.is_nan() {
                 x[k] = 0.0;
                 for t in sym.up[k]..sym.up[k + 1] {
@@ -1597,7 +1564,6 @@ mod kernel_oracle {
             let base = periodic_grid(&mut next, bs, n1, n2);
             let opts = LuOptions {
                 ordering: if next() < 0.5 { Ordering::Natural } else { Ordering::Rcm },
-                ..Default::default()
             };
             let mut lu = SparseLu::factor(&to_csc(n, &base), opts).expect("dominant grid factors");
             let mut reference = lu.clone();

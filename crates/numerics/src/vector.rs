@@ -81,15 +81,6 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     x.iter().zip(y).map(|(a, b)| a - b).collect()
 }
 
-/// Root-mean-square of the entries (0 for empty input).
-#[inline]
-pub fn rms(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
-}
-
 /// Weighted convergence norm used by Newton loops:
 /// `max_i |x_i| / (reltol·|ref_i| + abstol)`.
 ///
@@ -160,11 +151,6 @@ mod tests {
         // |x| exactly reltol*|ref| + abstol => ratio 1.
         let r = wrms_ratio(&[1e-3 + 1e-9], &[1.0], 1e-3, 1e-9);
         assert!((r - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rms_of_constant() {
-        assert!((rms(&[2.0; 10]) - 2.0).abs() < 1e-15);
     }
 
     proptest! {

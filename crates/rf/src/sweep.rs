@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use rfsim_circuit::driver::{NewtonDriver, Rung, RungExec, RungKind};
+use rfsim_circuit::driver::{fall_back, RungKind};
 use rfsim_circuit::fault::SolveFault;
 use rfsim_circuit::newton::{LinearSolverWorkspace, WorkspaceStats};
 use rfsim_circuit::{Circuit, Result};
@@ -765,25 +765,19 @@ fn sweep_chain<B: SweepBackend>(
         let guess = prev.take().filter(|g| g.len() == dim);
         // The sweep point's recovery ladder: the (possibly seeded) solve,
         // plus — when the warm start was only a hint — a retry from the
-        // job's own initial guess. The driver classifies the failure:
+        // job's own initial guess. `fall_back` classifies the failure:
         // interruptions and structural errors are never retried.
-        let mut rungs: Vec<Rung<'_, B::Solution>> =
-            vec![Rung::new(RungKind::Plain, |exec: &mut RungExec<'_>| {
-                let (ws, b) = exec.parts();
-                backend.solve(circuit, guess.as_deref(), ws, b)
-            })];
+        let mut solved = backend.solve(circuit, guess.as_deref(), workspace, budget);
         if rekeyed && guess.is_some() {
-            rungs.push(Rung::new(
+            solved = fall_back(
+                solved,
                 RungKind::RetryUnseeded,
-                |exec: &mut RungExec<'_>| {
-                    let (ws, b) = exec.parts();
-                    backend.solve(circuit, None, ws, b)
-                },
-            ));
+                workspace,
+                budget,
+                |ws, b| backend.solve(circuit, None, ws, b),
+            );
         }
-        let solution = NewtonDriver::default()
-            .solve_ladder("sweep point", workspace, budget, rungs)?
-            .value;
+        let solution = solved?;
         prev = Some(backend.samples(&solution).to_vec());
         out.push((value, solution));
     }

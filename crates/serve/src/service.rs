@@ -52,6 +52,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use rfsim_circuit::driver::RungKind;
 use rfsim_circuit::fault::SolveFault;
 use rfsim_circuit::newton::WorkspaceStats;
 use rfsim_hb::Hb2Options;
@@ -213,8 +214,9 @@ impl JobStatus {
 
 /// A mid-solve snapshot of a running job: which recovery-ladder rung is
 /// active, how deep its Newton iteration is, and the best residual seen.
-/// Published by the per-job budget's progress observer (the
-/// `NewtonDriver` stages every rung's budget child with the rung label),
+/// Published by the per-job budget's progress observer (`fall_back`
+/// stages every fallback rung's budget child with the rung label; a
+/// first attempt runs unstaged and reports `plain`),
 /// refreshed on every Newton iteration of every row of the job, and
 /// dropped when the job settles. Scheduling observability only — never
 /// part of a store key or a result.
@@ -2010,15 +2012,16 @@ fn execute_batch(
             let trace = trace.clone();
             let mut budget = SolveBudget::unlimited()
                 .with_cancel(token.clone())
-                // Publish mid-solve progress: the NewtonDriver stages
-                // every rung's budget child with the rung label, so each
-                // iteration snapshot names its ladder rung for `poll`.
-                // Iteration 0 is the driver's rung announcement — a
+                // Publish mid-solve progress: `fall_back` stages every
+                // fallback rung's budget child with the rung label, so
+                // each iteration snapshot names its ladder rung for
+                // `poll`; an unstaged first attempt reads `plain`.
+                // Iteration 0 is a fallback rung's entry announcement — a
                 // timeline transition, not a poll-visible iteration.
                 .observed(move |p| {
                     if p.iteration > 0 {
                         *slot.lock().expect("progress slot poisoned") = Some(JobProgress {
-                            rung: p.stage.unwrap_or("plain"),
+                            rung: p.stage.unwrap_or(RungKind::Plain.label()),
                             iteration: p.iteration,
                             best_residual: p.best_residual,
                         });

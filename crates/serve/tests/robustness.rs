@@ -196,7 +196,8 @@ fn panics_fail_immediately() {
 /// A running job's poll carries a `progress` object naming the active
 /// recovery-ladder rung, its Newton iteration depth and the best
 /// residual — published by the per-job budget's observer from the
-/// NewtonDriver's staged rungs, all the way out over the wire.
+/// solve's stage label (none for a first attempt, read as `plain`), all
+/// the way out over the wire.
 #[test]
 fn running_job_reports_rung_progress_over_wire() {
     let service = SimService::start(small_config());
@@ -242,7 +243,7 @@ fn running_job_reports_rung_progress_over_wire() {
 }
 
 /// The diverge fault's *typed* outcome — `Diverged`, produced by the
-/// Newton driver when every damping trial is non-finite — survives all
+/// Newton solve when every damping trial is non-finite — survives all
 /// the way to a wire poll as the failure message, and is never confused
 /// with a budget interruption.
 #[test]

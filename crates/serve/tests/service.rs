@@ -76,6 +76,23 @@ fn memo_hit_is_bit_identical_to_a_fresh_solve() {
 }
 
 #[test]
+fn healthy_job_enters_no_fallback_rung() {
+    // Every point of a 2×2 job converges on its first attempt, so no
+    // fallback rung runs and the rung counters stay at zero.
+    let service = SimService::start(small_config());
+    let mut request = JobSpec::mpde("rc_lowpass", 1e6, vec![0.1, 0.2], vec![10e3, 20e3]);
+    request.n1 = 8;
+    request.n2 = 4;
+    let result = service
+        .wait(service.submit(&request).expect("submit"), WAIT)
+        .expect("solve");
+    assert_eq!(result.points.len(), 4);
+    let solver = service.stats().solver;
+    assert_eq!(solver.rung_attempts, 0, "{solver:?}");
+    assert_eq!(solver.rung_successes, 0, "{solver:?}");
+}
+
+#[test]
 fn concurrent_identical_submits_coalesce_onto_one_solve() {
     // Start paused so both submits land before the scheduler moves:
     // the second MUST take the coalescing path, deterministically.

@@ -11,8 +11,10 @@
 //! solver — the MPDE engine in `rfsim-mpde` extends the same structure with
 //! a second (difference-frequency) axis.
 
-use rfsim_circuit::driver::{NewtonDriver, NewtonProfile};
-use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions, NewtonStats, NewtonSystem};
+use rfsim_circuit::driver::NewtonProfile;
+use rfsim_circuit::newton::{
+    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonStats, NewtonSystem,
+};
 use rfsim_circuit::{Circuit, Result, UnknownKind};
 use rfsim_numerics::diff::DiffScheme;
 use rfsim_numerics::sparse::Triplets;
@@ -239,7 +241,7 @@ pub fn periodic_fd_pss_budgeted(
     let kinds: Vec<UnknownKind> = kinds;
 
     let (samples, stats) =
-        NewtonDriver::new(options.newton).solve(&sys, &x0, &kinds, workspace, budget)?;
+        newton_solve_budgeted(&sys, &x0, &kinds, options.newton, workspace, budget)?;
     Ok(PeriodicFdResult {
         times,
         samples,

@@ -11,8 +11,9 @@
 //! is what the sheared-MPDE method's 1200-point grid replaces.
 
 use rfsim_circuit::dcop::dc_operating_point_budgeted;
-use rfsim_circuit::driver::NewtonDriver;
-use rfsim_circuit::newton::{LinearSolverWorkspace, NewtonOptions, NewtonSystem};
+use rfsim_circuit::newton::{
+    newton_solve_budgeted, LinearSolverWorkspace, NewtonOptions, NewtonSystem, ABSTOL_V, RELTOL,
+};
 use rfsim_circuit::{Circuit, CircuitError, Result, UnknownKind};
 use rfsim_numerics::dense::DenseMatrix;
 use rfsim_numerics::sparse::{CscAssembly, CscMatrix, CsrAssembly, CsrMatrix, Triplets};
@@ -189,7 +190,7 @@ fn integrate_period(
             q_prev_over_h: &q_prev_over_h,
             b_new: &b_new,
         };
-        let (x_new, stats) = NewtonDriver::new(newton).solve(&sys, &x, kinds, workspace, budget)?;
+        let (x_new, stats) = newton_solve_budgeted(&sys, &x, kinds, newton, workspace, budget)?;
         inner_iterations += stats.iterations;
 
         if keep_ops {
@@ -327,7 +328,7 @@ pub fn shooting_pss_budgeted(
         let r: Vec<f64> = x_t.iter().zip(&x0).map(|(a, b)| a - b).collect();
 
         // Converged?
-        if wrms_ratio(&r, &x0, options.newton.reltol, options.newton.abstol_v) <= 1.0 {
+        if wrms_ratio(&r, &x0, RELTOL, ABSTOL_V) <= 1.0 {
             return Ok(ShootingResult {
                 initial_state: x0,
                 times: sweep.times,

@@ -58,7 +58,6 @@ fn gmres_newton_matches_direct_newton_through_dc() {
                 },
                 ..Default::default()
             },
-            ..Default::default()
         },
     )
     .expect("gmres");
