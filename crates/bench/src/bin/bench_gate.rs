@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! cargo run --release -p rfsim-bench --bin bench_gate -- \
-//!     --baseline BENCH_pr25.json --out BENCH_pr26.json --tolerance 0.25
+//!     --baseline BENCH_pr26.json --out BENCH_pr27.json --tolerance 0.25
 //! ```
 
 use std::io::Write;
@@ -43,8 +43,8 @@ fn parsed<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Resu
 /// Parses the command line; the error is a one-line usage message.
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        baseline: "BENCH_pr25.json".into(),
-        out: "BENCH_pr26.json".into(),
+        baseline: "BENCH_pr26.json".into(),
+        out: "BENCH_pr27.json".into(),
         // Cross-machine reproducibility of the micro ratios is ~±20%
         // (measured by re-running a pinned build against a baseline
         // recorded on a different container), so a tighter band is

@@ -37,6 +37,17 @@ use crate::stamp::StampContext;
 use crate::Result;
 
 /// A circuit element that stamps into the MNA system.
+///
+/// **Stamp contract.** The sequence of Jacobian entries a device stamps,
+/// each `(row, col)` in order, depends on its parameters only, never on
+/// the state `x`: a conditional stamp tests a parameter (the MOSFET's
+/// `cgs != 0.0`, the diode's `cj0 == 0.0 && tt == 0.0`), and a value that
+/// passes through zero is still stamped. Pattern caches rely on it. The
+/// Newton workspace's slot maps verify every stamp position and rebuild
+/// on a change; the MPDE's compiled grid Jacobian compiles one stamp
+/// sequence for every grid point and panics on a change rather than
+/// build a wrong Jacobian. Every built-in device keeps the contract, and
+/// [`crate::CircuitBuilder`] builds circuits from built-in devices only.
 pub trait Device: Send + Sync + std::fmt::Debug {
     /// The device's instance name (unique within a circuit).
     fn name(&self) -> &str;

@@ -11,8 +11,21 @@
 //! all per-structure work — triplet compression order, RCM ordering, the
 //! Gilbert–Peierls symbolic reach, the pivot order — is computed once and
 //! cached in a [`LinearSolverWorkspace`]. Every subsequent Newton iteration
-//! assembles in place through the cached slot maps and runs a numeric-only
-//! [`SparseLu::refactor_in_place`]. Callers that solve many same-structure
+//! assembles in place and runs a numeric-only
+//! [`SparseLu::refactor_in_place`]. A fresh Jacobian takes one of two
+//! routes into the workspace:
+//!
+//! * the **triplet route**: the system pushes triplets
+//!   ([`NewtonSystem::residual_and_jacobian`]), which the cached slot maps
+//!   scatter into CSR or CSC form, verifying every stamp position (DC,
+//!   transient, shooting, HB2, periodic FD, envelope, any wrapper);
+//! * the **compiled route**: a system that compiled its CSR pattern once
+//!   writes the values straight into the workspace's CSR matrix
+//!   ([`NewtonSystem::residual_and_compiled_jacobian`]; every MPDE grid).
+//!   Krylov reads that matrix; direct LU gathers its CSC values through a
+//!   CSR→CSC slot map built once per pattern.
+//!
+//! Callers that solve many same-structure
 //! systems in sequence (transient timesteps, gmin/source stepping,
 //! MPDE continuation, shooting, parameter sweeps) pass one workspace to
 //! every [`newton_solve_budgeted`] call so the cache also persists
@@ -57,10 +70,12 @@ pub enum LinearSolver {
     /// [`NewtonProfile::Grid`](crate::driver::NewtonProfile::Grid),
     /// resolved at the first fresh Jacobian of each Newton solve. A
     /// Jacobian with at least 8 000 unknowns that declares its diagonal
-    /// block size ([`Triplets::declare_block_size`], as the MPDE grid
-    /// Jacobian does) runs [`LinearSolver::GmresBlockJacobi`] with fixed
-    /// inner settings. Anything else runs [`LinearSolver::Direct`], with
-    /// the same bits and counters as asking for it outright.
+    /// block size ([`Triplets::declare_block_size`] on the triplet route,
+    /// [`CompiledJacobian::block_size`] on the compiled one; the MPDE
+    /// grid Jacobian declares it on both) runs
+    /// [`LinearSolver::GmresBlockJacobi`] with fixed inner settings.
+    /// Anything else runs [`LinearSolver::Direct`], with the same bits
+    /// and counters as asking for it outright.
     Auto,
 }
 
@@ -97,9 +112,10 @@ const KRYLOV_RESTART: usize = 30;
 /// cheaply and falls back to direct LU.
 const KRYLOV_MAX_MATVECS: usize = 300;
 
-/// What [`LinearSolver::Auto`] means for a `dim`-unknown Jacobian `jac`.
-fn resolve_auto(dim: usize, jac: &Triplets) -> LinearSolver {
-    match jac.block_size() {
+/// What [`LinearSolver::Auto`] means for a `dim`-unknown Jacobian that
+/// declares `block_size`.
+fn resolve_auto(dim: usize, block_size: Option<usize>) -> LinearSolver {
+    match block_size {
         Some(block_size) if dim >= KRYLOV_MIN_DIM => LinearSolver::GmresBlockJacobi {
             block_size,
             rtol: KRYLOV_RTOL,
@@ -110,6 +126,15 @@ fn resolve_auto(dim: usize, jac: &Triplets) -> LinearSolver {
     }
 }
 
+/// Where a fresh Jacobian is: in the caller's triplets (the triplet
+/// route), or already in the workspace's CSR matrix (the compiled route,
+/// [`NewtonSystem::residual_and_compiled_jacobian`]).
+#[derive(Debug, Clone, Copy)]
+enum Jacobian<'a> {
+    Triplets(&'a Triplets),
+    Compiled,
+}
+
 impl LinearSolver {
     /// Solves one fresh Newton system. A Krylov breakdown falls back to
     /// direct LU, counts one `direct_fallbacks` and turns `self` into
@@ -118,7 +143,7 @@ impl LinearSolver {
     fn solve_with(
         &mut self,
         ws: &mut LinearSolverWorkspace,
-        jac: &Triplets,
+        jac: Jacobian<'_>,
         rhs: &[f64],
         budget: &SolveBudget,
     ) -> Result<Vec<f64>> {
@@ -156,8 +181,10 @@ pub struct WorkspaceStats {
     /// Refactorisations whose recorded pivot vanished and that fell back
     /// to a full factorisation (also counted in `full_factorizations`).
     pub full_fallbacks: usize,
-    /// Times the assembly slot maps had to be (re)built because the stamp
-    /// sequence changed (once per structure in the steady state).
+    /// Times the Jacobian's pattern changed (once per structure in the
+    /// steady state): a triplet-route slot map (re)built because the
+    /// stamp sequence changed, or the CSR matrix re-created for a
+    /// compiled Jacobian's pattern.
     pub pattern_rebuilds: usize,
     /// Chord (modified-Newton) solves reusing the last factors outright.
     pub cached_solves: usize,
@@ -219,20 +246,38 @@ impl WorkspaceStats {
 /// Reusable linear-solver state for Newton iterations over a fixed-pattern
 /// Jacobian.
 ///
-/// Owns the cached triplet→CSC/CSR slot maps, the in-place-assembled
-/// matrices, and the sparse LU factors whose symbolic structure is reused
-/// by numeric-only refactorisation. Safe for *any* sequence of systems: a
-/// structural change is detected (the slot map verifies every stamp
-/// position, the factor stores and compares the exact pattern) and
-/// answered by a
-/// transparent rebuild rather than a wrong solve.
+/// A fresh Jacobian reaches the workspace by one of two routes:
+///
+/// * **Triplet route.** The system pushes triplets
+///   ([`NewtonSystem::residual_and_jacobian`]); cached slot maps scatter
+///   them in place into the CSR matrix (Krylov path) or the CSC matrix
+///   (direct path), verifying every stamp position.
+/// * **Compiled route.** A system that compiled its Jacobian's CSR pattern
+///   writes the values straight into the workspace's CSR matrix
+///   ([`NewtonSystem::residual_and_compiled_jacobian`], the MPDE grid).
+///   The Krylov path reads that matrix directly; the direct path gathers
+///   its CSC values through a CSR→CSC slot map built once per pattern.
+///
+/// Either way the sparse LU factors keep their symbolic structure for
+/// numeric-only refactorisation, and the block-Jacobi preconditioner is
+/// refreshed in place. Safe for *any* sequence of systems and routes: a
+/// structural change is detected (the slot maps verify every stamp
+/// position, a compiled pattern is compared outright, the factor stores
+/// and compares the exact pattern), and a switch of route drops the other
+/// route's slot maps, so each is answered by a transparent rebuild rather
+/// than a wrong solve.
 #[derive(Debug, Default)]
 pub struct LinearSolverWorkspace {
+    /// Triplets → CSC on the triplet route, CSR → CSC on the compiled one.
     csc_assembly: Option<CscAssembly>,
     csc: Option<CscMatrix>,
     lu: Option<SparseLu>,
+    /// Triplets → CSR (triplet route only).
     csr_assembly: Option<CsrAssembly>,
     csr: Option<CsrMatrix>,
+    /// Whether the last fresh Jacobian took the compiled route (and the
+    /// slot maps belong to it).
+    compiled: bool,
     /// Cached block-Jacobi preconditioner, refreshed in place per solve
     /// while the dimensions and block size hold.
     block_jacobi: Option<BlockJacobiPrecond>,
@@ -246,24 +291,67 @@ impl LinearSolverWorkspace {
         Self::default()
     }
 
-    /// Assembles `jac` into the cached CSC matrix through the slot map,
-    /// rebuilding both on structural change.
-    fn assemble_csc(&mut self, jac: &Triplets) -> &CscMatrix {
-        if CscAssembly::assemble_cached(&mut self.csc_assembly, &mut self.csc, jac) {
+    /// Drops the slot maps when the Jacobian arrives by the other route
+    /// than the one they were built for.
+    fn enter_route(&mut self, compiled: bool) {
+        if self.compiled != compiled {
+            self.compiled = compiled;
+            self.csc_assembly = None;
+            self.csr_assembly = None;
+        }
+    }
+
+    /// Takes a compiled Jacobian that `recreated` (or not) the CSR matrix
+    /// with a new pattern: a re-creation counts one pattern rebuild and
+    /// drops what describes the old pattern.
+    fn accept_compiled(&mut self, recreated: bool) {
+        self.enter_route(true);
+        if recreated {
             self.stats.pattern_rebuilds += 1;
-            // The factor's symbolic structure describes the old pattern.
-            self.lu = None;
+            self.block_jacobi = None;
+            self.csc_assembly = None;
+        }
+    }
+
+    /// Brings the cached CSC matrix up to date with `jac`, rebuilding its
+    /// slot map on structural change: a triplet scatter, or the compiled
+    /// CSR matrix's values gathered through a CSR→CSC map.
+    fn assemble_csc(&mut self, jac: Jacobian<'_>) -> &CscMatrix {
+        match jac {
+            Jacobian::Triplets(t) => {
+                if CscAssembly::assemble_cached(&mut self.csc_assembly, &mut self.csc, t) {
+                    self.stats.pattern_rebuilds += 1;
+                    // The factor's symbolic structure describes the old
+                    // pattern.
+                    self.lu = None;
+                }
+            }
+            Jacobian::Compiled => {
+                let csr = self.csr.as_ref().expect("written by the compiled route");
+                if self.csc_assembly.is_none() {
+                    let asm = CscAssembly::of_csr(csr);
+                    self.csc = Some(asm.zero_matrix());
+                    self.csc_assembly = Some(asm);
+                    self.lu = None;
+                }
+                let asm = self.csc_assembly.as_ref().expect("built above");
+                asm.scatter_values(csr.data(), self.csc.as_mut().expect("built with the map"));
+            }
         }
         self.csc.as_ref().expect("assembled above")
     }
 
-    /// Assembles `jac` into the cached CSR matrix (Krylov path: matvecs and
-    /// preconditioner construction), rebuilding on structural change.
-    fn assemble_csr(&mut self, jac: &Triplets) -> &CsrMatrix {
-        if CsrAssembly::assemble_cached(&mut self.csr_assembly, &mut self.csr, jac) {
-            self.stats.pattern_rebuilds += 1;
-            // The cached preconditioner describes the old pattern.
-            self.block_jacobi = None;
+    /// Brings the cached CSR matrix up to date with `jac` (Krylov path:
+    /// matvecs and preconditioner construction). Triplets scatter through
+    /// the slot map, rebuilt on structural change; a compiled Jacobian is
+    /// already there.
+    fn assemble_csr(&mut self, jac: Jacobian<'_>) -> &CsrMatrix {
+        if let Jacobian::Triplets(t) = jac {
+            if CsrAssembly::assemble_cached(&mut self.csr_assembly, &mut self.csr, t) {
+                self.stats.pattern_rebuilds += 1;
+                // The cached preconditioner describes the old pattern.
+                self.block_jacobi = None;
+            }
         }
         self.csr.as_ref().expect("assembled above")
     }
@@ -276,7 +364,7 @@ impl LinearSolverWorkspace {
     ///
     /// Propagates a singular diagonal block; the caller falls back to the
     /// direct path.
-    fn block_jacobi_ready(&mut self, jac: &Triplets, block_size: usize) -> Result<()> {
+    fn block_jacobi_ready(&mut self, jac: Jacobian<'_>, block_size: usize) -> Result<()> {
         self.assemble_csr(jac);
         let csr = self.csr.as_ref().expect("assembled above");
         match &mut self.block_jacobi {
@@ -304,7 +392,7 @@ impl LinearSolverWorkspace {
     /// propagates instead of triggering the direct fallback.
     fn solve_block_jacobi(
         &mut self,
-        jac: &Triplets,
+        jac: Jacobian<'_>,
         rhs: &[f64],
         block_size: usize,
         opts: GmresOptions,
@@ -335,7 +423,7 @@ impl LinearSolverWorkspace {
     /// full factorisation otherwise (first use, or a recorded pivot that
     /// vanished). Used by [`LinearSolver::Direct`] and as the Krylov
     /// fallback.
-    fn solve_direct(&mut self, jac: &Triplets, rhs: &[f64]) -> Result<Vec<f64>> {
+    fn solve_direct(&mut self, jac: Jacobian<'_>, rhs: &[f64]) -> Result<Vec<f64>> {
         self.assemble_csc(jac);
         let csc = self.csc.as_ref().expect("assembled above");
         match &mut self.lu {
@@ -380,8 +468,38 @@ pub trait NewtonSystem {
     fn residual(&self, x: &[f64], out: &mut [f64]);
 
     /// Evaluates `F(x)` into `out` and its Jacobian into `jac`
-    /// (`jac` arrives empty).
+    /// (`jac` arrives empty): the triplet route.
     fn residual_and_jacobian(&self, x: &[f64], out: &mut [f64], jac: &mut Triplets);
+
+    /// The compiled route, for a system that compiled its Jacobian's CSR
+    /// pattern once: evaluates `F(x)` into `out` and writes the Jacobian
+    /// into `jac`, the workspace's CSR matrix, first re-creating it with
+    /// the compiled pattern when it is absent or holds another pattern.
+    ///
+    /// The default returns `None`, meaning "no compiled Jacobian": it
+    /// touches nothing, and Newton takes the triplet route through
+    /// [`NewtonSystem::residual_and_jacobian`]. A forwarding wrapper that
+    /// does not forward this method therefore takes the triplet route.
+    fn residual_and_compiled_jacobian(
+        &self,
+        _x: &[f64],
+        _out: &mut [f64],
+        _jac: &mut Option<CsrMatrix>,
+    ) -> Option<CompiledJacobian> {
+        None
+    }
+}
+
+/// What [`NewtonSystem::residual_and_compiled_jacobian`] reports about the
+/// Jacobian it wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompiledJacobian {
+    /// The diagonal block size, as [`Triplets::declare_block_size`]
+    /// declares it on the triplet route.
+    pub block_size: Option<usize>,
+    /// Whether the matrix was (re)created because it was absent or held
+    /// another pattern.
+    pub recreated: bool,
 }
 
 /// Relative tolerance on a Newton update (and, with [`ABSTOL_V`], the
@@ -493,7 +611,8 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
     let mut residual = vec![0.0; n];
     let mut trial = vec![0.0; n];
     let mut trial_res = vec![0.0; n];
-    let mut jac = Triplets::with_capacity(n, n, 16 * n);
+    // Allocated the first time the triplet route runs.
+    let mut triplets: Option<Triplets> = None;
     let mut neg_f = vec![0.0; n];
     let mut scaled_dx = vec![0.0; n];
     let mut damped = false;
@@ -515,10 +634,25 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         meter.check()?;
         let fresh = !(chord_enabled && chord_left > 0 && workspace.has_factors());
         if fresh {
-            jac.clear();
-            system.residual_and_jacobian(&x, &mut residual, &mut jac);
+            let block_size = match system.residual_and_compiled_jacobian(
+                &x,
+                &mut residual,
+                &mut workspace.csr,
+            ) {
+                Some(answer) => {
+                    workspace.accept_compiled(answer.recreated);
+                    answer.block_size
+                }
+                None => {
+                    workspace.enter_route(false);
+                    let jac = triplets.get_or_insert_with(|| Triplets::with_capacity(n, n, 16 * n));
+                    jac.clear();
+                    system.residual_and_jacobian(&x, &mut residual, jac);
+                    jac.block_size()
+                }
+            };
             if linear == LinearSolver::Auto {
-                linear = resolve_auto(n, &jac);
+                linear = resolve_auto(n, block_size);
                 chord_enabled = options.jacobian_reuse > 0 && linear == LinearSolver::Direct;
             }
             if chord_enabled {
@@ -536,7 +670,12 @@ pub fn newton_solve_budgeted<S: NewtonSystem>(
         }
         let mut dx = if fresh {
             let krylov = linear != LinearSolver::Direct;
-            let dx = match linear.solve_with(workspace, &jac, &neg_f, budget) {
+            // The route the last fresh Jacobian took.
+            let jac = match &triplets {
+                Some(t) if !workspace.compiled => Jacobian::Triplets(t),
+                _ => Jacobian::Compiled,
+            };
+            let dx = match linear.solve_with(workspace, jac, &neg_f, budget) {
                 Ok(dx) => dx,
                 // Re-stamp an inner-loop interruption with outer
                 // (Newton-level) iteration context before reporting.

@@ -589,4 +589,99 @@ mod tests {
             .fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(peak > 0.3 && peak <= 1.0, "plausible output: {peak}");
     }
+
+    /// A circuit's DC Newton system `f(x) + b(0) = 0`, from public parts:
+    /// it has no compiled Jacobian, so it takes the triplet route.
+    struct DcSystem<'a> {
+        circuit: &'a Circuit,
+        b: Vec<f64>,
+    }
+
+    impl NewtonSystem for DcSystem<'_> {
+        fn dim(&self) -> usize {
+            self.circuit.num_unknowns()
+        }
+
+        fn residual(&self, x: &[f64], out: &mut [f64]) {
+            self.circuit.eval_f(x, out, None);
+            for (o, b) in out.iter_mut().zip(&self.b) {
+                *o += b;
+            }
+        }
+
+        fn residual_and_jacobian(
+            &self,
+            x: &[f64],
+            out: &mut [f64],
+            jac: &mut rfsim_numerics::sparse::Triplets,
+        ) {
+            self.circuit.eval_f(x, out, Some(jac));
+            for (o, b) in out.iter_mut().zip(&self.b) {
+                *o += b;
+            }
+        }
+    }
+
+    #[test]
+    fn one_workspace_switches_routes_bit_for_bit() {
+        // Compiled direct LU (16×8), the triplet route (a DC operating
+        // point), compiled Krylov (40×30), then 16×8 again, all on one
+        // workspace: each answer equals a fresh workspace's bit for bit,
+        // and each pattern change rebuilds exactly once.
+        let mixer = rfsim_circuits::BalancedMixer::build(rfsim_circuits::BalancedMixerParams {
+            rf_bits: vec![true, false, true, true],
+            ..Default::default()
+        })
+        .expect("mixer");
+        let circuit = &mixer.circuit;
+        let (t1, t2) = (mixer.params.t1_period(), mixer.params.t2_period());
+        let mut b = vec![0.0; circuit.num_unknowns()];
+        circuit.eval_b(0.0, &mut b);
+        let dc = DcSystem { circuit, b };
+        let op = rfsim_circuit::dcop::dc_operating_point(circuit, Default::default())
+            .expect("dc")
+            .solution;
+        let dc_x0: Vec<f64> = op.iter().map(|v| 0.9 * v).collect();
+        let unlimited = SolveBudget::unlimited();
+        let solve = |step: usize, ws: &mut LinearSolverWorkspace| -> Vec<f64> {
+            let (n1, n2) = match step {
+                1 => {
+                    let kinds = circuit.unknown_kinds();
+                    let options = NewtonOptions::default();
+                    return newton_solve_budgeted(&dc, &dc_x0, kinds, options, ws, &unlimited)
+                        .expect("dc newton")
+                        .0;
+                }
+                2 => (40, 30),
+                _ => (16, 8),
+            };
+            let options = MpdeOptions {
+                n1,
+                n2,
+                ..Default::default()
+            };
+            solve_mpde_budgeted(circuit, t1, t2, options, ws, &unlimited)
+                .expect("mpde")
+                .solution
+                .data
+        };
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut shared = LinearSolverWorkspace::new();
+        for step in 0..4 {
+            let before = shared.stats;
+            let got = solve(step, &mut shared);
+            let mut fresh = LinearSolverWorkspace::new();
+            let expected = solve(step, &mut fresh);
+            assert_eq!(bits(&got), bits(&expected), "step {step}");
+            // The shared workspace did exactly a fresh one's work: one
+            // pattern rebuild, the same factors, refreshes and solves.
+            assert_eq!(fresh.stats.pattern_rebuilds, 1, "step {step}");
+            let mut sum = before;
+            sum.absorb(&fresh.stats);
+            assert_eq!(shared.stats, sum, "step {step}");
+            let krylov = fresh.stats.iterative_solves > 0;
+            assert_eq!(krylov, step == 2, "step {step}: only 40x30 runs GMRES");
+        }
+        assert_eq!(shared.stats.direct_fallbacks, 0, "{:?}", shared.stats);
+    }
 }

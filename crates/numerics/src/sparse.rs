@@ -13,7 +13,10 @@
 //! single allocation-free scatter pass (no counting sort, no per-column
 //! sort, no dedup). The scatter verifies the `(row, col)` sequence as it
 //! goes and reports a mismatch instead of producing a wrong matrix, so
-//! callers can rebuild the cache on the rare pattern change.
+//! callers can rebuild the cache on the rare pattern change. An assembler
+//! that compiles its pattern itself (the MPDE grid) skips triplets: it
+//! builds the matrix with [`CsrMatrix::with_pattern`] and writes the values
+//! in place, and [`CscAssembly::of_csr`] maps them to CSC form.
 
 use crate::{NumericsError, Result};
 
@@ -164,44 +167,19 @@ impl Triplets {
 
     /// Converts to compressed-sparse-row form, summing duplicates.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut out = CsrMatrix {
+        let (indptr, indices, data) = compress(self.rows, &self.entries, |&(r, c, v)| (r, c, v));
+        CsrMatrix {
             rows: self.rows,
             cols: self.cols,
-            indptr: Vec::new(),
-            indices: Vec::new(),
-            data: Vec::new(),
-        };
-        self.to_csr_into(&mut out);
-        out
-    }
-
-    /// [`Triplets::to_csr`] written over `out`, reusing its allocations:
-    /// the same pattern and the same duplicate sums, bit for bit. For
-    /// assembly loops that convert many small stamp sets.
-    pub fn to_csr_into(&self, out: &mut CsrMatrix) {
-        out.rows = self.rows;
-        out.cols = self.cols;
-        compress(
-            self.rows,
-            &self.entries,
-            |&(r, c, v)| (r, c, v),
-            &mut out.indptr,
-            &mut out.indices,
-            &mut out.data,
-        );
+            indptr,
+            indices,
+            data,
+        }
     }
 
     /// Converts to compressed-sparse-column form, summing duplicates.
     pub fn to_csc(&self) -> CscMatrix {
-        let (mut indptr, mut indices, mut data) = (Vec::new(), Vec::new(), Vec::new());
-        compress(
-            self.cols,
-            &self.entries,
-            |&(r, c, v)| (c, r, v),
-            &mut indptr,
-            &mut indices,
-            &mut data,
-        );
+        let (indptr, indices, data) = compress(self.cols, &self.entries, |&(r, c, v)| (c, r, v));
         CscMatrix {
             rows: self.rows,
             cols: self.cols,
@@ -222,24 +200,20 @@ impl Triplets {
 }
 
 /// Shared compression kernel: groups entries by `major`, sorts by `minor`,
-/// sums duplicates. Writes over `indptr`, `indices` and `data`, keeping
-/// their allocations.
+/// sums duplicates. Returns `(indptr, indices, data)`.
 fn compress<F>(
     majors: usize,
     entries: &[(usize, usize, f64)],
     proj: F,
-    indptr: &mut Vec<usize>,
-    indices: &mut Vec<usize>,
-    data: &mut Vec<f64>,
-) where
+) -> (Vec<usize>, Vec<usize>, Vec<f64>)
+where
     F: Fn(&(usize, usize, f64)) -> (usize, usize, f64),
 {
     // Counting sort by major index into `(minor, value)` runs. It is
     // stable, so each run keeps insertion order. While placing,
     // `indptr[m + 1]` walks from run m's start to its end; the pass below
     // then overwrites it with the compressed end.
-    indptr.clear();
-    indptr.resize(majors + 1, 0);
+    let mut indptr = vec![0; majors + 1];
     for e in entries {
         indptr[proj(e).0 + 1] += 1;
     }
@@ -255,10 +229,8 @@ fn compress<F>(
         runs[indptr[maj + 1]] = (min, v);
         indptr[maj + 1] += 1;
     }
-    indices.clear();
-    data.clear();
-    indices.reserve(entries.len());
-    data.reserve(entries.len());
+    let mut indices = Vec::with_capacity(entries.len());
+    let mut data = Vec::with_capacity(entries.len());
     let mut lo = 0;
     for m in 0..majors {
         let hi = indptr[m + 1];
@@ -279,6 +251,7 @@ fn compress<F>(
         indptr[m + 1] = indices.len();
         lo = hi;
     }
+    (indptr, indices, data)
 }
 
 /// Compressed sparse row matrix.
@@ -292,6 +265,49 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
+    /// A zero-valued `rows × cols` matrix with the given pattern, for an
+    /// assembler that compiles its pattern itself and writes the values
+    /// through [`CsrMatrix::data_mut`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `indptr` has `rows + 1` non-decreasing entries from 0
+    /// to `indices.len()` and every row's column indices strictly
+    /// increase below `cols`.
+    pub fn with_pattern(rows: usize, cols: usize, indptr: Vec<usize>, indices: Vec<usize>) -> Self {
+        assert!(
+            indptr.len() == rows + 1
+                && indptr[0] == 0
+                && indptr[rows] == indices.len()
+                && indptr.windows(2).all(|w| w[0] <= w[1]),
+            "CsrMatrix::with_pattern: bad row pointers"
+        );
+        for r in 0..rows {
+            let row = &indices[indptr[r]..indptr[r + 1]];
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]) && row.last().is_none_or(|&c| c < cols),
+                "CsrMatrix::with_pattern: row {r} is unsorted, repeats a column or is out of bounds"
+            );
+        }
+        let data = vec![0.0; indices.len()];
+        CsrMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+            data,
+        }
+    }
+
+    /// Whether `other` has this matrix's dimensions and pattern (values
+    /// aside).
+    pub fn same_pattern(&self, other: &CsrMatrix) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.indptr == other.indptr
+            && self.indices == other.indices
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -606,6 +622,25 @@ impl SlotMap {
         self.indices.len()
     }
 
+    /// Scatters `values`, one per recorded triplet slot, into `data`
+    /// (duplicates summed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` or `data` has the wrong length.
+    fn scatter_slice(&self, values: &[f64], data: &mut [f64]) {
+        assert_eq!(
+            values.len(),
+            self.slot.len(),
+            "SlotMap::scatter_slice: values"
+        );
+        assert_eq!(data.len(), self.nnz(), "SlotMap::scatter_slice: nnz");
+        data.fill(0.0);
+        for (&s, &v) in self.slot.iter().zip(values) {
+            data[s] += v;
+        }
+    }
+
     fn matches(&self, t: &Triplets) -> bool {
         t.rows == self.rows
             && t.cols == self.cols
@@ -661,6 +696,35 @@ impl CscAssembly {
         CscAssembly {
             map: SlotMap::new(t, t.cols, |&(r, c, _)| (c, r)),
         }
+    }
+
+    /// The assembly of `csr`'s pattern, one triplet slot per stored entry
+    /// in row order: [`Self::scatter_values`] then turns that matrix's
+    /// values into its CSC form.
+    pub fn of_csr(csr: &CsrMatrix) -> Self {
+        let mut t = Triplets::with_capacity(csr.rows, csr.cols, csr.nnz());
+        for r in 0..csr.rows {
+            for &c in csr.row(r).0 {
+                t.push(r, c, 0.0);
+            }
+        }
+        CscAssembly::new(&t)
+    }
+
+    /// Scatters `values`, one per triplet slot the assembly was built from
+    /// (the stored values of the CSR matrix for [`Self::of_csr`]), into
+    /// `out` (duplicates summed). Unlike [`Self::scatter`] there are no
+    /// positions to verify: the caller owns the match between `values`
+    /// and the assembly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` has another length than the recorded slots, or
+    /// `out` was not produced from this assembly's pattern.
+    pub fn scatter_values(&self, values: &[f64], out: &mut CscMatrix) {
+        assert_eq!(out.rows, self.map.rows, "CscAssembly::scatter_values: rows");
+        assert_eq!(out.cols, self.map.cols, "CscAssembly::scatter_values: cols");
+        self.map.scatter_slice(values, &mut out.data);
     }
 
     /// Stored entries in the compressed pattern (after summing duplicates).
@@ -946,6 +1010,34 @@ mod tests {
     }
 
     #[test]
+    fn compiled_csr_values_transpose_through_csc_assembly() {
+        let t = example();
+        let reference = t.to_csr();
+        let mut csr = CsrMatrix::with_pattern(
+            3,
+            3,
+            reference.indptr().to_vec(),
+            reference.indices().to_vec(),
+        );
+        assert!(csr.same_pattern(&reference));
+        assert_eq!(csr.data(), &[0.0; 5]);
+        csr.data_mut().copy_from_slice(reference.data());
+        let asm = CscAssembly::of_csr(&csr);
+        let mut csc = asm.zero_matrix();
+        asm.scatter_values(csr.data(), &mut csc);
+        assert_eq!(csc, t.to_csc());
+        let mut other = example();
+        other.push(1, 0, 1.0);
+        assert!(!csr.same_pattern(&other.to_csr()));
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats a column")]
+    fn with_pattern_rejects_a_repeated_column() {
+        CsrMatrix::with_pattern(1, 2, vec![0, 2], vec![1, 1]);
+    }
+
+    #[test]
     fn csr_assembly_matches_to_csr() {
         let mut t = example();
         t.push(0, 0, 0.5); // duplicate
@@ -1088,16 +1180,11 @@ mod tests {
             }
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let (indptr, indices, data) = reference_compress(5, &t.entries, |&(r, c, v)| (r, c, v));
-            // Reuse a matrix of another shape with stale contents.
-            let mut reused = Triplets::new(7, 9);
-            reused.push(6, 8, 1.5);
-            let mut reused = reused.to_csr();
-            t.to_csr_into(&mut reused);
-            prop_assert!(reused == t.to_csr());
-            prop_assert_eq!((reused.rows(), reused.cols()), (5, 4));
-            prop_assert_eq!(reused.indptr(), &indptr[..]);
-            prop_assert_eq!(reused.indices(), &indices[..]);
-            prop_assert_eq!(bits(reused.data()), bits(&data));
+            let csr = t.to_csr();
+            prop_assert_eq!((csr.rows(), csr.cols()), (5, 4));
+            prop_assert_eq!(csr.indptr(), &indptr[..]);
+            prop_assert_eq!(csr.indices(), &indices[..]);
+            prop_assert_eq!(bits(csr.data()), bits(&data));
             let (indptr, indices, data) = reference_compress(4, &t.entries, |&(r, c, v)| (c, r, v));
             let csc = t.to_csc();
             prop_assert_eq!(csc.indptr(), &indptr[..]);

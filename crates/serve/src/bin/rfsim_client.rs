@@ -31,6 +31,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
+use rfsim_numerics::json::Json;
 use rfsim_serve::client::ServeClient;
 use rfsim_serve::spec::{BackendKind, JobSpec, Priority};
 
@@ -450,12 +451,12 @@ fn run() -> Cli<ExitCode> {
                 let label = event.string_at("event").unwrap_or("?");
                 let t_ms = event.number_at("t_ms").unwrap_or(0.0);
                 let mut extras = String::new();
-                if let rfsim_numerics::json::Json::Object(members) = event {
+                if let Json::Object(members) = event {
                     for (key, value) in members {
                         if key == "event" || key == "t_ms" {
                             continue;
                         }
-                        extras.push_str(&format!(" {key}={}", value.dump()));
+                        extras.push_str(&format!(" {key}={}", field_text(value)));
                     }
                 }
                 println!("  +{t_ms:.3}ms {label}{extras}");
@@ -487,6 +488,18 @@ fn run() -> Cli<ExitCode> {
     }
 }
 
+/// One trace-event field as `trace` prints it: an integral number as an
+/// integer (`iteration=3`), any other number in Rust's shortest
+/// scientific form (`residual=8.558810434879679e-21`), anything else as
+/// its JSON (`rung="plain"`).
+fn field_text(value: &Json) -> String {
+    match value {
+        Json::Number(x) if x.fract() == 0.0 && x.abs() < 1e15 => format!("{x}"),
+        Json::Number(x) => format!("{x:e}"),
+        other => other.dump(),
+    }
+}
+
 /// The exit code of a settled job against `--expect-memo`/`--expect-solve`.
 fn expectations(expect_memo: bool, expect_solve: bool, memo_hit: bool) -> ExitCode {
     if expect_memo && !memo_hit {
@@ -498,4 +511,24 @@ fn expectations(expect_memo: bool, expect_solve: bool, memo_hit: bool) -> ExitCo
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trace_fields_print_integers_and_short_scientific_numbers() {
+        assert_eq!(field_text(&Json::Number(3.0)), "3");
+        assert_eq!(field_text(&Json::Number(0.0)), "0");
+        assert_eq!(
+            field_text(&Json::Number(8.558810434879679e-21)),
+            "8.558810434879679e-21"
+        );
+        assert_eq!(field_text(&Json::Number(4.3e-13)), "4.3e-13");
+        assert_eq!(field_text(&Json::Number(2.5)), "2.5e0");
+        assert_eq!(field_text(&Json::Number(1e300)), "1e300");
+        assert_eq!(field_text(&Json::String("plain".into())), "\"plain\"");
+        assert_eq!(field_text(&Json::Bool(true)), "true");
+    }
 }
